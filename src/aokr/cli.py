@@ -18,10 +18,12 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import IO, Sequence
+from contextlib import contextmanager, nullcontext
+from dataclasses import asdict, dataclass, fields
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -30,22 +32,63 @@ from .core import ScaledParams, hbar_from_period
 from .epsmap import EpsParams, classical_map_energy, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, PERIOD_LEVEL_MAX, NoiseConfig
 from .qkr import DEFAULT_CUTOFF, CutoffError, EnsembleSpec, ensemble_energy
-from .theory import diffusion_rate, diffusion_rate_with_noise, kick_strength_from_energy
+from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
+from .theory import diffusion_rate_with_noise, kick_strength_from_energy, write_diffusion_curve
 
 log = logging.getLogger("aokr")
 
 TWO_PI = 2.0 * math.pi
 
-ENGINES = ("quantum", "eps-classical", "theory")
 ABSCISSAS = ("hbar", "epsilon", "period-us")
 NOISE_KINDS = ("amplitude", "period")
 
 DEFAULT_REALIZATIONS = 12
 DEFAULT_REALIZATIONS_NOISELESS = 3
+MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
 
 
 class ConfigError(ValueError):
     """A scan configuration violated an invariant; message names the field."""
+
+
+# ---------------------------------------------------------------------------
+# engines: the two values of one (abscissa point, noise level) cell
+# ---------------------------------------------------------------------------
+# (energy, sem), or (d_classical, d_quantum) for theory.  Engine entry points
+# are called through this module's globals, where bench/tracing.py wraps them.
+
+def _quantum_cell(
+    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
+) -> tuple[float, float]:
+    params = ScaledParams(
+        hbar_eff=hbar, kick_strength=spec.kick_ratio * hbar, kick_count=spec.kicks
+    )
+    return ensemble_energy(spec.ensemble(), params, cfg, n_real)
+
+
+def _eps_cell(
+    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
+) -> tuple[float, float]:
+    p = EpsParams(
+        epsilon=hbar - TWO_PI * spec.resonance_order,
+        kick_ratio=spec.kick_ratio,
+        resonance_order=spec.resonance_order,
+    )
+    return eps_energy(p, spec.kicks, spec.ensemble(), cfg, n_real)
+
+
+def _theory_cell(
+    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
+) -> tuple[float, float]:
+    kappa = spec.kick_ratio * hbar
+    return (
+        diffusion_rate_with_noise(kappa, hbar, level, "classical"),
+        diffusion_rate_with_noise(kappa, hbar, level, "quantum"),
+    )
+
+
+_CELLS = {"quantum": _quantum_cell, "eps-classical": _eps_cell, "theory": _theory_cell}
+ENGINES = tuple(_CELLS)
 
 
 @dataclass(frozen=True)
@@ -80,10 +123,21 @@ class ScanSpec:
             raise ConfigError(f"abscissa = {self.abscissa!r} not one of {ABSCISSAS}")
         if self.noise not in NOISE_KINDS:
             raise ConfigError(f"noise = {self.noise!r} not one of {NOISE_KINDS}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            for x in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(x, float) and not math.isfinite(x):
+                    raise ConfigError(f"{field.name} must be finite, got {value}")
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
         if self.step <= 0.0:
             raise ConfigError(f"step must be positive, got {self.step}")
+        # `points` makes floor(this) + 1 points; inf when the quotient overflows
+        if not (self.hi - self.lo) / self.step + 1e-9 < MAX_POINTS:
+            raise ConfigError(
+                f"step = {self.step} makes more than {MAX_POINTS} points "
+                f"over [{self.lo}, {self.hi}]"
+            )
         if len(self.levels) == 0:
             raise ConfigError("levels must not be empty")
         bound = AMPLITUDE_LEVEL_MAX if self.noise == "amplitude" else PERIOD_LEVEL_MAX
@@ -121,6 +175,8 @@ class ScanSpec:
                 raise ConfigError(
                     f"engine {self.engine!r} does not model spontaneous emission"
                 )
+        if self.engine == "eps-classical" and self.p_max is not None:
+            raise ConfigError("p_max: engine 'eps-classical' models no detection window")
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
 
     def points(self) -> np.ndarray:
@@ -288,24 +344,6 @@ def _noise_config(spec: ScanSpec, level: float, subseed: int) -> NoiseConfig:
     )
 
 
-def _scan_task(spec: ScanSpec, point: float, level: float, subseed: int) -> tuple[float, float]:
-    """Energy and s.e.m. for one (abscissa point, noise level) cell."""
-    hbar = spec.hbar_of(point)
-    cfg = _noise_config(spec, level, subseed)
-    n_real = spec.realizations_at(level)
-    if spec.engine == "quantum":
-        params = ScaledParams(
-            hbar_eff=hbar, kick_strength=spec.kick_ratio * hbar, kick_count=spec.kicks
-        )
-        return ensemble_energy(spec.ensemble(), params, cfg, n_real)
-    p = EpsParams(
-        epsilon=hbar - TWO_PI * spec.resonance_order,
-        kick_ratio=spec.kick_ratio,
-        resonance_order=spec.resonance_order,
-    )
-    return eps_energy(p, spec.kicks, spec.ensemble(), cfg, n_real)
-
-
 def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
     """Execute the scan; deterministic for a given spec regardless of workers."""
     points = spec.points()
@@ -318,63 +356,33 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
     config = dict(asdict(spec), version=__version__)
     config["levels"] = list(spec.levels)
 
-    energies = np.zeros((len(levels), len(points)))
-    sems = np.zeros_like(energies)
+    engine = _CELLS[spec.engine]
 
-    if spec.engine == "theory":
-        rates = np.zeros_like(energies)
-        for li, level in enumerate(levels):
-            for pi, hbar in enumerate(hbars):
-                kappa = spec.kick_ratio * hbar
-                if level == 0.0:
-                    rates[li, pi] = diffusion_rate(kappa, hbar, "classical")
-                    energies[li, pi] = diffusion_rate(kappa, hbar, "quantum")
-                else:
-                    rates[li, pi] = diffusion_rate_with_noise(kappa, hbar, level, "classical")
-                    energies[li, pi] = diffusion_rate_with_noise(kappa, hbar, level, "quantum")
-        return EnergyCurve(
-            abscissa_name=spec.abscissa,
-            points=points,
-            hbar_values=hbars,
-            levels=levels,
-            energies=energies,
-            sems=sems,
-            classical_rates=rates,
-            config=config,
-            point_seeds=seeds,
-        )
+    def task(cell: tuple[int, int]) -> tuple[float, float]:
+        li, pi = cell
+        cfg = _noise_config(spec, levels[li], seeds[li][pi])
+        return engine(spec, float(hbars[pi]), levels[li], cfg, spec.realizations_at(levels[li]))
 
-    tasks = [(pi, li) for li in range(len(levels)) for pi in range(len(points))]
+    tasks = [(li, pi) for li in range(len(levels)) for pi in range(len(points))]
     log.info(
         "scan: engine=%s, %d points x %d levels, %d workers",
         spec.engine, len(points), len(levels), workers,
     )
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda cell: _scan_task(
-                        spec, float(points[cell[0]]), levels[cell[1]], seeds[cell[1]][cell[0]]
-                    ),
-                    tasks,
-                )
-            )
+            results = list(pool.map(task, tasks))
     else:
-        results = [
-            _scan_task(spec, float(points[pi]), levels[li], seeds[li][pi])
-            for pi, li in tasks
-        ]
-    for (pi, li), (energy, sem) in zip(tasks, results):
-        energies[li, pi] = energy
-        sems[li, pi] = sem
+        results = [task(cell) for cell in tasks]
+    first, second = np.array(results).reshape(len(levels), len(points), 2).transpose(2, 0, 1)
+    theory = spec.engine == "theory"
     return EnergyCurve(
         abscissa_name=spec.abscissa,
         points=points,
         hbar_values=hbars,
         levels=levels,
-        energies=energies,
-        sems=sems,
-        classical_rates=None,
+        energies=second if theory else first,
+        sems=np.zeros_like(first) if theory else second,
+        classical_rates=first if theory else None,
         config=config,
         point_seeds=seeds,
     )
@@ -477,35 +485,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_SCAN_OVERRIDE_KEYS = (
-    "engine", "abscissa", "lo", "hi", "step", "kick_ratio", "noise", "levels",
-    "kicks", "atoms", "realizations", "seed", "sigma_p", "beta_mode",
-    "beta_fixed", "kick_spread", "p_max", "cutoff", "se_probability",
-    "resonance_order",
-)
+@contextmanager
+def _output(path: str) -> Iterator[IO[str]]:
+    """A text stream for `path`, where '-' is stdout.
+
+    Any other path is written through a temporary file beside it, opened on
+    entry so that a bad path fails before any work.  The file replaces
+    `path` when the block succeeds and is removed when it fails, so no
+    truncated output is ever left behind.
+    """
+    if path == "-":
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    log.info("wrote %s", path)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key) for key in _SCAN_OVERRIDE_KEYS}
-    if overrides.get("levels") is not None:
-        overrides["levels"] = tuple(overrides["levels"])
+    overrides = {key: getattr(args, key) for key in _SCAN_KEYS}
     if args.config:
         spec = load_config(args.config, overrides)
     else:
         spec = build_spec({}, overrides)
     if args.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {args.workers}")
-    curve = run_scan(spec, workers=args.workers)
-    if args.out == "-":
-        curve.to_csv(sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            curve.to_csv(fh)
-        log.info("wrote %s", args.out)
-    if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            curve.to_json(fh)
-        log.info("wrote %s", args.json_path)
+    with _output(args.out) as out, (
+        _output(args.json_path) if args.json_path else nullcontext()
+    ) as sidecar:
+        curve = run_scan(spec, workers=args.workers)
+        curve.to_csv(out)
+        if sidecar is not None:
+            curve.to_json(sidecar)
     return 0
 
 
@@ -514,31 +532,15 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
         n_phi, n_rho = (int(part) for part in args.grid.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"grid must look like 16x16, got {args.grid!r}") from exc
-    if args.out == "-":
+    with _output(args.out) as out:
         run_portrait(
-            args.epsilon, args.kick_ratio, args.level, n_phi, n_rho,
-            args.iters, args.seed, sys.stdout,
+            args.epsilon, args.kick_ratio, args.level, n_phi, n_rho, args.iters, args.seed, out
         )
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            run_portrait(
-                args.epsilon, args.kick_ratio, args.level, n_phi, n_rho,
-                args.iters, args.seed, fh,
-            )
-        log.info("wrote %s", args.out)
     return 0
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    kappa = args.kick_ratio * args.hbar
-    if args.level == 0.0:
-        dc = diffusion_rate(kappa, args.hbar, "classical")
-        dq = diffusion_rate(kappa, args.hbar, "quantum")
-    else:
-        dc = diffusion_rate_with_noise(kappa, args.hbar, args.level, "classical")
-        dq = diffusion_rate_with_noise(kappa, args.hbar, args.level, "quantum")
-    sys.stdout.write("hbar,level,d_classical,d_quantum\n")
-    sys.stdout.write(f"{args.hbar!r},{args.level!r},{dc!r},{dq!r}\n")
+    write_diffusion_curve(sys.stdout, args.kick_ratio, [args.hbar], [args.level])
     return 0
 
 

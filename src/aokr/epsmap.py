@@ -4,7 +4,7 @@ Close to hbar_eff = 2 pi m the ladder dynamics of one quasimomentum class
 reduces to an area-preserving map in the detuning-rescaled momentum
 rho = epsilon * (ladder index):
 
-    phi' = phi + sign(eps) rho + pi l + hbar_eff beta   (mod 2 pi)
+    phi' = phi + sign(eps) rho + pi m + hbar_eff beta   (mod 2 pi)
     rho' = rho + |eps| * kick_ratio * R * sin(phi')
 
 with R the per-kick amplitude factor.  Kinetic energies come back through
@@ -12,9 +12,9 @@ E = <rho^2> / (2 eps^2), so the model stays finite while eps shrinks; at
 eps = 0 the map itself degenerates (the kick term carries a factor |eps|)
 and the analytic resonant limit is used instead, where momentum after n
 kicks is the phasor sum rho_n / |eps| = n0 + kick_ratio * sum_s R_s
-sin(phi_0 + s a) with per-kick phase advance a = pi l + hbar_eff beta.
+sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta.
 
-Dropping the gauge terms (pi l, hbar_eff beta) and the eps rescaling gives
+Dropping the gauge terms (pi m, hbar_eff beta) and the eps rescaling gives
 the ordinary standard map, used here as a brute-force oracle for the
 kick-to-kick correlation expansion of the diffusion rate.
 """
@@ -34,7 +34,7 @@ from .noise import (
     sample_realization,
     stream_rng,
 )
-from .qkr import EnsembleSpec, _norm_ppf, sample_atoms
+from .qkr import EnsembleSpec, _mean_sem, _norm_ppf, _realization_configs, sample_atoms
 from .theory import resonance_height
 
 TWO_PI = 2.0 * math.pi
@@ -55,22 +55,20 @@ class EpsParams:
     """Map parameters: resonance detuning and kick strength.
 
     epsilon is the distance of hbar_eff from the resonance 2 pi m (either
-    sign); kick_ratio is kappa / hbar_eff; parity enters through the pi * l
-    gauge term (l = 1 for the primary ladder resonances); beta is the
-    quasimomentum used when no per-trajectory values are supplied.
+    sign); kick_ratio is kappa / hbar_eff; the resonance order m also sets
+    the pi * m gauge term (the free phase pi m n^2 equals pi m n modulo
+    2 pi); beta is the quasimomentum used when no per-trajectory values are
+    supplied.
     """
 
     epsilon: float
     kick_ratio: float
-    parity: int = 1
     resonance_order: int = 1
     beta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kick_ratio < 0.0:
             raise ValueError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
-        if self.parity < 0:
-            raise ValueError(f"parity must be a nonnegative integer, got {self.parity}")
         if self.resonance_order < 1:
             raise ValueError(
                 f"resonance_order must be a positive integer, got {self.resonance_order}"
@@ -89,7 +87,7 @@ class EpsParams:
 
 
 def _phase_advance(p: EpsParams, beta) -> np.ndarray | float:
-    return math.pi * p.parity + p.hbar_eff * np.asarray(beta, dtype=float)
+    return math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
 
 
 def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=None):
@@ -144,7 +142,7 @@ def _resonant_limit_history(
     sin(phi_0 + s a); averaging the start angle analytically leaves
     E_n = <n0^2/2 + (g r)^2 |sum_s R_s e^(i s a)|^2 / 4> per trajectory.
     """
-    a = math.pi * p.parity + p.hbar_eff * betas
+    a = _phase_advance(p, betas)
     steps = np.arange(1, n_kicks + 1)
     partial = np.cumsum(factors[None, :] * np.exp(1j * np.outer(a, steps)), axis=1)
     base = n0s.astype(float) ** 2 / 2.0
@@ -174,8 +172,6 @@ def eps_energy_history(
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     _require_amplitude_only(cfg)
     if spec.p_max is not None:
         raise ValueError("detection windows are not modeled for map ensembles")
@@ -184,14 +180,9 @@ def eps_energy_history(
             "eps = 0 degenerates the map; pass analytic_limit=True for the resonant limit"
         )
 
+    rcfgs = _realization_configs(cfg, n_realizations)
     runs = np.empty((n_realizations, n_kicks + 1))
-    for r in range(n_realizations):
-        rcfg = NoiseConfig(
-            amplitude_level=cfg.amplitude_level,
-            master_seed=cfg.master_seed,
-            realization_index=cfg.realization_index + r,
-            time_resolution=cfg.time_resolution,
-        )
+    for r, rcfg in enumerate(rcfgs):
         realization = sample_realization(rcfg, n_kicks, 1)
         factors = realization.amplitude_factors
         n0s, betas, gains = sample_atoms(spec, rcfg)
@@ -207,13 +198,7 @@ def eps_energy_history(
         for n in range(n_kicks):
             phi, rho = eps_step(phi, rho, p, kick_factor=factors[n] * gains, beta=betas)
             runs[r, n + 1] = float(np.mean(rho**2)) * scale
-
-    mean = runs.mean(axis=0)
-    if n_realizations > 1:
-        sem = runs.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        sem = np.zeros_like(mean)
-    return mean, sem
+    return _mean_sem(runs)
 
 
 def eps_energy(
@@ -305,19 +290,12 @@ def classical_map_energy(
         raise ValueError(
             f"fit_range must satisfy 0 <= lo < hi <= n_kicks, got {fit_range} with n_kicks={n_kicks}"
         )
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     _require_amplitude_only(cfg)
 
+    rcfgs = _realization_configs(cfg, n_realizations)
     kicks = np.arange(lo, hi + 1, dtype=float)
     slopes = np.empty(n_realizations)
-    for r in range(n_realizations):
-        rcfg = NoiseConfig(
-            amplitude_level=cfg.amplitude_level,
-            master_seed=cfg.master_seed,
-            realization_index=cfg.realization_index + r,
-            time_resolution=cfg.time_resolution,
-        )
+    for r, rcfg in enumerate(rcfgs):
         factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
         rng_phi = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng_phi, n_traj)
@@ -333,9 +311,5 @@ def classical_map_energy(
         energy /= 2.0 * hbar_eff**2
         window = energy[lo : hi + 1]
         slopes[r] = float(np.polyfit(kicks, window, 1)[0])
-
-    if n_realizations > 1:
-        sem = float(np.std(slopes, ddof=1) / math.sqrt(n_realizations))
-    else:
-        sem = 0.0
-    return float(np.mean(slopes)), sem
+    mean, sem = _mean_sem(slopes)
+    return float(mean), float(sem)

@@ -459,6 +459,14 @@ def _realization_configs(cfg: NoiseConfig, n_realizations: int) -> list[NoiseCon
     ]
 
 
+def _mean_sem(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over realizations (axis 0) and its s.e.m., zero for one realization."""
+    mean = runs.mean(axis=0)
+    if len(runs) > 1:
+        return mean, runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
+    return mean, np.zeros_like(mean)
+
+
 def ensemble_energy_history(
     spec: EnsembleSpec,
     params: ScaledParams,
@@ -475,12 +483,7 @@ def ensemble_energy_history(
     for i, rcfg in enumerate(_realization_configs(cfg, n_realizations)):
         realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
         runs[i], _, _ = _ensemble_arrays(spec, params, realization)
-    mean = runs.mean(axis=0)
-    if n_realizations > 1:
-        sem = runs.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        sem = np.zeros_like(mean)
-    return mean, sem
+    return _mean_sem(runs)
 
 
 def ensemble_energy(
@@ -562,7 +565,7 @@ def momentum_distribution(
     total = hist.sum()
     if total <= 0.0:
         raise ValueError("detection window discarded the entire cloud")
-    sem = float(np.std(energies, ddof=1) / math.sqrt(n_realizations)) if n_realizations > 1 else 0.0
+    mean_energy, sem = _mean_sem(energies)
     parameters = {
         "hbar_eff": params.hbar_eff,
         "kick_strength": params.kick_strength,
@@ -583,7 +586,7 @@ def momentum_distribution(
     return MomentumDistribution(
         momenta=centers,
         probabilities=hist / total,
-        mean_energy=float(np.mean(energies)),
-        energy_sem=sem,
+        mean_energy=float(mean_energy),
+        energy_sem=float(sem),
         parameters=parameters,
     )

@@ -201,8 +201,9 @@ def diffusion_rate_with_noise(
     D = (kappa^2 + Var) / (4 hbar^2)
         + kappa^2/(2 hbar^2) * (-<J_2> - <J_1>^2 + <J_2>^2 + <J_3>^2)
 
-    At level = 0 this reduces exactly to `diffusion_rate`.  At resonance
-    (K = 0) only the first term survives: level 2 gives kappa^2/(3 hbar^2).
+    At level = 0 this reduces exactly to `diffusion_rate`, which is what it
+    returns there.  At resonance (K = 0) only the first term survives: level
+    2 gives kappa^2/(3 hbar^2).
     """
     _check_regime(regime)
     if hbar_eff <= 0.0:
@@ -211,6 +212,8 @@ def diffusion_rate_with_noise(
         raise UnsupportedLevelError(
             f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"
         )
+    if level == 0.0:
+        return diffusion_rate(kappa, hbar_eff, regime)
     K = _bessel_argument(kappa, hbar_eff, regime)
     j1 = noise_averaged_bessel(1, K, level)
     j2 = noise_averaged_bessel(2, K, level)
@@ -282,12 +285,8 @@ def diffusion_curve(
     for level in levels:
         for hbar in hbar_values:
             kappa = kick_ratio * hbar
-            if level == 0.0:
-                dc = diffusion_rate(kappa, hbar, "classical")
-                dq = diffusion_rate(kappa, hbar, "quantum")
-            else:
-                dc = diffusion_rate_with_noise(kappa, hbar, level, "classical")
-                dq = diffusion_rate_with_noise(kappa, hbar, level, "quantum")
+            dc = diffusion_rate_with_noise(kappa, hbar, level, "classical")
+            dq = diffusion_rate_with_noise(kappa, hbar, level, "quantum")
             rows.append((float(hbar), float(level), dc, dq))
     return rows
 

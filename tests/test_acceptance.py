@@ -27,6 +27,7 @@ from aokr.qkr import (
     kick,
     plane_wave,
     reshuffle,
+    sample_atoms,
 )
 from aokr.theory import (
     diffusion_rate,
@@ -432,3 +433,31 @@ def test_c12_unitarity_and_cutoff_convergence():
     )
     assert drift <= 1e-12
     assert change <= 1e-3
+
+
+def test_c13_resonant_quantum_equals_map_limit():
+    # at hbar = 2 pi m the ladder is ballistic per quasimomentum, so each
+    # realization's energy history is the map's eps = 0 limit plus <beta^2>/2
+    t0 = time.perf_counter()
+    r = 3.63
+    spec = EnsembleSpec(n_atoms=256, beta_mode="uniform", cutoff=256)
+    worst = {}
+    for m in (1, 2):
+        params = ScaledParams(hbar_eff=TWO_PI * m, kick_strength=r * TWO_PI * m, kick_count=20)
+        for level in (0.0, 1.0, 2.0):
+            for index in range(3):
+                cfg = NoiseConfig(amplitude_level=level, master_seed=13, realization_index=index)
+                quantum, _ = ensemble_energy_history(spec, params, cfg)
+                limit, _ = eps_energy_history(EpsParams(0.0, r, resonance_order=m), 20, spec, cfg)
+                _, betas, _ = sample_atoms(spec, cfg)
+                want = limit + float(np.mean(betas**2)) / 2.0
+                dev = float(np.max(np.abs(quantum / want - 1.0)))
+                worst[m] = max(worst.get(m, 0.0), dev)
+    elapsed = time.perf_counter() - t0
+    ok = max(worst.values()) <= 1e-12
+    _verdict(
+        13, "resonant quantum history equals the map limit", ok,
+        f"worst rel dev {worst[1]:.2e} (m = 1), {worst[2]:.2e} (m = 2) vs 1e-12 "
+        f"over levels 0, 1, 2 x 3 realizations, {elapsed:.1f}s",
+    )
+    assert max(worst.values()) <= 1e-12

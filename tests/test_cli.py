@@ -1,5 +1,6 @@
 """Scan configuration, curve serialization, determinism, and exit codes."""
 
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from aokr import cli
 from aokr.cli import (
     ConfigError,
     EnergyCurve,
@@ -97,6 +99,20 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, beta_mode="warm"))
     with pytest.raises(ConfigError, match="sigma_p"):
         build_spec(dict(MINIMAL, sigma_p=-2.0))
+    with pytest.raises(ConfigError, match="kick_ratio must be finite"):
+        build_spec(dict(MINIMAL, kick_ratio=float("nan")))
+    with pytest.raises(ConfigError, match="hi must be finite"):
+        build_spec(dict(MINIMAL, hi=float("inf")))
+    with pytest.raises(ConfigError, match="levels must be finite"):
+        build_spec(dict(MINIMAL, levels=[0.0, float("nan")]))
+    with pytest.raises(ConfigError, match="p_max must be finite"):
+        build_spec(dict(MINIMAL, engine="quantum", p_max=float("inf")))
+    with pytest.raises(ConfigError, match=f"step.*more than {cli.MAX_POINTS} points"):
+        build_spec(dict(MINIMAL, step=1e-12))
+    with pytest.raises(ConfigError, match="step"):
+        build_spec(dict(MINIMAL, lo=-1e308, hi=1e308))
+    edge = build_spec(dict(MINIMAL, lo=0.0, hi=cli.MAX_POINTS - 1.0, step=1.0))
+    assert len(edge.points()) == cli.MAX_POINTS
 
 
 def test_engine_noise_compatibility():
@@ -104,6 +120,8 @@ def test_engine_noise_compatibility():
         build_spec(dict(MINIMAL, engine="eps-classical", noise="period", levels=[0.1]))
     with pytest.raises(ConfigError, match="spontaneous"):
         build_spec(dict(MINIMAL, engine="theory", se_probability=0.1))
+    with pytest.raises(ConfigError, match="p_max"):
+        build_spec(dict(MINIMAL, engine="eps-classical", p_max=30.0))
     quantum = build_spec(
         dict(MINIMAL, engine="quantum", noise="period", levels=[0.1], se_probability=0.2)
     )
@@ -281,6 +299,44 @@ def test_eps_scan_matches_direct_call():
     assert buf.getvalue().splitlines()[1] == "epsilon,hbar,level,energy,sem"
 
 
+# sha256 of the CSV and the JSON sidecar of three tiny seeded scans, one per
+# engine (numpy 2.4.6, x86-64).  Any change to a byte of the output, the
+# version in its meta line included, changes them.
+_GOLDEN_SCANS = {
+    "quantum": (
+        dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
+             noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
+             kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
+        "38b41e31ebdb08bc1592c145735934b91cf63a6d8e70b3721e223dbccc6aec10",
+        "46e6f772a38a30de39281e6e0a4878639b324c8eacb8b3b6c557c6f7f66e7cb0",
+    ),
+    "eps-classical": (
+        dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
+             kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
+             realizations=3, seed=3),
+        "470e06ca4aff27a4d11fb5eaa5648fddcc56a9fc2263c12b06d8c3736204b26a",
+        "09cb9d2c71f3fcf7c879ce57b2cc489d053fb01f5f238a2721569684539e91fc",
+    ),
+    "theory": (
+        dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
+             levels=[0.0, 2.0]),
+        "bd24dc7a1f483c08154689e7f7835e486ef2a679ee15edbfef6f8a6b7e7c047c",
+        "cb62c5c403a6b6f50713602534e789a48b01ff6176f6e69b348b8c79ee1fbe55",
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_GOLDEN_SCANS))
+def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
+    raw, csv_sha, json_sha = _GOLDEN_SCANS[engine]
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(raw))
+    out, sidecar = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(["scan", "--config", str(config), "--out", str(out), "--json", str(sidecar)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -350,6 +406,37 @@ def test_main_runtime_failure_exits_two(tmp_path, capsys):
     ]
     assert main(args) == 2
     assert not (tmp_path / "y.csv").exists()
+    assert list(tmp_path.iterdir()) == []  # the temporary file is gone too
+
+
+def _refuse_to_scan(*args, **kwargs):
+    raise AssertionError("the scan started")
+
+
+@pytest.mark.parametrize(
+    "extra, field",
+    [
+        (["--kick-ratio", "nan"], "kick_ratio"),
+        (["--hi", "inf"], "hi"),
+        (["--step", "1e-12"], "step"),
+        (["--engine", "eps-classical", "--p-max", "30"], "p_max"),
+    ],
+)
+def test_main_rejects_bad_scan_input_before_any_work(tmp_path, monkeypatch, caplog, capsys,
+                                                      extra, field):
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    assert main(_scan_args(tmp_path, *extra)) == 1
+    assert caplog.records[-1].getMessage().startswith(f"configuration error: {field}")
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_bad_output_path_fails_before_the_scan(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    missing = tmp_path / "missing"
+    assert main(_scan_args(tmp_path, "--out", str(missing / "out.csv"))) == 2
+    assert main(_scan_args(tmp_path, "--json", str(missing / "out.json"))) == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_help_and_version(capsys):

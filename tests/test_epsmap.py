@@ -35,8 +35,6 @@ def test_params_validation_and_hbar():
     with pytest.raises(ValueError):
         EpsParams(epsilon=0.02, kick_ratio=-1.0)
     with pytest.raises(ValueError):
-        EpsParams(epsilon=0.02, kick_ratio=1.0, parity=-1)
-    with pytest.raises(ValueError):
         EpsParams(epsilon=0.02, kick_ratio=1.0, resonance_order=0)
     with pytest.raises(ValueError):
         EpsParams(epsilon=0.02, kick_ratio=1.0, beta=1.0)
