@@ -24,6 +24,9 @@ from .noise import AMPLITUDE_LEVEL_MAX
 BESSEL_TOL = 1e-12
 QUADRATURE_TOL = 1e-10
 _QUADRATURE_MAX_NODES = 4096
+# Miller start orders are int64 and grow like x; far below this the
+# recurrence is already too long to run (about x steps per pass)
+_MILLER_X_MAX = 1e15
 
 
 class UnsupportedLevelError(ValueError):
@@ -38,8 +41,12 @@ class QuadratureError(RuntimeError):
 # Bessel functions of the first kind, integer order
 # ---------------------------------------------------------------------------
 
-def bessel_j_row(n_max: int, x: float) -> np.ndarray:
+def bessel_j_row(n_max: int, x: float | np.ndarray) -> np.ndarray:
     """J_0(x) .. J_{n_max}(x) for x >= 0 by Miller's backward recurrence.
+
+    `x` is a scalar, giving shape (n_max+1,), or a 1-D array, giving one row
+    per element, shape (len(x), n_max+1).  Each element is computed on its
+    own: its row is bitwise the same whatever else is in the batch.
 
     The downward recurrence J_{m-1} = (2m/x) J_m - J_{m+1} is stable in the
     direction of growing values; the row is fixed afterwards by the
@@ -49,50 +56,105 @@ def bessel_j_row(n_max: int, x: float) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if x < 0.0:
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"bessel_j_row takes a scalar or 1-D x, got shape {xs.shape}")
+    flat = xs.reshape(-1)
+    bad = flat[~np.isfinite(flat)]
+    if bad.size:
+        raise ValueError(f"bessel_j_row requires finite x, got {bad[0]}")
+    if np.any(flat < 0.0):
         raise ValueError("bessel_j_row requires x >= 0; use bessel_j for signed x")
-    if x < 1e-8:
-        # leading series term: J_n = (x/2)^n / n!, exact to double precision
-        # here; also keeps 2m/x in the recurrence from overflowing at tiny x
-        row = np.zeros(n_max + 1)
-        term = 1.0
-        for n in range(n_max + 1):
-            row[n] = term
-            term *= 0.5 * x / (n + 1)
-            if term == 0.0:
-                break
-        return row
-
-    start = int(max(n_max, x)) + 20 + int(2.0 * math.sqrt(max(x, float(n_max))))
-    prev: np.ndarray | None = None
-    while True:
-        row = _miller_pass(n_max, x, start)
-        if not np.all(np.isfinite(row)):
-            raise RuntimeError(f"Bessel recurrence overflowed at n_max={n_max}, x={x}")
-        if prev is not None and np.max(np.abs(row - prev)) < 1e-14:
-            return row
-        prev = row
-        start += 30
+    if np.any(flat > _MILLER_X_MAX):
+        raise ValueError(
+            f"bessel_j_row requires x <= {_MILLER_X_MAX:g}, got {flat.max()}: "
+            "the recurrence starts at order ~x"
+        )
+    rows = np.zeros((flat.size, n_max + 1))
+    tiny = flat < 1e-8
+    # leading series term: J_n = (x/2)^n / n!, exact to double precision
+    # here; also keeps 2m/x in the recurrence from overflowing at tiny x
+    small = flat[tiny]
+    term = np.ones(small.size)
+    for n in range(n_max + 1):
+        rows[tiny, n] = term
+        term *= 0.5 * small / (n + 1)
+    if not tiny.all():
+        rows[~tiny] = _miller_rows(n_max, flat[~tiny])
+    return rows.reshape(xs.shape + (n_max + 1,))
 
 
-def _miller_pass(n_max: int, x: float, start: int) -> np.ndarray:
-    row = np.zeros(n_max + 1)
-    jp, jc = 0.0, 1e-30  # J_{m+1}, J_m seeded at the start order
-    norm = 0.0
-    for m in range(start, 0, -1):
-        jm = (2.0 * m / x) * jc - jp
-        jp, jc = jc, jm
+def _miller_rows(n_max: int, x: np.ndarray) -> np.ndarray:
+    """Converged Miller rows for x >= 1e-8.
+
+    The passes from each element's start order and from start + 30 run as
+    one batch; rows that still moved by 1e-14 or more get another pass 30
+    orders higher, until every row has settled.
+    """
+    start = (
+        np.maximum(n_max, x).astype(int) + 20
+        + (2.0 * np.sqrt(np.maximum(x, float(n_max)))).astype(int)
+    )
+    twice = np.concatenate([x, x])
+    both = _miller_pass(n_max, twice, np.concatenate([start, start + 30]))
+    _check_finite(both, n_max, twice)
+    prev, rows = both[: x.size], both[x.size:]
+    start += 30
+    moving = np.flatnonzero(np.max(np.abs(rows - prev), axis=1) >= 1e-14)
+    while moving.size:
+        start[moving] += 30
+        prev = rows[moving]
+        again = _miller_pass(n_max, x[moving], start[moving])
+        _check_finite(again, n_max, x[moving])
+        rows[moving] = again
+        moving = moving[np.max(np.abs(again - prev), axis=1) >= 1e-14]
+    return rows
+
+
+def _check_finite(rows: np.ndarray, n_max: int, x: np.ndarray) -> None:
+    broken = ~np.all(np.isfinite(rows), axis=1)
+    if broken.any():
+        raise RuntimeError(
+            f"Bessel recurrence overflowed at n_max={n_max}, x={x[np.argmax(broken)]}"
+        )
+
+
+def _miller_pass(n_max: int, x: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """One normalized backward pass per element, each from its own start order.
+
+    Elements are sorted by start order, descending, so at order m the active
+    ones are a prefix and each step works on slices.  Each element is seeded
+    when m reaches its start and rescaled on its own before it overflows.
+    """
+    order = np.argsort(-start, kind="stable")
+    x, starts = x[order], start[order].tolist()
+    size = x.size
+    row = np.zeros((size, n_max + 1))
+    jp = np.zeros(size)  # J_{m+1}
+    jc = np.full(size, 1e-30)  # J_m, seeded at the start order
+    norm = np.zeros(size)
+    k = 0  # elements [:k] have reached their start order
+    for m in range(starts[0], 0, -1):
+        while k < size and starts[k] >= m:
+            k += 1
+        jm = (2.0 * m / x[:k]) * jc[:k] - jp[:k]
+        jp[:k] = jc[:k]
+        jc[:k] = jm
         if m - 1 <= n_max:
-            row[m - 1] = jm
+            row[:k, m - 1] = jm
         if (m - 1) % 2 == 0:
-            norm += 2.0 * jm
-        if abs(jc) > 1e250:  # rescale before overflow, ratios are all that matter
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            row *= 1e-250
+            norm[:k] += 2.0 * jm
+        huge = np.abs(jm) > 1e250
+        if huge.any():  # rescale before overflow, ratios are all that matter
+            idx = np.flatnonzero(huge)
+            jp[idx] *= 1e-250
+            jc[idx] *= 1e-250
+            norm[idx] *= 1e-250
+            row[idx] *= 1e-250
     norm -= jc  # J_0 was added with weight 2 in the loop
-    return row / norm
+    out = np.empty_like(row)
+    out[order] = row / norm[:, None]
+    return out
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -150,6 +212,20 @@ def diffusion_rate(kappa: float, hbar_eff: float, regime: str = "quantum") -> fl
     return float(0.5 * (kappa / hbar_eff) ** 2 * corr)
 
 
+_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `nodes`-point Gauss-Legendre rule on [-1, 1], built once and kept read-only."""
+    rule = _RULES.get(nodes)
+    if rule is None:
+        x, w = np.polynomial.legendre.leggauss(nodes)
+        x.flags.writeable = False
+        w.flags.writeable = False
+        rule = _RULES[nodes] = (x, w)
+    return rule
+
+
 def noise_averaged_bessel(
     order: int, K: float, level: float, tol: float = QUADRATURE_TOL
 ) -> float:
@@ -159,8 +235,13 @@ def noise_averaged_bessel(
     so the average is (1/level) * integral of J_order(K(1+u)) du.  Evaluated
     by Gauss-Legendre quadrature starting at 64 nodes and doubling until two
     refinements differ by less than tol; the integrand is entire, so the
-    doubling terminates almost immediately.
+    doubling terminates almost immediately.  The 64- and 128-node rules share
+    one `bessel_j_row` call, and each later rule takes one more.
     """
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not 0.0 <= level <= AMPLITUDE_LEVEL_MAX:
         raise UnsupportedLevelError(
             f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"
@@ -168,26 +249,32 @@ def noise_averaged_bessel(
     if level == 0.0 or K == 0.0:
         return bessel_j(order, K)
 
-    nodes = 64
-    previous = None
-    while nodes <= _QUADRATURE_MAX_NODES:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        args = K * (1.0 + 0.5 * level * x)
-        n = abs(int(order))
-        values = np.array([bessel_j_row(n, abs(a))[n] for a in args])
-        signs = np.ones_like(args)
-        if order < 0 and n % 2 == 1:
-            signs = -signs
-        signs[args < 0] *= (-1.0) ** n
-        estimate = 0.5 * float(np.sum(w * signs * values))
-        if previous is not None and abs(estimate - previous) < tol:
-            return estimate
-        previous = estimate
+    n = abs(int(order))
+
+    def estimates(*node_counts: int) -> list[float]:
+        rules = [_gauss_legendre(count) for count in node_counts]
+        args = [K * (1.0 + 0.5 * level * x) for x, _ in rules]
+        values = bessel_j_row(n, np.abs(np.concatenate(args)))[:, n]
+        out = []
+        for (_, w), a, v in zip(rules, args, np.split(values, np.cumsum(node_counts[:-1]))):
+            signs = np.ones_like(a)
+            if order < 0 and n % 2 == 1:
+                signs = -signs
+            signs[a < 0] *= (-1.0) ** n
+            out.append(0.5 * float(np.sum(w * signs * v)))
+        return out
+
+    nodes = 128
+    previous, estimate = estimates(64, nodes)
+    while not abs(estimate - previous) < tol:
         nodes *= 2
-    raise QuadratureError(
-        f"noise-averaged J_{order}({K}) did not converge to {tol} "
-        f"within {_QUADRATURE_MAX_NODES} nodes"
-    )
+        if nodes > _QUADRATURE_MAX_NODES:
+            raise QuadratureError(
+                f"noise-averaged J_{order}({K}) did not converge to {tol} "
+                f"within {_QUADRATURE_MAX_NODES} nodes"
+            )
+        previous, (estimate,) = estimate, estimates(nodes)
+    return estimate
 
 
 def diffusion_rate_with_noise(

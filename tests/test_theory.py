@@ -9,6 +9,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from aokr import theory
 from aokr.theory import (
     QuadratureError,
     UnsupportedLevelError,
@@ -46,6 +47,117 @@ def test_bessel_scalar_signs():
         for x in (-7.3, -1.0, 0.0, 2.5, 11.0):
             want = float(mpmath.besselj(order, x))
             assert bessel_j(order, x) == pytest.approx(want, abs=1e-12)
+
+
+def _scalar_row_oracle(n_max, x, rescales=None):
+    """The scalar Miller recurrence, one element at a time, with its +30 retry.
+
+    An independent restatement of the row `bessel_j_row` computes: the same
+    IEEE operations in the same order, so rows must agree bitwise.  Each
+    rescale at 1e250 appends x to `rescales` when that is a list.
+    """
+    if x < 1e-8:
+        row = np.zeros(n_max + 1)
+        term = 1.0
+        for n in range(n_max + 1):
+            row[n] = term
+            term *= 0.5 * x / (n + 1)
+            if term == 0.0:
+                break
+        return row
+
+    def one_pass(start):
+        row = np.zeros(n_max + 1)
+        jp, jc = 0.0, 1e-30
+        norm = 0.0
+        for m in range(start, 0, -1):
+            jm = (2.0 * m / x) * jc - jp
+            jp, jc = jc, jm
+            if m - 1 <= n_max:
+                row[m - 1] = jm
+            if (m - 1) % 2 == 0:
+                norm += 2.0 * jm
+            if abs(jc) > 1e250:
+                jp *= 1e-250
+                jc *= 1e-250
+                norm *= 1e-250
+                row *= 1e-250
+                if rescales is not None:
+                    rescales.append(x)
+        norm -= jc
+        return row / norm
+
+    start = int(max(n_max, x)) + 20 + int(2.0 * math.sqrt(max(x, float(n_max))))
+    prev = None
+    while True:
+        row = one_pass(start)
+        assert np.all(np.isfinite(row))
+        if prev is not None and np.max(np.abs(row - prev)) < 1e-14:
+            return row
+        prev = row
+        start += 30
+
+
+# x = 0, the series branch and its edge, the 1e250 rescale branch (tiny x
+# at high order), ordinary and large arguments
+ORACLE_X = np.concatenate([
+    [0.0, 1e-300, 1e-12, 5e-9, np.nextafter(1e-8, 0.0), 1e-8, 1e-7, 2e-7, 1e-5, 1e-3],
+    np.linspace(0.0, 250.0, 181),
+    [7.0, 40.0, 249.999, 250.0],
+])
+
+
+def test_bessel_row_bitwise_equals_scalar_oracle():
+    rescales = []
+    for n_max in range(41):
+        rows = bessel_j_row(n_max, ORACLE_X)
+        assert rows.shape == (ORACLE_X.size, n_max + 1)
+        for x, row in zip(ORACLE_X, rows):
+            want = _scalar_row_oracle(n_max, float(x), rescales)
+            assert np.array_equal(row, want), (n_max, x)
+    assert 1e-7 in rescales  # the rescale branch was exercised
+    assert np.array_equal(bessel_j_row(0, 0.0), [1.0])
+
+
+def test_bessel_row_is_independent_of_batch_order_and_size():
+    rng = np.random.default_rng(3)
+    for n_max in (0, 3, 40):
+        whole = bessel_j_row(n_max, ORACLE_X)
+        perm = rng.permutation(ORACLE_X.size)
+        assert np.array_equal(bessel_j_row(n_max, ORACLE_X[perm]), whole[perm])
+        parts = np.array_split(np.arange(ORACLE_X.size), 7)
+        split = np.concatenate([bessel_j_row(n_max, ORACLE_X[idx]) for idx in parts])
+        assert np.array_equal(split, whole)
+        for i in (0, 6, 50, ORACLE_X.size - 1):
+            assert np.array_equal(bessel_j_row(n_max, ORACLE_X[i]), whole[i])
+
+
+def test_bessel_row_shapes():
+    assert bessel_j_row(3, 2.0).shape == (4,)
+    assert bessel_j_row(3, np.float64(2.0)).shape == (4,)
+    assert bessel_j_row(3, [2.0]).shape == (1, 4)
+    assert bessel_j_row(3, np.array([0.0, 1e-9, 2.0, 30.0])).shape == (4, 4)
+    assert bessel_j_row(0, np.array([])).shape == (0, 1)
+    with pytest.raises(ValueError, match="1-D"):
+        bessel_j_row(3, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="x >= 0"):
+        bessel_j_row(3, np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="n_max"):
+        bessel_j_row(-1, 1.0)
+    # start orders grow like x and are int64: beyond the bound they would wrap
+    with pytest.raises(ValueError, match=r"x <= 1e\+15, got 1e\+19"):
+        bessel_j_row(0, np.array([1.0, 1e19]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bessel_rejects_non_finite_arguments(bad):
+    name = repr(bad)  # 'nan', 'inf' or '-inf'
+    with pytest.raises(ValueError, match=f"finite x, got {name}"):
+        bessel_j_row(3, bad)
+    with pytest.raises(ValueError, match=f"finite x, got {name}"):
+        bessel_j_row(3, np.array([1.0, bad, 2.0]))
+    with pytest.raises(ValueError, match="finite x"):
+        bessel_j(2, bad)
 
 
 def test_bessel_row_against_scipy():
@@ -160,6 +272,63 @@ def test_noise_averaged_bessel_closed_form_order_one():
     assert noise_averaged_bessel(1, 5.0, 2.0) == pytest.approx(want, abs=1e-9)
     # and averaging shrinks |J1| well below its pointwise value here
     assert abs(want) < abs(scipy.special.j1(5.0))
+
+
+def test_noise_averaged_bessel_refines_and_fails_like_before(monkeypatch):
+    # K = 400 needs 512 nodes at the default tol; an unreachable tol runs every
+    # rule up to the node limit (lowered here to skip the costly large rules)
+    # and raises
+    nodes, weights = np.polynomial.legendre.leggauss(1024)
+    want = 0.5 * float(np.sum(weights * scipy.special.jn(3, 400.0 * (1.0 + nodes))))
+    assert noise_averaged_bessel(3, 400.0, 2.0) == pytest.approx(want, abs=1e-9)
+    monkeypatch.setattr(theory, "_QUADRATURE_MAX_NODES", 256)
+    with pytest.raises(QuadratureError, match="within 256 nodes"):
+        noise_averaged_bessel(3, 5.0, 2.0, tol=1e-300)
+
+
+@pytest.mark.parametrize(
+    "K, tol, match",
+    [
+        (math.nan, 1e-10, "K must be finite, got nan"),
+        (math.inf, 1e-10, "K must be finite, got inf"),
+        (-math.inf, 1e-10, "K must be finite, got -inf"),
+        (5.0, math.nan, "tol must be finite and > 0, got nan"),
+        (5.0, math.inf, "tol must be finite and > 0, got inf"),
+        (5.0, 0.0, "tol must be finite and > 0, got 0.0"),
+        (5.0, -1e-10, "tol must be finite and > 0, got -1e-10"),
+    ],
+)
+def test_noise_averaged_bessel_rejects_bad_input_before_any_work(monkeypatch, K, tol, match):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(theory, "bessel_j_row", forbidden)
+    monkeypatch.setattr(theory, "_gauss_legendre", forbidden)
+    with pytest.raises(ValueError, match=match):
+        noise_averaged_bessel(2, K, 2.0, tol)
+
+
+def test_gauss_legendre_rules_are_built_once_and_read_only(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(deg):
+        calls.append(deg)
+        return leggauss(deg)
+
+    monkeypatch.setattr(theory, "_RULES", {})
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    first = [noise_averaged_bessel(n, k, 2.0) for n in (1, 2, 3) for k in (0.7, 5.0, 400.0)]
+    again = [noise_averaged_bessel(n, k, 2.0) for n in (1, 2, 3) for k in (0.7, 5.0, 400.0)]
+    assert again == first
+    assert sorted(calls) == [64, 128, 256, 512]  # one build per node count
+    for nodes in calls:
+        x, w = theory._gauss_legendre(nodes)
+        assert len(x) == len(w) == nodes
+        for arr in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+    assert len(calls) == 4
 
 
 def test_noisy_rate_identity_at_resonance():
