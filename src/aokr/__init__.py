@@ -54,11 +54,8 @@ from .qkr import (
     ensemble_energy,
     ensemble_energy_history,
     evolve_atom,
-    free_evolve,
-    kick,
     momentum_distribution,
     plane_wave,
-    reshuffle,
     sample_atoms,
 )
 from .epsmap import (
@@ -72,58 +69,3 @@ from .epsmap import (
     eps_step_inverse,
     phase_portrait,
 )
-
-__all__ = [
-    "__version__",
-    "OMEGA_R_CS",
-    "DetuningError",
-    "LabParams",
-    "ScaledParams",
-    "effective_potential",
-    "hbar_from_period",
-    "scale_params",
-    "AMPLITUDE_LEVEL_MAX",
-    "PERIOD_LEVEL_MAX",
-    "IntervalError",
-    "NoiseConfig",
-    "NoiseLevelError",
-    "NoiseRealization",
-    "free_evolution_intervals",
-    "sample_realization",
-    "stream_rng",
-    "QuadratureError",
-    "UnsupportedLevelError",
-    "bessel_j",
-    "bessel_j_row",
-    "diffusion_curve",
-    "diffusion_rate",
-    "diffusion_rate_with_noise",
-    "kick_strength_from_energy",
-    "noise_averaged_bessel",
-    "quantum_kick_strength",
-    "resonance_height",
-    "write_diffusion_curve",
-    "DEFAULT_CUTOFF",
-    "CutoffError",
-    "EnsembleSpec",
-    "MomentumDistribution",
-    "QuantumState",
-    "ensemble_energy",
-    "ensemble_energy_history",
-    "evolve_atom",
-    "free_evolve",
-    "kick",
-    "momentum_distribution",
-    "plane_wave",
-    "reshuffle",
-    "sample_atoms",
-    "EpsilonZeroError",
-    "EpsParams",
-    "UnsupportedNoiseError",
-    "classical_map_energy",
-    "eps_energy",
-    "eps_energy_history",
-    "eps_step",
-    "eps_step_inverse",
-    "phase_portrait",
-]

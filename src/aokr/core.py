@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Caesium D2-line two-photon recoil frequency, fixed so that a 60.5 us pulse
 # period lands exactly on hbar_eff = 2 pi.
 OMEGA_R_CS = 2.0 * math.pi / (8.0 * 60.5e-6)
@@ -20,6 +22,14 @@ MIN_DETUNING_RATIO = 10.0
 
 class DetuningError(ValueError):
     """Detuning too small for the dispersive (adiabatic) potential to hold."""
+
+
+def check_finite(owner: object, *names: str) -> None:
+    """Reject a NaN or infinity in any named field (scalar or sequence; None passes)."""
+    for name in names:
+        value = getattr(owner, name)
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def effective_potential(rabi_frequency: float, detuning: float) -> float:
@@ -88,6 +98,7 @@ class ScaledParams:
     kick_count: int = 20
 
     def __post_init__(self) -> None:
+        check_finite(self, "hbar_eff", "kick_strength")
         if self.hbar_eff <= 0.0:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
         if self.kick_strength < 0.0:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_finite
+
 # fixed stream ids; never renumber, stored seeds depend on them
 STREAM_AMPLITUDE = 0
 STREAM_PERIOD = 1
@@ -65,6 +67,9 @@ class NoiseConfig:
     time_resolution: float | None = None
 
     def __post_init__(self) -> None:
+        check_finite(
+            self, "amplitude_level", "period_level", "se_probability", "time_resolution"
+        )
         if not 0.0 <= self.amplitude_level <= AMPLITUDE_LEVEL_MAX:
             raise NoiseLevelError(
                 f"amplitude_level must lie in [0, {AMPLITUDE_LEVEL_MAX}], "

@@ -10,9 +10,11 @@ complex amplitude vector c_n, n in [-M, M].  One pulse period applies
 The kick is diagonal on an angle grid; with 2M+1 grid points the FFT round
 trip is exactly unitary, and because the kick is diagonal there the natural
 ladder ordering can be fed to the FFT without any index shuffling (the
-implied index offset cancels between the transform pair).  A direct Bessel
-convolution (matrix elements <n'|exp(i k cos phi)|n> = i^(n'-n) J_{n'-n}(k))
-is kept as an independent route; both must agree to high precision.
+implied index offset cancels between the transform pair).  One batched
+stepper, `_evolve`, applies every kick, free flight and spontaneous-emission
+swap; a single atom is a batch of one.  The direct Bessel convolution
+(matrix elements <n'|exp(i k cos phi)|n> = i^(n'-n) J_{n'-n}(k)) lives in
+the tests as an independent oracle for it.
 
 At hbar_eff = 2 pi m the free phases collapse and kicks add coherently for
 the resonant quasimomentum class; a plane-wave start then reaches the
@@ -32,8 +34,7 @@ from typing import IO
 
 import numpy as np
 
-from .core import ScaledParams
-from .theory import bessel_j_row
+from .core import ScaledParams, check_finite
 from .noise import (
     STREAM_ATOM_BETA,
     STREAM_ATOM_MOMENTA,
@@ -50,7 +51,6 @@ TAIL_FRACTION = 0.9
 TAIL_TOLERANCE = 1e-8
 NORM_TOLERANCE = 1e-10
 _CHUNK_ATOMS = 2048
-_KERNEL_FLOOR = 1e-18
 DEFAULT_BIN_WIDTH = 0.29  # imaging resolution, two-photon recoils
 
 
@@ -59,7 +59,7 @@ class CutoffError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# single-atom state and operations
+# single-atom state: a batch of one
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -76,6 +76,7 @@ class QuantumState:
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        check_finite(self, "amplitudes", "beta", "kick_factor")
         if self.amplitudes.ndim != 1 or len(self.amplitudes) % 2 != 1:
             raise ValueError("amplitudes must be a 1-d vector of odd length 2M+1")
         if not 0.0 <= self.beta < 1.0:
@@ -108,20 +109,6 @@ class QuantumState:
         p = self.momenta
         return float(np.sum(np.abs(self.amplitudes) ** 2 * p**2)) / 2.0
 
-    def tail_mass(self) -> float:
-        """Probability beyond |n| > 0.9 M, the cutoff health indicator."""
-        mask = np.abs(self.ladder) > TAIL_FRACTION * self.cutoff
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
-
-    def validate(self) -> None:
-        if abs(self.norm - 1.0) > NORM_TOLERANCE:
-            raise CutoffError(f"norm drifted to {self.norm!r}; ladder cutoff too small")
-        if self.tail_mass() > TAIL_TOLERANCE:
-            raise CutoffError(
-                f"tail mass {self.tail_mass():.3e} beyond 0.9M exceeds {TAIL_TOLERANCE}; "
-                f"raise the cutoff above M = {self.cutoff}"
-            )
-
 
 def plane_wave(cutoff: int, n0: int = 0, beta: float = 0.0, kick_factor: float = 1.0) -> QuantumState:
     """Momentum eigenstate |n0 + beta> on a ladder of half-width `cutoff`."""
@@ -134,94 +121,32 @@ def plane_wave(cutoff: int, n0: int = 0, beta: float = 0.0, kick_factor: float =
     return QuantumState(amplitudes=amps, beta=beta, kick_factor=kick_factor)
 
 
-def _kick_kernel(k_eff: float, l_size: int) -> np.ndarray:
-    """Convolution kernel i^d J_d(k_eff), d = -D .. D, truncated below 1e-18."""
-    d_max = min(int(abs(k_eff)) + 45, l_size - 1)
-    row = bessel_j_row(d_max, abs(k_eff))
-    keep = max(np.argmax(np.abs(row[::-1]) > _KERNEL_FLOOR), 0)
-    d_max -= keep
-    row = row[: d_max + 1]
-    d = np.arange(-d_max, d_max + 1)
-    vals = row[np.abs(d)].astype(complex)
-    if k_eff >= 0:
-        vals[d < 0] *= (-1.0) ** np.abs(d[d < 0])  # J_{-d} = (-1)^d J_d
-        return (1j) ** d * vals
-    vals[d > 0] *= (-1.0) ** d[d > 0]  # J_d(-x) = (-1)^d J_d(x)
-    return (1j) ** d * vals
-
-
-def kick(state: QuantumState, kappa_n: float, hbar_eff: float, method: str = "spectral") -> QuantumState:
-    """Apply one kick exp(i k_eff cos phi), k_eff = kick_factor * kappa_n / hbar_eff.
-
-    method "spectral": diagonalize on the 2M+1-point angle grid (exact
-    unitary).  method "bessel": direct convolution with the Bessel kernel.
-    The two agree amplitude-wise to better than 1e-10 whenever the state
-    respects the tail invariant.
-    """
-    if hbar_eff <= 0.0:
-        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
-    k_eff = state.kick_factor * kappa_n / hbar_eff
-    c = state.amplitudes
-    if method == "spectral":
-        l_size = len(c)
-        phi = 2.0 * np.pi * np.arange(l_size) / l_size
-        out = np.fft.fft(np.exp(1j * k_eff * np.cos(phi)) * np.fft.ifft(c))
-    elif method == "bessel":
-        out = np.convolve(c, _kick_kernel(k_eff, len(c)), mode="same")
-    else:
-        raise ValueError(f"method must be 'spectral' or 'bessel', got {method!r}")
-    new = QuantumState(amplitudes=out, beta=state.beta, kick_factor=state.kick_factor)
-    new.validate()
-    return new
-
-
-def free_evolve(state: QuantumState, dtau: float, hbar_eff: float) -> QuantumState:
-    """Free flight for a scaled time dtau: phases exp(-i hbar (n+beta)^2 dtau / 2)."""
-    if hbar_eff <= 0.0:
-        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
-    p = state.momenta
-    phase = np.exp(-0.5j * hbar_eff * dtau * p**2)
-    return QuantumState(
-        amplitudes=state.amplitudes * phase, beta=state.beta, kick_factor=state.kick_factor
-    )
-
-
-def reshuffle(state: QuantumState, new_beta: float) -> QuantumState:
-    """Spontaneous-emission event: replace beta, keep the amplitude vector."""
-    return QuantumState(
-        amplitudes=state.amplitudes.copy(), beta=new_beta, kick_factor=state.kick_factor
-    )
-
-
 def evolve_atom(
     state: QuantumState,
     params: ScaledParams,
     realization: NoiseRealization,
     atom_index: int = 0,
-    method: str = "spectral",
 ) -> QuantumState:
     """Drive one atom through the full pulse train of a noise realization.
 
-    Timeline: kick 0, gap, kick 1, gap, .. , kick N-1.  An SE reshuffle
-    fires immediately after its kick (the final kick included).  N = 0
-    returns the state untouched.
+    A batch of one through the ensemble stepper: atom `atom_index` of the
+    realization supplies the SE schedule.  Timeline: kick 0, gap, kick 1,
+    gap, .. , kick N-1; an SE swap fires immediately after its kick (the
+    final kick included).  N = 0 returns the state untouched.
     """
-    n_kicks = params.kick_count
-    if n_kicks == 0:
+    if not 0 <= atom_index < realization.n_atoms:
+        raise ValueError(f"atom_index must lie in [0, {realization.n_atoms}), got {atom_index}")
+    if not abs(state.norm - 1.0) <= NORM_TOLERANCE:
+        raise ValueError(f"state norm is {state.norm!r}, not 1 within {NORM_TOLERANCE}")
+    if params.kick_count == 0:
         return state
-    if realization.n_kicks < n_kicks:
-        raise ValueError(
-            f"realization holds {realization.n_kicks} kicks, need {n_kicks}"
-        )
-    intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
-    for s in range(n_kicks):
-        kappa_n = params.kick_strength * realization.amplitude_factors[s]
-        state = kick(state, kappa_n, params.hbar_eff, method=method)
-        if realization.se_events[atom_index, s]:
-            state = reshuffle(state, float(realization.se_betas[atom_index, s]))
-        if s < n_kicks - 1:
-            state = free_evolve(state, float(intervals[s]), params.hbar_eff)
-    return state
+    if realization.n_kicks < params.kick_count:
+        raise ValueError(f"realization holds {realization.n_kicks} kicks, need {params.kick_count}")
+    c, beta, _, _ = _evolve(
+        state.amplitudes[None, :], np.array([state.beta]), np.array([state.kick_factor]),
+        params, realization, slice(atom_index, atom_index + 1), None,
+    )
+    return QuantumState(amplitudes=c[0], beta=float(beta[0]), kick_factor=state.kick_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +178,7 @@ class EnsembleSpec:
     momenta: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_finite(self, "sigma_p", "beta_fixed", "kick_spread", "p_max", "momenta")
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.beta_mode not in ("thermal", "uniform", "fixed"):
@@ -320,25 +246,26 @@ def sample_atoms(spec: EnsembleSpec, cfg: NoiseConfig) -> tuple[np.ndarray, np.n
     n = spec.n_atoms
     if spec.momenta is not None:
         p = np.asarray(spec.momenta, dtype=float)
-        n0 = np.floor(p).astype(int)
-        beta = p - np.floor(p)
+        n0 = np.floor(p)
+        beta = p - n0
     elif spec.beta_mode == "thermal":
         rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_ATOM_MOMENTA)
         u = (np.arange(n) + rng.random(n)) / n
         p = spec.sigma_p * _norm_ppf(u)
-        n0 = np.floor(p).astype(int)
-        beta = p - np.floor(p)
+        n0 = np.floor(p)
+        beta = p - n0
     elif spec.beta_mode == "uniform":
         rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_ATOM_BETA)
         beta = (np.arange(n) + rng.random(n)) / n
-        n0 = np.zeros(n, dtype=int)
+        n0 = np.zeros(n)
     else:  # fixed
         beta = np.full(n, spec.beta_fixed)
-        n0 = np.zeros(n, dtype=int)
+        n0 = np.zeros(n)
 
+    # checked before the integer cast, which would wrap a huge index
     if np.max(np.abs(n0)) > spec.cutoff // 2:
         raise CutoffError(
-            f"initial momenta reach |n0| = {int(np.max(np.abs(n0)))}, "
+            f"initial momenta reach |n0| = {np.max(np.abs(n0)):g}, "
             f"too close to the cutoff M = {spec.cutoff}"
         )
 
@@ -350,7 +277,70 @@ def sample_atoms(spec: EnsembleSpec, cfg: NoiseConfig) -> tuple[np.ndarray, np.n
             g[bad] = 1.0 + spec.kick_spread * rng.standard_normal(int(np.sum(bad)))
     else:
         g = np.ones(n)
-    return n0, beta, g
+    return n0.astype(int), beta, g
+
+
+def _evolve(
+    c: np.ndarray,
+    beta: np.ndarray,
+    g: np.ndarray,
+    params: ScaledParams,
+    realization: NoiseRealization,
+    rows: slice,
+    p_max: float | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The quantum stepper: drive a batch of atoms through the pulse train.
+
+    c holds one amplitude row per atom (ladder n = -M .. M), beta and g their
+    quasimomenta and kick factors, `rows` their SE schedule's rows in the
+    realization.  Returns the final (c, beta) and, per kick index 0..N (0 =
+    before any kick), the batch's windowed energy sum and weight.  Equal kick
+    factors share one kick phase; all-unit gaps share one free phase.
+    """
+    n_kicks = params.kick_count
+    l_size = c.shape[1]
+    m = (l_size - 1) // 2
+    n_grid = np.arange(-m, m + 1)
+    cos_phi = np.cos(2.0 * np.pi * np.arange(l_size) / l_size)
+    edge = np.abs(n_grid) > TAIL_FRACTION * m
+    hbar = params.hbar_eff
+    intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
+    common_kick = bool(np.all(g == g[0]))
+
+    beta = beta.copy()
+    p2 = (n_grid[None, :] + beta[:, None]) ** 2
+    free_unit = np.exp(-0.5j * hbar * p2) if np.all(intervals == 1.0) else None
+    energy = np.zeros(n_kicks + 1)
+    weight = np.zeros(n_kicks + 1)
+    energy[0], weight[0] = _windowed_energy(np.abs(c) ** 2, p2, p_max)
+
+    for s in range(n_kicks):
+        k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
+        if common_kick:
+            kick_phase = np.exp(1j * (k_eff * g[0]) * cos_phi)
+        else:
+            kick_phase = np.exp(1j * (k_eff * g)[:, None] * cos_phi[None, :])
+        c = np.fft.fft(kick_phase * np.fft.ifft(c, axis=1), axis=1)
+
+        hit = realization.se_events[rows, s]
+        if hit.any():
+            beta[hit] = realization.se_betas[rows, s][hit]
+            p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
+            if free_unit is not None:
+                free_unit[hit] = np.exp(-0.5j * hbar * p2[hit])
+
+        prob = np.abs(c) ** 2
+        tail = prob[:, edge].sum(axis=1)
+        if np.max(tail) > TAIL_TOLERANCE:
+            raise CutoffError(
+                f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1}; "
+                f"raise the cutoff above M = {m}"
+            )
+        energy[s + 1], weight[s + 1] = _windowed_energy(prob, p2, p_max)
+
+        if s < n_kicks - 1:
+            c *= free_unit if free_unit is not None else np.exp((-0.5j * hbar * intervals[s]) * p2)
+    return c, beta, energy, weight
 
 
 def _ensemble_arrays(
@@ -358,83 +348,26 @@ def _ensemble_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evolve the whole cloud; returns (energies over kicks, final |c|^2, final beta).
 
-    Vectorized over atoms in chunks; all atoms of a realization share the
-    pulse train, so the kick phase is computed once per kick unless the
-    per-atom kick factors differ.
+    The stepper runs over chunks of atoms; energy sums and weights add up
+    across chunks before the cloud-wide normalization.
     """
-    n_kicks = params.kick_count
     m = spec.cutoff
-    l_size = 2 * m + 1
-    n_grid = np.arange(-m, m + 1)
-    phi = 2.0 * np.pi * np.arange(l_size) / l_size
-    cos_phi = np.cos(phi)
-    hbar = params.hbar_eff
-
     n0s, betas, gs = sample_atoms(spec, realization.config)
-    intervals = (
-        free_evolution_intervals(realization.period_offsets[:n_kicks])
-        if n_kicks > 1
-        else np.empty(0)
-    )
-    uniform_gaps = bool(np.all(intervals == 1.0)) if n_kicks > 1 else True
-    common_kick = spec.kick_spread == 0.0
-
-    total_energy = np.zeros(n_kicks + 1)
-    total_weight = np.zeros(n_kicks + 1)
-    final_prob = np.empty((spec.n_atoms, l_size))
+    total_energy = np.zeros(params.kick_count + 1)
+    total_weight = np.zeros(params.kick_count + 1)
+    final_prob = np.empty((spec.n_atoms, 2 * m + 1))
     final_beta = np.empty(spec.n_atoms)
 
     for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
-        hi = min(lo + _CHUNK_ATOMS, spec.n_atoms)
-        idx = np.arange(lo, hi)
-        beta = betas[lo:hi].copy()
-        g = gs[lo:hi]
-        c = np.zeros((hi - lo, l_size), dtype=complex)
-        c[np.arange(hi - lo), m + n0s[lo:hi]] = 1.0
-
-        pgrid = n_grid[None, :] + beta[:, None]
-        p2 = pgrid**2
-        free_unit = np.exp(-0.5j * hbar * p2) if uniform_gaps else None
-
-        e, w = _windowed_energy(np.abs(c) ** 2, p2, spec.p_max)
-        total_energy[0] += e
-        total_weight[0] += w
-
-        for s in range(n_kicks):
-            k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
-            if common_kick:
-                kick_phase = np.exp(1j * (k_eff * g[0]) * cos_phi)[None, :]
-            else:
-                kick_phase = np.exp(1j * (k_eff * g)[:, None] * cos_phi[None, :])
-            c = np.fft.fft(kick_phase * np.fft.ifft(c, axis=1), axis=1)
-
-            hit = realization.se_events[lo:hi, s]
-            if hit.any():
-                beta[hit] = realization.se_betas[lo:hi, s][hit]
-                pgrid[hit] = n_grid[None, :] + beta[hit, None]
-                p2[hit] = pgrid[hit] ** 2
-                if free_unit is not None:
-                    free_unit[hit] = np.exp(-0.5j * hbar * p2[hit])
-
-            prob = np.abs(c) ** 2
-            tail = prob[:, np.abs(n_grid) > TAIL_FRACTION * m].sum(axis=1)
-            if np.max(tail) > TAIL_TOLERANCE:
-                raise CutoffError(
-                    f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1}; "
-                    f"raise the cutoff above M = {m}"
-                )
-            e, w = _windowed_energy(prob, p2, spec.p_max)
-            total_energy[s + 1] += e
-            total_weight[s + 1] += w
-
-            if s < n_kicks - 1:
-                if free_unit is not None:
-                    c *= free_unit
-                else:
-                    c *= np.exp((-0.5j * hbar * intervals[s]) * p2)
-
-        final_prob[idx] = np.abs(c) ** 2
-        final_beta[idx] = beta
+        rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
+        # each atom starts in |n0>; unnamed here, that array is freed at the first kick
+        c, final_beta[rows], energy, weight = _evolve(
+            (np.arange(-m, m + 1) == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
+            params, realization, rows, spec.p_max,
+        )
+        total_energy += energy
+        total_weight += weight
+        final_prob[rows] = np.abs(c) ** 2
 
     if np.any(total_weight <= 0.0):
         raise ValueError("detection window discarded the entire cloud")

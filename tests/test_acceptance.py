@@ -11,6 +11,7 @@ import io
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.special
@@ -23,10 +24,8 @@ from aokr.qkr import (
     EnsembleSpec,
     ensemble_energy,
     ensemble_energy_history,
-    free_evolve,
-    kick,
+    evolve_atom,
     plane_wave,
-    reshuffle,
     sample_atoms,
 )
 from aokr.theory import (
@@ -47,15 +46,10 @@ def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
 def test_c01_antiresonance_two_kick_identity():
     t0 = time.perf_counter()
     k = 3.77
-    s = plane_wave(64, beta=0.0)
-    e0 = s.energy
-    worst = 0.0
-    for n in range(1, 13):
-        s = kick(s, k * TWO_PI, TWO_PI)
-        if n % 2 == 0:
-            worst = max(worst, abs(s.energy - e0))
-        if n < 12:
-            s = free_evolve(s, 1.0, TWO_PI)
+    spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.0, cutoff=64)
+    params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=12)
+    hist, _ = ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))
+    worst = float(np.max(np.abs(hist[2::2] - hist[0])))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
     _verdict(
@@ -71,22 +65,17 @@ def test_c02_resonant_ballistic_law():
     # offset of the plane wave is excluded (recorded design decision)
     t0 = time.perf_counter()
     k = 3.77
-    s = plane_wave(96, beta=0.5)
-    e0 = s.energy
-    worst_q = 0.0
-    for n in range(1, 11):
-        s = kick(s, k * TWO_PI, TWO_PI)
-        want = 0.25 * (k * n) ** 2
-        worst_q = max(worst_q, abs((s.energy - e0) / want - 1.0))
-        if n < 10:
-            s = free_evolve(s, 1.0, TWO_PI)
+    steps = np.arange(1, 11)
+    one_atom = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5, cutoff=96)
+    params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=10)
+    hist, _ = ensemble_energy_history(one_atom, params, NoiseConfig(master_seed=0))
+    worst_q = float(np.max(np.abs((hist[1:] - hist[0]) / (0.25 * (k * steps) ** 2) - 1.0)))
 
     # same law pins the map's resonant limit (rho_0 = 0, fixed beta = 1/2)
     spec = EnsembleSpec(n_atoms=64, beta_mode="fixed", beta_fixed=0.5, cutoff=32)
     hist, _ = eps_energy_history(
         EpsParams(epsilon=0.0, kick_ratio=k, beta=0.5), 10, spec, NoiseConfig(master_seed=0)
     )
-    steps = np.arange(1, 11)
     worst_m = float(np.max(np.abs(hist[1:] / (0.25 * k**2 * steps**2) - 1.0)))
 
     elapsed = time.perf_counter() - t0
@@ -403,17 +392,15 @@ def test_c12_unitarity_and_cutoff_convergence():
     cfg = NoiseConfig(
         amplitude_level=2.0, period_level=0.1, se_probability=0.025, master_seed=5
     )
+    # (the state after kick n is the n-kick prefix of the train, whose gaps
+    # are the full train's first n - 1)
     r = sample_realization(cfg, params.kick_count, 1)
     intervals = free_evolution_intervals(r.period_offsets)
-    s = plane_wave(512, beta=0.31)
     drift = 0.0
-    for n in range(params.kick_count):
-        s = kick(s, params.kick_strength * r.amplitude_factors[n], params.hbar_eff)
-        if r.se_events[0, n]:
-            s = reshuffle(s, float(r.se_betas[0, n]))
+    for n in range(1, params.kick_count + 1):
+        assert np.array_equal(free_evolution_intervals(r.period_offsets[:n]), intervals[: n - 1])
+        s = evolve_atom(plane_wave(512, beta=0.31), replace(params, kick_count=n), r)
         drift = max(drift, abs(s.norm - 1.0))
-        if n < params.kick_count - 1:
-            s = free_evolve(s, float(intervals[n]), params.hbar_eff)
 
     # cutoff doubling at the operating point of the resonance-peak scans
     energies = {}

@@ -10,8 +10,9 @@ import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from aokr import qkr
 from aokr.core import ScaledParams
-from aokr.noise import NoiseConfig, free_evolution_intervals, sample_realization
+from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, sample_realization
 from aokr.qkr import (
     CutoffError,
     EnsembleSpec,
@@ -21,15 +22,88 @@ from aokr.qkr import (
     ensemble_energy,
     ensemble_energy_history,
     evolve_atom,
-    free_evolve,
-    kick,
     momentum_distribution,
     plane_wave,
-    reshuffle,
     sample_atoms,
 )
+from aokr.theory import bessel_j_row
 
 TWO_PI = 2.0 * math.pi
+NAN = float("nan")
+INF = float("inf")
+
+
+# ---------------------------------------------------------------------------
+# the Bessel-convolution oracle and hand-built pulse trains
+# ---------------------------------------------------------------------------
+
+def _kick_kernel(k_eff, l_size):
+    """Convolution kernel i^d J_d(k_eff), d = -D .. D, truncated below 1e-18."""
+    d_max = min(int(abs(k_eff)) + 45, l_size - 1)
+    row = bessel_j_row(d_max, abs(k_eff))
+    keep = max(np.argmax(np.abs(row[::-1]) > 1e-18), 0)
+    d_max -= keep
+    row = row[: d_max + 1]
+    d = np.arange(-d_max, d_max + 1)
+    vals = row[np.abs(d)].astype(complex)
+    if k_eff >= 0:
+        vals[d < 0] *= (-1.0) ** np.abs(d[d < 0])  # J_{-d} = (-1)^d J_d
+        return (1j) ** d * vals
+    vals[d > 0] *= (-1.0) ** d[d > 0]  # J_d(-x) = (-1)^d J_d(x)
+    return (1j) ** d * vals
+
+
+def _oracle_kick(c, k_eff):
+    """One kick exp(i k_eff cos phi) as a direct convolution with the Bessel kernel."""
+    return np.convolve(c, _kick_kernel(k_eff, len(c)), mode="same")
+
+
+def _oracle_atom(c, beta, g, params, realization, atom):
+    """Atom `atom` through the pulse train by oracle kicks, explicit free phases
+    and SE beta swaps; returns (c, beta, energies with index 0 = before any kick)."""
+    n_grid = np.arange(len(c)) - (len(c) - 1) // 2
+    intervals = free_evolution_intervals(realization.period_offsets[: params.kick_count])
+    energies = [0.5 * np.sum(np.abs(c) ** 2 * (n_grid + beta) ** 2)]
+    for s in range(params.kick_count):
+        k_eff = g * params.kick_strength * realization.amplitude_factors[s] / params.hbar_eff
+        c = _oracle_kick(c, k_eff)
+        if realization.se_events[atom, s]:
+            beta = float(realization.se_betas[atom, s])
+        energies.append(0.5 * np.sum(np.abs(c) ** 2 * (n_grid + beta) ** 2))
+        if s < params.kick_count - 1:
+            c = c * np.exp(-0.5j * params.hbar_eff * intervals[s] * (n_grid + beta) ** 2)
+    return c, beta, np.array(energies)
+
+
+def _train(factors, offsets=None, se=None):
+    """One-atom pulse train with the given kick factors and period offsets;
+    `se` maps a kick index to the beta its SE event swaps in."""
+    n = len(factors)
+    events = np.zeros((1, n), dtype=bool)
+    betas = np.zeros((1, n))
+    for s, b in (se or {}).items():
+        events[0, s], betas[0, s] = True, b
+    return NoiseRealization(
+        config=NoiseConfig(),
+        amplitude_factors=np.asarray(factors, dtype=float),
+        period_offsets=np.zeros(n) if offsets is None else np.asarray(offsets, dtype=float),
+        se_events=events,
+        se_betas=betas,
+    )
+
+
+def _kick(state, kappa_n, hbar_eff):
+    """One kick exp(i k_eff cos phi), k_eff = kick_factor * kappa_n / hbar_eff."""
+    params = ScaledParams(hbar_eff=hbar_eff, kick_strength=1.0, kick_count=1)
+    return evolve_atom(state, params, _train([kappa_n]))
+
+
+def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
+    """Energy after each kick of one plane wave at n0 = 0, fixed beta, no noise."""
+    spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=beta, cutoff=cutoff)
+    params = ScaledParams(hbar_eff=hbar_eff, kick_strength=kick_ratio * hbar_eff,
+                          kick_count=kick_count)
+    return ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +118,6 @@ def test_plane_wave_basics():
     assert s.energy == pytest.approx(0.5 * 3.25**2)
     assert s.ladder[0] == -16 and s.ladder[-1] == 16
     assert np.allclose(s.momenta, s.ladder + 0.25)
-    assert s.tail_mass() == 0.0
 
 
 def test_state_validation_errors():
@@ -60,12 +133,40 @@ def test_state_validation_errors():
         QuantumState(amplitudes=np.ones(5, dtype=complex), beta=0.0, kick_factor=0.0)
 
 
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        pytest.param(make, kwargs, field, id=f"{make.__name__}.{field}")
+        for make, kwargs, field in [
+            (ScaledParams, dict(hbar_eff=NAN, kick_strength=1.0), "hbar_eff"),
+            (ScaledParams, dict(hbar_eff=1.0, kick_strength=INF), "kick_strength"),
+            (EnsembleSpec, dict(n_atoms=2, sigma_p=NAN), "sigma_p"),
+            (EnsembleSpec, dict(n_atoms=2, beta_mode="fixed", beta_fixed=NAN), "beta_fixed"),
+            (EnsembleSpec, dict(n_atoms=2, kick_spread=NAN), "kick_spread"),
+            (EnsembleSpec, dict(n_atoms=2, p_max=NAN), "p_max"),
+            (EnsembleSpec, dict(n_atoms=2, momenta=(INF, 0.0)), "momenta"),
+            (NoiseConfig, dict(amplitude_level=NAN), "amplitude_level"),
+            (NoiseConfig, dict(period_level=NAN), "period_level"),
+            (NoiseConfig, dict(se_probability=NAN), "se_probability"),
+            (NoiseConfig, dict(time_resolution=NAN), "time_resolution"),
+            (QuantumState, dict(amplitudes=[0.0, NAN, 0.0], beta=0.0), "amplitudes"),
+            (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=NAN), "beta"),
+            (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=0.0, kick_factor=INF),
+             "kick_factor"),
+        ]
+    ],
+)
+def test_non_finite_fields_are_rejected(make, kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        make(**kwargs)
+
+
 def test_validate_flags_tail_mass():
     amps = np.zeros(33, dtype=complex)
     amps[1] = 1.0  # n = -15, beyond 0.9 * 16
     bad = QuantumState(amplitudes=amps, beta=0.0)
     with pytest.raises(CutoffError):
-        bad.validate()
+        _kick(bad, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -74,60 +175,72 @@ def test_validate_flags_tail_mass():
 
 def test_kick_zero_strength_is_identity():
     s = plane_wave(16, n0=2, beta=0.3)
-    out = kick(s, 0.0, TWO_PI)
+    out = _kick(s, 0.0, TWO_PI)
     assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-14
 
 
 def test_kick_populations_match_bessel_squares():
     # one kick from vacuum populates sidebands with weight J_d(k_eff)^2
     k_eff = 3.77
-    s = kick(plane_wave(64), k_eff, 1.0)
+    s = _kick(plane_wave(64), k_eff, 1.0)
     pops = np.abs(s.amplitudes) ** 2
     want = scipy.special.jn(np.arange(-64, 65), k_eff) ** 2
     assert np.max(np.abs(pops - want)) < 1e-14
 
 
 def test_kick_methods_agree():
+    # the FFT kick of the stepper against the Bessel-convolution oracle
     rng = np.random.default_rng(11)
     amps = np.zeros(129, dtype=complex)
     amps[54:75] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
     amps /= np.linalg.norm(amps)
     s = QuantumState(amplitudes=amps, beta=0.41)
     for kappa_n in (5.3, -2.7):
-        a = kick(s, kappa_n, 1.7, method="spectral")
-        b = kick(s, kappa_n, 1.7, method="bessel")
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+        a = _kick(s, kappa_n, 1.7)
+        b = _oracle_kick(s.amplitudes, kappa_n / 1.7)
+        assert np.max(np.abs(a.amplitudes - b)) < 1e-12
 
 
-def test_kick_rejects_bad_arguments():
-    s = plane_wave(8)
-    with pytest.raises(ValueError):
-        kick(s, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        kick(s, 1.0, 1.0, method="magic")
+def test_evolve_atom_rejects_bad_input(monkeypatch):
+    # every check runs before the stepper applies a kick
+    def no_kick(*args):
+        raise AssertionError("the stepper ran")
+
+    monkeypatch.setattr(qkr, "_evolve", no_kick)
+    p = ScaledParams(hbar_eff=1.0, kick_strength=1.0, kick_count=2)
+    r = sample_realization(NoiseConfig(master_seed=1), 2, 3)
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match="atom_index"):
+            evolve_atom(plane_wave(8), p, r, atom_index=index)
+    for value in (1.0 + 1e-9, 0.0, NAN):
+        s = plane_wave(8)
+        s.amplitudes[8] = value  # the n = 0 amplitude; the state's norm is value^2
+        with pytest.raises(ValueError, match="norm"):
+            evolve_atom(s, p, r)
 
 
 def test_free_evolution_phases_and_invariants():
+    # two zero-strength kicks around one gap of 0.7 periods
     amps = np.zeros(17, dtype=complex)
     amps[8] = amps[9] = 1.0 / math.sqrt(2.0)  # n = 0 and n = 1
     s = QuantumState(amplitudes=amps, beta=0.2)
-    out = free_evolve(s, 0.7, 1.9)
+    p = ScaledParams(hbar_eff=1.9, kick_strength=0.0, kick_count=2)
+    out = evolve_atom(s, p, _train([1.0, 1.0], offsets=[0.0, -0.3]))
     assert np.allclose(np.abs(out.amplitudes), np.abs(s.amplitudes))
     assert out.energy == pytest.approx(s.energy)
     ratio = out.amplitudes[9] / s.amplitudes[9] * np.conj(out.amplitudes[8] / s.amplitudes[8])
     want = np.exp(-0.5j * 1.9 * 0.7 * (1.2**2 - 0.2**2))
     assert abs(ratio - want) < 1e-14
-    still = free_evolve(s, 0.0, 1.9)
-    assert np.array_equal(still.amplitudes, s.amplitudes)
 
 
 def test_reshuffle_swaps_beta_only():
-    s = kick(plane_wave(32, beta=0.1), 2.0, 1.0)
-    out = reshuffle(s, 0.9)
-    assert out.beta == 0.9
-    assert np.array_equal(out.amplitudes, s.amplitudes)
-    with pytest.raises(ValueError):
-        reshuffle(s, 1.0)
+    # an SE event right after the kick replaces beta and keeps the amplitudes
+    s = plane_wave(32, beta=0.1)
+    p = ScaledParams(hbar_eff=1.0, kick_strength=2.0, kick_count=1)
+    plain = evolve_atom(s, p, _train([1.0]))
+    out = evolve_atom(s, p, _train([1.0], se={0: 0.9}))
+    assert plain.beta == 0.1 and out.beta == 0.9
+    assert np.array_equal(out.amplitudes, plain.amplitudes)
 
 
 @settings(max_examples=25, deadline=None)
@@ -140,7 +253,7 @@ def test_kick_is_unitary(beta, kappa_n):
     amps[14:19] = [0.5, -0.5j, 0.5, 0.3, 0.3j]
     amps /= np.linalg.norm(amps)
     s = QuantumState(amplitudes=amps, beta=beta)
-    out = kick(s, kappa_n, 1.3)
+    out = _kick(s, kappa_n, 1.3)
     assert abs(out.norm - 1.0) < 1e-12
 
 
@@ -150,31 +263,17 @@ def test_kick_is_unitary(beta, kappa_n):
 
 def test_antiresonance_returns_every_second_kick():
     # beta = 0 at hbar_eff = 2 pi: consecutive kicks cancel exactly
-    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.77 * TWO_PI, kick_count=12)
-    r = sample_realization(NoiseConfig(master_seed=0), p.kick_count, 1)
-    s = plane_wave(64, beta=0.0)
-    e0 = s.energy
-    for n in range(1, p.kick_count + 1):
-        s = kick(s, p.kick_strength, p.hbar_eff)
-        if n < p.kick_count:
-            s = free_evolve(s, 1.0, p.hbar_eff)
-        if n % 2 == 0:
-            assert abs(s.energy - e0) < 1e-8
-    assert r.n_kicks == 12
+    hist = _single_atom_history(0.0, 3.77, TWO_PI, 12, 64)
+    assert np.max(np.abs(hist[2::2] - hist[0])) < 1e-8
 
 
 def test_ballistic_growth_at_half_integer_beta():
     # beta = 1/2 at hbar_eff = 2 pi: kicks add coherently,
     # E_N = (k N)^2 / 4 + beta^2 / 2 with k the kick ratio
     k = 3.77
-    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=6)
-    s = plane_wave(192, beta=0.5)
+    hist = _single_atom_history(0.5, k, TWO_PI, 6, 192)
     for n in range(1, 7):
-        s = kick(s, p.kick_strength, p.hbar_eff)
-        want = 0.25 * (k * n) ** 2 + 0.125
-        assert s.energy == pytest.approx(want, rel=1e-9)
-        if n < 6:
-            s = free_evolve(s, 1.0, p.hbar_eff)
+        assert hist[n] == pytest.approx(0.25 * (k * n) ** 2 + 0.125, rel=1e-9)
 
 
 def test_ladder_translation_symmetry_at_resonance():
@@ -212,15 +311,17 @@ def test_evolve_atom_matches_matrix_composition():
 
     vec = np.zeros(2 * m + 1, dtype=complex)
     vec[m + 1] = 1.0  # n0 = 1
+    start = plane_wave(m, n0=1, beta=beta)
     for s in range(p.kick_count):
         k_eff = p.kick_strength * r.amplitude_factors[s] / hbar
         vec = _dense_step_matrices(n_grid, k_eff) @ vec
         if s < p.kick_count - 1:
             vec = vec * np.exp(-0.5j * hbar * intervals[s] * (n_grid + beta) ** 2)
 
-    for method in ("spectral", "bessel"):
-        out = evolve_atom(plane_wave(m, n0=1, beta=beta), p, r, method=method)
-        assert np.max(np.abs(out.amplitudes - vec)) < 1e-9
+    stepper = evolve_atom(start, p, r).amplitudes
+    oracle, _, _ = _oracle_atom(start.amplitudes, beta, 1.0, p, r, 0)
+    for out in (stepper, oracle):
+        assert np.max(np.abs(out - vec)) < 1e-9
 
 
 def test_evolve_atom_edge_cases():
@@ -308,6 +409,9 @@ def test_explicit_momenta_and_cutoff_guard():
     hot = EnsembleSpec(n_atoms=64, sigma_p=40.0, cutoff=16)
     with pytest.raises(CutoffError):
         sample_atoms(hot, NoiseConfig(master_seed=0))
+    for far in ((1e19,), (-1e300,)):  # beyond the int64 range of a ladder index
+        with pytest.raises(CutoffError, match="reach"):
+            sample_atoms(EnsembleSpec(n_atoms=1, momenta=far, cutoff=16), NoiseConfig())
 
 
 def test_kick_spread_draws_positive_factors():
@@ -322,24 +426,35 @@ def test_kick_spread_draws_positive_factors():
 # ensemble evolution
 # ---------------------------------------------------------------------------
 
-def test_batch_engine_matches_single_atom_route():
-    # same atoms, same pulse train: chunked array engine vs one-atom loop
-    spec = EnsembleSpec(n_atoms=3, beta_mode="thermal", sigma_p=1.5, cutoff=48)
+def test_batch_engine_matches_single_atom_route(monkeypatch):
+    # same atoms, same pulse train: the stepper, in chunks of two atoms and as
+    # a batch of one, against a per-atom loop of oracle kicks, explicit free
+    # phases and SE beta swaps; once with period noise (a free phase per gap)
+    # and once with kick spread (a kick phase per atom)
+    monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.2 * TWO_PI, kick_count=6)
-    cfg = NoiseConfig(
-        amplitude_level=1.2, period_level=0.06, se_probability=0.4, master_seed=14
-    )
-    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
-    energies, prob, final_beta = _ensemble_arrays(spec, p, r)
+    for period_level, kick_spread in ((0.06, 0.0), (0.0, 0.1)):
+        spec = EnsembleSpec(
+            n_atoms=3, beta_mode="thermal", sigma_p=1.5, kick_spread=kick_spread, cutoff=48
+        )
+        cfg = NoiseConfig(
+            amplitude_level=1.2, period_level=period_level, se_probability=0.4, master_seed=14
+        )
+        r = sample_realization(cfg, p.kick_count, spec.n_atoms)
+        assert r.se_events[:, :-1].sum() >= 4
+        energies, prob, final_beta = _ensemble_arrays(spec, p, r)
 
-    n0s, betas, _ = sample_atoms(spec, cfg)
-    singles = []
-    for a in range(3):
-        out = evolve_atom(plane_wave(48, int(n0s[a]), float(betas[a])), p, r, atom_index=a)
-        singles.append(out)
-        assert np.max(np.abs(np.abs(out.amplitudes) ** 2 - prob[a])) < 1e-12
-        assert final_beta[a] == out.beta
-    assert energies[-1] == pytest.approx(np.mean([s.energy for s in singles]), rel=1e-12)
+        n0s, betas, gs = sample_atoms(spec, cfg)
+        histories = []
+        for a in range(3):
+            start = plane_wave(48, int(n0s[a]), float(betas[a]), float(gs[a]))
+            c, beta, history = _oracle_atom(start.amplitudes, start.beta, gs[a], p, r, a)
+            histories.append(history)
+            one = evolve_atom(start, p, r, atom_index=a)
+            assert np.max(np.abs(np.abs(c) ** 2 - prob[a])) < 1e-12
+            assert np.max(np.abs(one.amplitudes - c)) < 1e-12
+            assert final_beta[a] == one.beta == beta
+        assert energies == pytest.approx(np.mean(histories, axis=0), rel=1e-12)
 
 
 def test_uniform_beta_resonance_slope():
