@@ -36,14 +36,12 @@ from .theory import (
     UnsupportedLevelError,
     bessel_j,
     bessel_j_row,
-    diffusion_curve,
     diffusion_rate,
     diffusion_rate_with_noise,
     kick_strength_from_energy,
     noise_averaged_bessel,
     quantum_kick_strength,
     resonance_height,
-    write_diffusion_curve,
 )
 from .qkr import (
     DEFAULT_CUTOFF,

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import __version__
 from .core import ScaledParams, hbar_from_period
-from .epsmap import EpsParams, classical_map_energy, eps_energy, phase_portrait
-from .noise import AMPLITUDE_LEVEL_MAX, PERIOD_LEVEL_MAX, NoiseConfig
+from .epsmap import EpsParams, eps_energy, phase_portrait
+from .noise import NoiseConfig
 from .qkr import DEFAULT_CUTOFF, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
-from .theory import diffusion_rate_with_noise, kick_strength_from_energy, write_diffusion_curve
+from .theory import diffusion_rate_with_noise, kick_strength_from_energy
 
 log = logging.getLogger("aokr")
 
@@ -54,8 +54,8 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # engines: the two values of one (abscissa point, noise level) cell
 # ---------------------------------------------------------------------------
-# (energy, sem), or (d_classical, d_quantum) for theory.  Engine entry points
-# are called through this module's globals, where bench/tracing.py wraps them.
+# Engine entry points are called through this module's globals, where
+# bench/tracing.py wraps them.
 
 def _quantum_cell(
     spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
@@ -77,17 +77,29 @@ def _eps_cell(
     return eps_energy(p, spec.kicks, spec.ensemble(), cfg, n_real)
 
 
-def _theory_cell(
-    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
-) -> tuple[float, float]:
-    kappa = spec.kick_ratio * hbar
+def _rates(kick_ratio: float, hbar: float, level: float) -> tuple[float, float]:
+    """(D_classical, D_quantum) at kappa = kick_ratio * hbar; also `aokr predict`."""
+    kappa = kick_ratio * hbar
     return (
         diffusion_rate_with_noise(kappa, hbar, level, "classical"),
         diffusion_rate_with_noise(kappa, hbar, level, "quantum"),
     )
 
 
-_CELLS = {"quantum": _quantum_cell, "eps-classical": _eps_cell, "theory": _theory_cell}
+def _theory_cell(
+    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
+) -> tuple[float, float]:
+    return _rates(spec.kick_ratio, hbar, level)
+
+
+# engine -> (cell, CSV columns of its two values, JSON keys of the same values)
+_ENERGY_NAMES = ("energy", "sem"), ("energies", "sems")
+_RATE_NAMES = ("d_classical", "d_quantum"), ("d_classical", "d_quantum")
+_CELLS = {
+    "quantum": (_quantum_cell, *_ENERGY_NAMES),
+    "eps-classical": (_eps_cell, *_ENERGY_NAMES),
+    "theory": (_theory_cell, *_RATE_NAMES),
+}
 ENGINES = tuple(_CELLS)
 
 
@@ -140,32 +152,21 @@ class ScanSpec:
             )
         if len(self.levels) == 0:
             raise ConfigError("levels must not be empty")
-        bound = AMPLITUDE_LEVEL_MAX if self.noise == "amplitude" else PERIOD_LEVEL_MAX
         for i, level in enumerate(self.levels):
-            if self.noise == "amplitude" and not 0.0 <= level <= bound:
-                raise ConfigError(
-                    f"levels[{i}] = {level} outside amplitude-noise bounds [0, {bound}]"
-                )
-            if self.noise == "period" and not 0.0 <= level < bound:
-                raise ConfigError(
-                    f"levels[{i}] = {level} outside period-noise bounds [0, {bound})"
-                )
+            try:
+                self.noise_config(level)
+            except ValueError as exc:
+                raise ConfigError(f"levels[{i}] = {level}: {exc}") from exc
         if self.kick_ratio < 0.0:
             raise ConfigError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
         if self.kicks < 0:
             raise ConfigError(f"kicks must be >= 0, got {self.kicks}")
-        if self.atoms < 1:
-            raise ConfigError(f"atoms must be >= 1, got {self.atoms}")
         if self.realizations is not None and self.realizations < 1:
             raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.resonance_order < 1:
             raise ConfigError(f"resonance_order must be >= 1, got {self.resonance_order}")
-        if not 0.0 <= self.se_probability <= 1.0:
-            raise ConfigError(
-                f"se_probability = {self.se_probability} outside [0, 1]"
-            )
         if self.engine in ("eps-classical", "theory"):
             if self.noise == "period":
                 raise ConfigError(
@@ -195,6 +196,14 @@ class ScanSpec:
         if self.realizations is not None:
             return self.realizations
         return DEFAULT_REALIZATIONS_NOISELESS if level == 0.0 else DEFAULT_REALIZATIONS
+
+    def noise_config(self, level: float, master_seed: int = 0) -> NoiseConfig:
+        return NoiseConfig(
+            amplitude_level=level if self.noise == "amplitude" else 0.0,
+            period_level=level if self.noise == "period" else 0.0,
+            se_probability=self.se_probability,
+            master_seed=master_seed,
+        )
 
     def ensemble(self) -> EnsembleSpec:
         try:
@@ -270,15 +279,14 @@ def build_spec(raw: dict, overrides: dict | None = None) -> ScanSpec:
 
 @dataclass(frozen=True)
 class EnergyCurve:
-    """Scan result: per-level energy (or rate) arrays over the abscissa."""
+    """Scan result: the engine's two values per (level, point) cell, named by it."""
 
     abscissa_name: str
     points: np.ndarray
     hbar_values: np.ndarray
     levels: tuple[float, ...]
-    energies: np.ndarray  # (levels, points)
-    sems: np.ndarray
-    classical_rates: np.ndarray | None  # theory engine only
+    columns: tuple[str, str]  # CSV column names of the two values
+    values: dict[str, np.ndarray]  # JSON key -> (levels, points) array, in column order
     config: dict
     point_seeds: list[list[int]]  # [level][point]
 
@@ -286,29 +294,18 @@ class EnergyCurve:
         cols = [self.abscissa_name.replace("-", "_")]
         if self.abscissa_name != "hbar":
             cols.append("hbar")
-        cols.append("level")
-        if self.classical_rates is None:
-            cols += ["energy", "sem"]
-        else:
-            cols += ["d_classical", "d_quantum"]
-        return cols
+        return cols + ["level", *self.columns]
 
     def to_csv(self, out: IO[str]) -> None:
         out.write(f"# meta: {json.dumps(self.config, sort_keys=True)}\n")
         out.write(",".join(self._columns()) + "\n")
+        first, second = self.values.values()
         for li, level in enumerate(self.levels):
             for pi, point in enumerate(self.points):
                 row = [repr(float(point))]
                 if self.abscissa_name != "hbar":
                     row.append(repr(float(self.hbar_values[pi])))
-                row.append(repr(float(level)))
-                if self.classical_rates is None:
-                    row += [repr(float(self.energies[li, pi])), repr(float(self.sems[li, pi]))]
-                else:
-                    row += [
-                        repr(float(self.classical_rates[li, pi])),
-                        repr(float(self.energies[li, pi])),
-                    ]
+                row += [repr(float(x)) for x in (level, first[li, pi], second[li, pi])]
                 out.write(",".join(row) + "\n")
 
     def to_json(self, out: IO[str]) -> None:
@@ -318,14 +315,10 @@ class EnergyCurve:
             "points": [float(p) for p in self.points],
             "hbar": [float(h) for h in self.hbar_values],
             "levels": list(self.levels),
-            "energies": [[float(e) for e in row] for row in self.energies],
-            "sems": [[float(s) for s in row] for row in self.sems],
             "point_seeds": self.point_seeds,
         }
-        if self.classical_rates is not None:
-            payload["d_classical"] = [[float(d) for d in row] for row in self.classical_rates]
-            payload["d_quantum"] = payload.pop("energies")
-            payload.pop("sems")
+        for key, value in self.values.items():
+            payload[key] = [[float(v) for v in row] for row in value]
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")
 
@@ -333,15 +326,6 @@ class EnergyCurve:
 def _point_seed(master_seed: int, point_index: int, level_index: int) -> int:
     seq = np.random.SeedSequence(master_seed, spawn_key=(point_index, level_index))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _noise_config(spec: ScanSpec, level: float, subseed: int) -> NoiseConfig:
-    return NoiseConfig(
-        amplitude_level=level if spec.noise == "amplitude" else 0.0,
-        period_level=level if spec.noise == "period" else 0.0,
-        se_probability=spec.se_probability,
-        master_seed=subseed,
-    )
 
 
 def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
@@ -356,11 +340,11 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
     config = dict(asdict(spec), version=__version__)
     config["levels"] = list(spec.levels)
 
-    engine = _CELLS[spec.engine]
+    engine, columns, keys = _CELLS[spec.engine]
 
     def task(cell: tuple[int, int]) -> tuple[float, float]:
         li, pi = cell
-        cfg = _noise_config(spec, levels[li], seeds[li][pi])
+        cfg = spec.noise_config(levels[li], seeds[li][pi])
         return engine(spec, float(hbars[pi]), levels[li], cfg, spec.realizations_at(levels[li]))
 
     tasks = [(li, pi) for li in range(len(levels)) for pi in range(len(points))]
@@ -373,16 +357,14 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
             results = list(pool.map(task, tasks))
     else:
         results = [task(cell) for cell in tasks]
-    first, second = np.array(results).reshape(len(levels), len(points), 2).transpose(2, 0, 1)
-    theory = spec.engine == "theory"
+    values = np.array(results).reshape(len(levels), len(points), 2).transpose(2, 0, 1)
     return EnergyCurve(
         abscissa_name=spec.abscissa,
         points=points,
         hbar_values=hbars,
         levels=levels,
-        energies=second if theory else first,
-        sems=np.zeros_like(first) if theory else second,
-        classical_rates=first if theory else None,
+        columns=columns,
+        values=dict(zip(keys, values)),
         config=config,
         point_seeds=seeds,
     )
@@ -540,7 +522,9 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    write_diffusion_curve(sys.stdout, args.kick_ratio, [args.hbar], [args.level])
+    rates = _rates(args.kick_ratio, args.hbar, args.level)
+    row = ",".join(repr(x) for x in (args.hbar, args.level, *rates))
+    sys.stdout.write(f"hbar,level,d_classical,d_quantum\n{row}\n")
     return 0
 
 

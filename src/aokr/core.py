@@ -70,6 +70,10 @@ class LabParams:
     se_probability: float = 0.025
 
     def __post_init__(self) -> None:
+        check_finite(
+            self, "rabi_frequency", "detuning", "pulse_duration", "pulse_period",
+            "recoil_frequency", "se_probability",
+        )
         for name in ("rabi_frequency", "pulse_duration", "pulse_period", "recoil_frequency"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_finite
 from .noise import (
     STREAM_ATOM_MOMENTA,
     STREAM_MAP_PHASE,
@@ -35,7 +36,6 @@ from .noise import (
     stream_rng,
 )
 from .qkr import EnsembleSpec, _mean_sem, _norm_ppf, _realization_configs, sample_atoms
-from .theory import resonance_height
 
 TWO_PI = 2.0 * math.pi
 EPS_WARN_LIMIT = 0.5
@@ -43,7 +43,7 @@ _RHO_SIGMA = 4.0 * TWO_PI  # broad momentum start for the standard-map oracle
 
 
 class EpsilonZeroError(ValueError):
-    """The map degenerates at eps = 0; ask for the analytic limit instead."""
+    """The map degenerates at eps = 0, where no phase portrait exists."""
 
 
 class UnsupportedNoiseError(ValueError):
@@ -67,6 +67,7 @@ class EpsParams:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
+        check_finite(self, "epsilon", "kick_ratio", "beta")
         if self.kick_ratio < 0.0:
             raise ValueError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
         if self.resonance_order < 1:
@@ -159,7 +160,6 @@ def eps_energy_history(
     spec: EnsembleSpec,
     cfg: NoiseConfig = NoiseConfig(),
     n_realizations: int = 1,
-    analytic_limit: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled mean energy E_n = <rho_n^2> / (2 eps^2) after each kick.
 
@@ -167,18 +167,13 @@ def eps_energy_history(
     per-trajectory kick factors) follows `spec` exactly as in the quantum
     engine, with rho_0 = |eps| * n0, so the two models share initial
     conditions and noise streams realization by realization.  At eps = 0
-    the analytic resonant limit is evaluated instead of iterating (or
-    EpsilonZeroError is raised when analytic_limit is false).
+    the analytic resonant limit is evaluated instead of iterating.
     """
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
     _require_amplitude_only(cfg)
     if spec.p_max is not None:
         raise ValueError("detection windows are not modeled for map ensembles")
-    if p.epsilon == 0.0 and not analytic_limit:
-        raise EpsilonZeroError(
-            "eps = 0 degenerates the map; pass analytic_limit=True for the resonant limit"
-        )
 
     rcfgs = _realization_configs(cfg, n_realizations)
     runs = np.empty((n_realizations, n_kicks + 1))
@@ -207,10 +202,9 @@ def eps_energy(
     spec: EnsembleSpec,
     cfg: NoiseConfig = NoiseConfig(),
     n_realizations: int = 1,
-    analytic_limit: bool = True,
 ) -> tuple[float, float]:
     """Rescaled mean energy after the final kick, with s.e.m. across realizations."""
-    mean, sem = eps_energy_history(p, n_kicks, spec, cfg, n_realizations, analytic_limit)
+    mean, sem = eps_energy_history(p, n_kicks, spec, cfg, n_realizations)
     return float(mean[-1]), float(sem[-1])
 
 

@@ -9,8 +9,7 @@ worker count.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +54,6 @@ class NoiseConfig:
                      attached to the regular grid, not accumulated, so the
                      pulse clock never drifts.
     se_probability:  spontaneous-emission probability per atom per pulse
-    time_resolution: optional pulse-generator quantization step (period
-                     units); offsets are rounded to multiples of it
     """
 
     amplitude_level: float = 0.0
@@ -64,12 +61,9 @@ class NoiseConfig:
     se_probability: float = 0.0
     master_seed: int = 0
     realization_index: int = 0
-    time_resolution: float | None = None
 
     def __post_init__(self) -> None:
-        check_finite(
-            self, "amplitude_level", "period_level", "se_probability", "time_resolution"
-        )
+        check_finite(self, "amplitude_level", "period_level", "se_probability")
         if not 0.0 <= self.amplitude_level <= AMPLITUDE_LEVEL_MAX:
             raise NoiseLevelError(
                 f"amplitude_level must lie in [0, {AMPLITUDE_LEVEL_MAX}], "
@@ -85,8 +79,6 @@ class NoiseConfig:
             )
         if self.realization_index < 0:
             raise ValueError(f"realization_index must be >= 0, got {self.realization_index}")
-        if self.time_resolution is not None and self.time_resolution <= 0.0:
-            raise ValueError(f"time_resolution must be positive, got {self.time_resolution}")
 
 
 @dataclass(frozen=True)
@@ -113,50 +105,6 @@ class NoiseRealization:
     def n_atoms(self) -> int:
         return self.se_events.shape[0]
 
-    def se_event(self, atom: int, kick: int) -> bool:
-        """Whether the given atom reshuffles right after the given kick."""
-        return bool(self.se_events[atom, kick])
-
-    def to_json(self) -> str:
-        """Serialize for audit/replay; SE events stored sparsely."""
-        hits = np.argwhere(self.se_events)
-        record = {
-            "config": {
-                "amplitude_level": self.config.amplitude_level,
-                "period_level": self.config.period_level,
-                "se_probability": self.config.se_probability,
-                "master_seed": self.config.master_seed,
-                "realization_index": self.config.realization_index,
-                "time_resolution": self.config.time_resolution,
-            },
-            "n_kicks": self.n_kicks,
-            "n_atoms": self.n_atoms,
-            "amplitude_factors": self.amplitude_factors.tolist(),
-            "period_offsets": self.period_offsets.tolist(),
-            "se_hits": [
-                [int(a), int(k), float(self.se_betas[a, k])] for a, k in hits
-            ],
-        }
-        return json.dumps(record, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "NoiseRealization":
-        record = json.loads(text)
-        cfg = NoiseConfig(**record["config"])
-        n_atoms, n_kicks = record["n_atoms"], record["n_kicks"]
-        se_events = np.zeros((n_atoms, n_kicks), dtype=bool)
-        se_betas = np.zeros((n_atoms, n_kicks))
-        for a, k, b in record["se_hits"]:
-            se_events[a, k] = True
-            se_betas[a, k] = b
-        return NoiseRealization(
-            config=cfg,
-            amplitude_factors=np.asarray(record["amplitude_factors"], dtype=float),
-            period_offsets=np.asarray(record["period_offsets"], dtype=float),
-            se_events=se_events,
-            se_betas=se_betas,
-        )
-
 
 def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> NoiseRealization:
     """Draw one pulse train (and per-atom SE schedule) from the config's streams."""
@@ -174,8 +122,6 @@ def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> Nois
     offsets = rng.uniform(-half_p, half_p, n_kicks) if half_p > 0 else np.zeros(n_kicks)
     if n_kicks > 0:
         offsets[0] = 0.0
-    if cfg.time_resolution is not None:
-        offsets = np.round(offsets / cfg.time_resolution) * cfg.time_resolution
 
     if cfg.se_probability > 0:
         rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_EVENTS)

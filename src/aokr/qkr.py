@@ -27,10 +27,8 @@ Energies are E = <(n + beta)^2> / 2 throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO
 
 import numpy as np
 
@@ -447,25 +445,6 @@ class MomentumDistribution:
     mean_energy: float
     energy_sem: float
     parameters: dict
-
-    def to_csv(self, out: IO[str]) -> None:
-        out.write(f"# meta: {json.dumps(self.parameters, sort_keys=True)}\n")
-        out.write("p,probability\n")
-        for p, w in zip(self.momenta, self.probabilities):
-            out.write(f"{float(p)!r},{float(w)!r}\n")
-
-    def to_json(self, out: IO[str]) -> None:
-        json.dump(
-            {
-                "parameters": self.parameters,
-                "momenta": [float(p) for p in self.momenta],
-                "probabilities": [float(w) for w in self.probabilities],
-                "mean_energy": self.mean_energy,
-                "energy_sem": self.energy_sem,
-            },
-            out,
-            sort_keys=True,
-        )
 
 
 def momentum_distribution(

@@ -15,7 +15,6 @@ and rates are per kick.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -344,6 +343,8 @@ def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilin
     """
     if n_kicks <= 0:
         raise ValueError(f"n_kicks must be positive, got {n_kicks}")
+    if not math.isfinite(energy):
+        raise ValueError(f"energy must be finite, got {energy!r}")
     if energy < 0.0:
         raise ValueError(f"energy must be >= 0, got {energy}")
     if mode in ("quasilinear", "resonant"):
@@ -353,35 +354,3 @@ def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilin
     raise ValueError(
         f"mode must be 'quasilinear', 'resonant' or 'resonant-max-noise', got {mode!r}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Curve emission for rate-vs-hbar plots
-# ---------------------------------------------------------------------------
-
-def diffusion_curve(
-    kick_ratio: float, hbar_values: Sequence[float], levels: Iterable[float]
-) -> list[tuple[float, float, float, float]]:
-    """Rows (hbar_eff, level, D_classical, D_quantum) at fixed kappa/hbar_eff.
-
-    The period scan of the experiment holds the kick ratio constant, so
-    kappa = kick_ratio * hbar varies along the curve; both regimes are
-    evaluated per noise level.
-    """
-    rows = []
-    for level in levels:
-        for hbar in hbar_values:
-            kappa = kick_ratio * hbar
-            dc = diffusion_rate_with_noise(kappa, hbar, level, "classical")
-            dq = diffusion_rate_with_noise(kappa, hbar, level, "quantum")
-            rows.append((float(hbar), float(level), dc, dq))
-    return rows
-
-
-def write_diffusion_curve(
-    out: TextIO, kick_ratio: float, hbar_values: Sequence[float], levels: Iterable[float]
-) -> None:
-    """Emit `diffusion_curve` rows as CSV with a header line."""
-    out.write("hbar,level,d_classical,d_quantum\n")
-    for hbar, level, dc, dq in diffusion_curve(kick_ratio, hbar_values, levels):
-        out.write(f"{hbar!r},{level!r},{dc!r},{dq!r}\n")

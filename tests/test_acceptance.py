@@ -160,7 +160,7 @@ def test_c05_period_noise_destroys_the_peak():
     t0 = time.perf_counter()
     spec = _figure_scan("period", 0.1, seed=1)
     curve = run_scan(spec)
-    e = curve.energies[0]
+    e = curve.values["energies"][0]
     assert len(e) == 9
     target = 0.25 * 3.63**2 * 20.0  # = 65.9
     devs = e / target - 1.0
@@ -184,7 +184,7 @@ def test_c06_amplitude_noise_preserves_the_peak():
     t0 = time.perf_counter()
     spec = _figure_scan("amplitude", 2.0, seed=1)
     curve = run_scan(spec)
-    e = curve.energies[0]
+    e = curve.values["energies"][0]
     left, right = e[4] / e[2], e[4] / e[6]
     elapsed = time.perf_counter() - t0
     ok = left > 1.3 and right > 1.3 and elapsed < 600.0

@@ -208,11 +208,15 @@ def test_theory_scan_values_and_csv():
     spec = build_spec(dict(MINIMAL, levels=[0.0, 2.0]))
     curve = run_scan(spec)
     pts = spec.points()
-    assert curve.energies.shape == (2, len(pts))
+    assert curve.columns == ("d_classical", "d_quantum")
+    assert list(curve.values) == ["d_classical", "d_quantum"]
+    assert curve.values["d_quantum"].shape == (2, len(pts))
     k0 = 3.7 * pts[0]
-    assert curve.classical_rates[0, 0] == pytest.approx(diffusion_rate(k0, pts[0], "classical"))
-    assert curve.energies[0, 0] == pytest.approx(diffusion_rate(k0, pts[0], "quantum"))
-    assert curve.energies[1, 0] == pytest.approx(
+    assert curve.values["d_classical"][0, 0] == pytest.approx(
+        diffusion_rate(k0, pts[0], "classical")
+    )
+    assert curve.values["d_quantum"][0, 0] == pytest.approx(diffusion_rate(k0, pts[0], "quantum"))
+    assert curve.values["d_quantum"][1, 0] == pytest.approx(
         diffusion_rate_with_noise(k0, pts[0], 2.0, "quantum")
     )
 
@@ -292,7 +296,7 @@ def test_eps_scan_matches_direct_call():
         NoiseConfig(master_seed=_point_seed(0, 0, 0)),
         n_realizations=2,
     )
-    assert curve.energies[0, 0] == pytest.approx(want, rel=1e-12)
+    assert curve.values["energies"][0, 0] == pytest.approx(want, rel=1e-12)
     # epsilon abscissa carries an explicit hbar column
     buf = io.StringIO()
     curve.to_csv(buf)
@@ -393,6 +397,12 @@ def test_main_validation_failures_exit_one_without_output(tmp_path, capsys):
                  "--grid", "4y4", "--out", "-"]) == 1
     assert main(["portrait", "--epsilon", "0.0", "--kick-ratio", "1.0",
                  "--out", "-"]) == 1
+    capsys.readouterr()
+    assert main(["portrait", "--epsilon", "nan", "--kick-ratio", "1.0", "--out", "-"]) == 1
+    assert main(["portrait", "--epsilon", "0.02", "--kick-ratio", "nan", "--out", "-"]) == 1
+    for energy in ("nan", "inf"):
+        assert main(["extract-k", "--energy", energy, "--kicks", "20"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_main_runtime_failure_exits_two(tmp_path, capsys):
@@ -468,6 +478,38 @@ def test_main_predict_resonant_identity(capsys):
     assert lines[0] == "hbar,level,d_classical,d_quantum"
     d_quantum = float(lines[1].split(",")[3])
     assert d_quantum == pytest.approx(3.7**2 / 3.0, abs=1e-12)
+
+
+# exact stdout of `aokr predict`: the README example and two cells off resonance
+_PREDICT_BYTES = [
+    (("3.7", repr(TWO_PI), "2.0"),
+     "6.283185307179586,2.0,4.435249545232573,4.5633333333333335"),
+    (("3.63", "6.0", "0"), "6.0,0.0,2.641057205712794,1.278971188934726"),
+    (("3.63", "5.3", "1"), "5.3,1.0,3.537459578841694,2.593201216989936"),
+]
+
+
+@pytest.mark.parametrize("flags, row", _PREDICT_BYTES)
+def test_main_predict_bytes_are_pinned(capsys, flags, row):
+    ratio, hbar, level = flags
+    assert main(["predict", "--kick-ratio", ratio, "--hbar", hbar, "--level", level]) == 0
+    text = capsys.readouterr().out
+    assert text == f"hbar,level,d_classical,d_quantum\n{row}\n"
+    # the row is the two rates at kappa = ratio * hbar, and its text parses
+    # back to the exact floats (repr round trip)
+    got = [float(part) for part in row.split(",")]
+    assert got[:2] == [float(hbar), float(level)]
+    kappa = float(ratio) * float(hbar)
+    for value, regime in zip(got[2:], ("classical", "quantum")):
+        assert value == diffusion_rate_with_noise(kappa, float(hbar), float(level), regime)
+        if float(level) == 0.0:
+            assert value == diffusion_rate(kappa, float(hbar), regime)
+    assert ",".join(repr(x) for x in got) == row
+
+
+def test_main_predict_fails_before_printing(capsys):
+    assert main(["predict", "--kick-ratio", "3.7", "--hbar", "1e300"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_main_extract_k(capsys):

@@ -168,8 +168,6 @@ def test_epsilon_sign_symmetry_over_uniform_beta():
 def test_eps_energy_error_paths():
     spec = EnsembleSpec(n_atoms=16, cutoff=32)
     p = EpsParams(epsilon=0.0, kick_ratio=3.7)
-    with pytest.raises(EpsilonZeroError):
-        eps_energy(p, 5, spec, NoiseConfig(), analytic_limit=False)
     with pytest.raises(UnsupportedNoiseError):
         eps_energy(p, 5, spec, NoiseConfig(period_level=0.1))
     with pytest.raises(UnsupportedNoiseError):

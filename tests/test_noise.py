@@ -1,6 +1,5 @@
-"""Pulse-train noise realizations: distributions, streams, serialization."""
+"""Pulse-train noise realizations: distributions and streams."""
 
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from aokr.noise import (
     IntervalError,
     NoiseConfig,
     NoiseLevelError,
-    NoiseRealization,
     free_evolution_intervals,
     sample_realization,
     stream_rng,
@@ -117,7 +115,6 @@ def test_se_events_density_and_betas():
     assert rate == pytest.approx(0.25, abs=0.01)
     betas = r.se_betas[r.se_events]
     assert betas.min() >= 0.0 and betas.max() < 1.0
-    assert r.se_event(0, 0) == bool(r.se_events[0, 0])
 
 
 def test_intervals_from_offsets():
@@ -130,30 +127,6 @@ def test_intervals_reject_nonpositive_gaps():
     # adjacent pulses would overlap: offsets differ by -1
     with pytest.raises(IntervalError):
         free_evolution_intervals(np.array([0.0, 0.49, -0.51]))
-
-
-def test_quantized_offsets():
-    cfg = NoiseConfig(period_level=0.8, master_seed=6, time_resolution=0.05)
-    r = sample_realization(cfg, 500)
-    steps = r.period_offsets / 0.05
-    assert np.allclose(steps, np.round(steps), atol=1e-12)
-
-
-def test_json_round_trip():
-    cfg = NoiseConfig(
-        amplitude_level=1.5, period_level=0.3, se_probability=0.2, master_seed=13
-    )
-    r = sample_realization(cfg, 40, n_atoms=6)
-    text = r.to_json()
-    back = NoiseRealization.from_json(text)
-    assert np.array_equal(back.amplitude_factors, r.amplitude_factors)
-    assert np.array_equal(back.period_offsets, r.period_offsets)
-    assert np.array_equal(back.se_events, r.se_events)
-    assert np.array_equal(back.se_betas[back.se_events], r.se_betas[r.se_events])
-    assert back.config == r.config
-    # the payload is plain JSON with a sparse event list
-    payload = json.loads(text)
-    assert len(payload["se_hits"]) == int(r.se_events.sum())
 
 
 @settings(max_examples=30, deadline=None)

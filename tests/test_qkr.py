@@ -1,6 +1,5 @@
 """Quantum ladder dynamics: single states, operator composition, ensembles."""
 
-import io
 import json
 import math
 
@@ -11,7 +10,8 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from aokr import qkr
-from aokr.core import ScaledParams
+from aokr.core import LabParams, ScaledParams
+from aokr.epsmap import EpsParams
 from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, sample_realization
 from aokr.qkr import (
     CutoffError,
@@ -26,7 +26,7 @@ from aokr.qkr import (
     plane_wave,
     sample_atoms,
 )
-from aokr.theory import bessel_j_row
+from aokr.theory import bessel_j_row, kick_strength_from_energy
 
 TWO_PI = 2.0 * math.pi
 NAN = float("nan")
@@ -148,11 +148,18 @@ def test_state_validation_errors():
             (NoiseConfig, dict(amplitude_level=NAN), "amplitude_level"),
             (NoiseConfig, dict(period_level=NAN), "period_level"),
             (NoiseConfig, dict(se_probability=NAN), "se_probability"),
-            (NoiseConfig, dict(time_resolution=NAN), "time_resolution"),
             (QuantumState, dict(amplitudes=[0.0, NAN, 0.0], beta=0.0), "amplitudes"),
             (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=NAN), "beta"),
             (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=0.0, kick_factor=INF),
              "kick_factor"),
+            (LabParams, dict(rabi_frequency=1e6, detuning=1e9, pulse_duration=INF,
+                             pulse_period=6e-5), "pulse_duration"),
+            (LabParams, dict(rabi_frequency=NAN, detuning=1e9, pulse_duration=1e-7,
+                             pulse_period=6e-5), "rabi_frequency"),
+            (EpsParams, dict(epsilon=NAN, kick_ratio=1.0), "epsilon"),
+            (EpsParams, dict(epsilon=0.01, kick_ratio=NAN), "kick_ratio"),
+            (EpsParams, dict(epsilon=0.01, kick_ratio=1.0, beta=NAN), "beta"),
+            (kick_strength_from_energy, dict(energy=NAN, n_kicks=20), "energy"),
         ]
     ],
 )
@@ -519,19 +526,9 @@ def test_momentum_distribution_content_and_serialization():
     assert binned_e == pytest.approx(dist.mean_energy, rel=0.05)
     assert dist.energy_sem > 0.0
 
-    buf = io.StringIO()
-    dist.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    meta = json.loads(lines[0].removeprefix("# meta: "))
-    assert meta["n_atoms"] == 32 and meta["bin_width"] == 0.25
-    assert lines[1] == "p,probability"
-    assert len(lines) == 2 + len(dist.momenta)
-
-    jbuf = io.StringIO()
-    dist.to_json(jbuf)
-    record = json.loads(jbuf.getvalue())
-    assert record["momenta"] == [float(x) for x in dist.momenta]
-    assert record["mean_energy"] == dist.mean_energy
+    # the run's parameters travel with the distribution as a JSON-ready record
+    assert dist.parameters["n_atoms"] == 32 and dist.parameters["bin_width"] == 0.25
+    assert json.loads(json.dumps(dist.parameters)) == dist.parameters
 
     with pytest.raises(ValueError):
         momentum_distribution(spec, p, cfg, bin_width=0.0)

@@ -1,6 +1,5 @@
 """Closed-form rates and the Bessel/quadrature machinery behind them."""
 
-import io
 import math
 
 import mpmath
@@ -15,14 +14,12 @@ from aokr.theory import (
     UnsupportedLevelError,
     bessel_j,
     bessel_j_row,
-    diffusion_curve,
     diffusion_rate,
     diffusion_rate_with_noise,
     kick_strength_from_energy,
     noise_averaged_bessel,
     quantum_kick_strength,
     resonance_height,
-    write_diffusion_curve,
 )
 from test_acceptance import SERIES_BELOW, bessel_j123
 
@@ -377,20 +374,6 @@ def test_kick_strength_round_trip():
         kick_strength_from_energy(10.0, 0)
     with pytest.raises(ValueError):
         kick_strength_from_energy(10.0, 20, "other")
-
-
-def test_diffusion_curve_rows_and_csv():
-    rows = diffusion_curve(3.7, [TWO_PI, 2 * TWO_PI], [0.0, 2.0])
-    assert len(rows) == 4
-    hbar0, level0, dc0, dq0 = rows[0]
-    assert (hbar0, level0) == (TWO_PI, 0.0)
-    assert dc0 == pytest.approx(diffusion_rate(3.7 * TWO_PI, TWO_PI, "classical"))
-    assert dq0 == pytest.approx(diffusion_rate(3.7 * TWO_PI, TWO_PI, "quantum"))
-    buf = io.StringIO()
-    write_diffusion_curve(buf, 3.7, [TWO_PI], [0.0, 2.0])
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "hbar,level,d_classical,d_quantum"
-    assert len(lines) == 3
-    # repr round trip: parsing the text recovers the exact float
-    first = [float(part) for part in lines[1].split(",")]
-    assert first[0] == TWO_PI
+    for energy in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="energy must be finite"):
+            kick_strength_from_energy(energy, 20)
