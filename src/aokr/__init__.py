@@ -64,6 +64,5 @@ from .epsmap import (
     eps_energy,
     eps_energy_history,
     eps_step,
-    eps_step_inverse,
     phase_portrait,
 )

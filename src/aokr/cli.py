@@ -522,6 +522,10 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.kick_ratio < math.inf:
+        raise ConfigError(f"kick_ratio must be finite and >= 0, got {args.kick_ratio}")
+    if not 0.0 < args.hbar < math.inf:
+        raise ConfigError(f"hbar must be finite and positive, got {args.hbar}")
     rates = _rates(args.kick_ratio, args.hbar, args.level)
     row = ",".join(repr(x) for x in (args.hbar, args.level, *rates))
     sys.stdout.write(f"hbar,level,d_classical,d_quantum\n{row}\n")

@@ -32,10 +32,11 @@ from .noise import (
     STREAM_ATOM_MOMENTA,
     STREAM_MAP_PHASE,
     NoiseConfig,
+    realization_mean,
     sample_realization,
     stream_rng,
 )
-from .qkr import EnsembleSpec, _mean_sem, _norm_ppf, _realization_configs, sample_atoms
+from .qkr import EnsembleSpec, _norm_ppf, sample_atoms
 
 TWO_PI = 2.0 * math.pi
 EPS_WARN_LIMIT = 0.5
@@ -103,14 +104,6 @@ def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=None):
     return phi, rho
 
 
-def eps_step_inverse(phi, rho, p: EpsParams, kick_factor=1.0, beta=None):
-    """Exact inverse of `eps_step`: undo the kick, then the rotation."""
-    b = p.beta if beta is None else beta
-    rho = rho - abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
-    phi = np.mod(phi - np.sign(p.epsilon) * np.asarray(rho) - _phase_advance(p, b), TWO_PI)
-    return phi, rho
-
-
 def _require_amplitude_only(cfg: NoiseConfig) -> None:
     if cfg.period_level != 0.0 or cfg.se_probability != 0.0:
         raise UnsupportedNoiseError(
@@ -175,25 +168,24 @@ def eps_energy_history(
     if spec.p_max is not None:
         raise ValueError("detection windows are not modeled for map ensembles")
 
-    rcfgs = _realization_configs(cfg, n_realizations)
-    runs = np.empty((n_realizations, n_kicks + 1))
-    for r, rcfg in enumerate(rcfgs):
-        realization = sample_realization(rcfg, n_kicks, 1)
-        factors = realization.amplitude_factors
+    def run(rcfg: NoiseConfig) -> np.ndarray:
+        factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
         n0s, betas, gains = sample_atoms(spec, rcfg)
         if p.epsilon == 0.0:
-            runs[r] = _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
-            continue
+            return _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
 
         rng = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng, spec.n_atoms)
         rho = abs(p.epsilon) * n0s.astype(float)
         scale = 0.5 / p.epsilon**2
-        runs[r, 0] = float(np.mean(rho**2)) * scale
+        history = np.empty(n_kicks + 1)
+        history[0] = float(np.mean(rho**2)) * scale
         for n in range(n_kicks):
             phi, rho = eps_step(phi, rho, p, kick_factor=factors[n] * gains, beta=betas)
-            runs[r, n + 1] = float(np.mean(rho**2)) * scale
-    return _mean_sem(runs)
+            history[n + 1] = float(np.mean(rho**2)) * scale
+        return history
+
+    return realization_mean(cfg, n_realizations, run)
 
 
 def eps_energy(
@@ -286,10 +278,9 @@ def classical_map_energy(
         )
     _require_amplitude_only(cfg)
 
-    rcfgs = _realization_configs(cfg, n_realizations)
     kicks = np.arange(lo, hi + 1, dtype=float)
-    slopes = np.empty(n_realizations)
-    for r, rcfg in enumerate(rcfgs):
+
+    def run(rcfg: NoiseConfig) -> float:
         factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
         rng_phi = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng_phi, n_traj)
@@ -303,7 +294,7 @@ def classical_map_energy(
             rho = rho + kappa * factors[n] * np.sin(phi)
             energy[n + 1] = np.mean(rho**2)
         energy /= 2.0 * hbar_eff**2
-        window = energy[lo : hi + 1]
-        slopes[r] = float(np.polyfit(kicks, window, 1)[0])
-    mean, sem = _mean_sem(slopes)
+        return float(np.polyfit(kicks, energy[lo : hi + 1], 1)[0])
+
+    mean, sem = realization_mean(cfg, n_realizations, run)
     return float(mean), float(sem)

@@ -1,4 +1,5 @@
-"""Pulse-train noise: per-kick random levels and their sampling streams.
+"""Pulse-train noise: per-kick random levels, their sampling streams, and
+the one loop that averages an engine's result over noise realizations.
 
 Every random draw in the package flows through `stream_rng`, a counter-based
 Philox generator keyed by (master_seed, realization_index, stream id).  Two
@@ -9,7 +10,9 @@ worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -139,6 +142,28 @@ def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> Nois
         se_events=se_events,
         se_betas=se_betas,
     )
+
+
+def realization_mean(
+    cfg: NoiseConfig, n_realizations: int, run: Callable[[NoiseConfig], np.ndarray | float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of `run` over realizations and its s.e.m., zero for one realization.
+
+    Realization r = 0..R-1 runs with realization_index = cfg.realization_index
+    + r, so it draws its own pulse train, SE schedule and cloud; `run` maps
+    that config to the realization's result (a number or an array).  The
+    s.e.m. is the spread across realization results.
+    """
+    if n_realizations < 1:
+        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    runs = np.array([
+        run(replace(cfg, realization_index=cfg.realization_index + r))
+        for r in range(n_realizations)
+    ])
+    mean = runs.mean(axis=0)
+    if n_realizations > 1:
+        return mean, runs.std(axis=0, ddof=1) / math.sqrt(n_realizations)
+    return mean, np.zeros_like(mean)
 
 
 def free_evolution_intervals(period_offsets: np.ndarray) -> np.ndarray:

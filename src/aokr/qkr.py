@@ -28,7 +28,8 @@ Energies are E = <(n + beta)^2> / 2 throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .noise import (
     NoiseConfig,
     NoiseRealization,
     free_evolution_intervals,
+    realization_mean,
     sample_realization,
     stream_rng,
 )
@@ -341,35 +343,31 @@ def _evolve(
     return c, beta, energy, weight
 
 
-def _ensemble_arrays(
+def _cloud(
     spec: EnsembleSpec, params: ScaledParams, realization: NoiseRealization
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evolve the whole cloud; returns (energies over kicks, final |c|^2, final beta).
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Evolve the whole cloud in chunks of atoms, yielding each chunk's `_evolve` result.
 
-    The stepper runs over chunks of atoms; energy sums and weights add up
-    across chunks before the cloud-wide normalization.
+    Only one chunk's amplitudes are built at a time; the consumer sums the
+    chunks' energy sums and weights before the cloud-wide normalization.
     """
     m = spec.cutoff
     n0s, betas, gs = sample_atoms(spec, realization.config)
-    total_energy = np.zeros(params.kick_count + 1)
-    total_weight = np.zeros(params.kick_count + 1)
-    final_prob = np.empty((spec.n_atoms, 2 * m + 1))
-    final_beta = np.empty(spec.n_atoms)
-
     for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
         rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
         # each atom starts in |n0>; unnamed here, that array is freed at the first kick
-        c, final_beta[rows], energy, weight = _evolve(
+        yield _evolve(
             (np.arange(-m, m + 1) == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
             params, realization, rows, spec.p_max,
         )
-        total_energy += energy
-        total_weight += weight
-        final_prob[rows] = np.abs(c) ** 2
 
-    if np.any(total_weight <= 0.0):
+
+def _cloud_energy(sums: np.ndarray) -> np.ndarray:
+    """Mean energy per kick from the cloud's summed (energy, weight) rows."""
+    energy, weight = sums
+    if np.any(weight <= 0.0):
         raise ValueError("detection window discarded the entire cloud")
-    return total_energy / total_weight, final_prob, final_beta
+    return energy / weight
 
 
 def _windowed_energy(prob: np.ndarray, p2: np.ndarray, p_max: float | None) -> tuple[float, float]:
@@ -381,23 +379,6 @@ def _windowed_energy(prob: np.ndarray, p2: np.ndarray, p_max: float | None) -> t
     return float(np.sum(w * p2)) / 2.0, float(np.sum(w))
 
 
-def _realization_configs(cfg: NoiseConfig, n_realizations: int) -> list[NoiseConfig]:
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    return [
-        replace(cfg, realization_index=cfg.realization_index + r)
-        for r in range(n_realizations)
-    ]
-
-
-def _mean_sem(runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over realizations (axis 0) and its s.e.m., zero for one realization."""
-    mean = runs.mean(axis=0)
-    if len(runs) > 1:
-        return mean, runs.std(axis=0, ddof=1) / math.sqrt(len(runs))
-    return mean, np.zeros_like(mean)
-
-
 def ensemble_energy_history(
     spec: EnsembleSpec,
     params: ScaledParams,
@@ -406,15 +387,18 @@ def ensemble_energy_history(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean energy after each kick (index 0 = before any kick) with s.e.m.
 
-    Realizations r = 0..R-1 use realization_index = cfg.realization_index + r;
-    each draws a fresh pulse train, SE schedule and cloud.  The s.e.m. is the
-    spread across realization means (zero when R = 1).
+    Realizations are averaged by `realization_mean`; each draws a fresh
+    pulse train, SE schedule and cloud.
     """
-    runs = np.empty((n_realizations, params.kick_count + 1))
-    for i, rcfg in enumerate(_realization_configs(cfg, n_realizations)):
+
+    def run(rcfg: NoiseConfig) -> np.ndarray:
         realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
-        runs[i], _, _ = _ensemble_arrays(spec, params, realization)
-    return _mean_sem(runs)
+        sums = np.zeros((2, params.kick_count + 1))
+        for _, _, energy, weight in _cloud(spec, params, realization):
+            sums += energy, weight
+        return _cloud_energy(sums)
+
+    return realization_mean(cfg, n_realizations, run)
 
 
 def ensemble_energy(
@@ -444,7 +428,6 @@ class MomentumDistribution:
     probabilities: np.ndarray
     mean_energy: float
     energy_sem: float
-    parameters: dict
 
 
 def momentum_distribution(
@@ -462,43 +445,27 @@ def momentum_distribution(
     half_bins = int(math.ceil((m + 1) / bin_width))
     centers = np.arange(-half_bins, half_bins + 1) * bin_width
     hist = np.zeros(len(centers))
-    energies = np.empty(n_realizations)
 
-    for i, rcfg in enumerate(_realization_configs(cfg, n_realizations)):
+    def run(rcfg: NoiseConfig) -> float:
         realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
-        energy, prob, beta = _ensemble_arrays(spec, params, realization)
-        energies[i] = energy[-1]
-        p = n_grid[None, :] + beta[:, None]
-        if spec.p_max is not None:
-            prob = prob * (np.abs(p) <= spec.p_max)
-        idx = np.clip(np.round(p / bin_width).astype(int) + half_bins, 0, len(centers) - 1)
-        np.add.at(hist, idx.ravel(), prob.ravel())
+        sums = np.zeros((2, params.kick_count + 1))
+        for c, beta, energy, weight in _cloud(spec, params, realization):
+            sums += energy, weight
+            p = n_grid[None, :] + beta[:, None]
+            prob = np.abs(c) ** 2
+            if spec.p_max is not None:
+                prob *= np.abs(p) <= spec.p_max
+            idx = np.clip(np.round(p / bin_width).astype(int) + half_bins, 0, len(centers) - 1)
+            np.add.at(hist, idx.ravel(), prob.ravel())
+        return _cloud_energy(sums)[-1]
 
+    mean_energy, sem = realization_mean(cfg, n_realizations, run)
     total = hist.sum()
     if total <= 0.0:
         raise ValueError("detection window discarded the entire cloud")
-    mean_energy, sem = _mean_sem(energies)
-    parameters = {
-        "hbar_eff": params.hbar_eff,
-        "kick_strength": params.kick_strength,
-        "kick_count": params.kick_count,
-        "n_atoms": spec.n_atoms,
-        "sigma_p": spec.sigma_p,
-        "beta_mode": spec.beta_mode,
-        "kick_spread": spec.kick_spread,
-        "p_max": spec.p_max,
-        "cutoff": spec.cutoff,
-        "bin_width": bin_width,
-        "amplitude_level": cfg.amplitude_level,
-        "period_level": cfg.period_level,
-        "se_probability": cfg.se_probability,
-        "master_seed": cfg.master_seed,
-        "n_realizations": n_realizations,
-    }
     return MomentumDistribution(
         momenta=centers,
         probabilities=hist / total,
         mean_energy=float(mean_energy),
         energy_sem=float(sem),
-        parameters=parameters,
     )

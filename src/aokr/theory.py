@@ -339,7 +339,9 @@ def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilin
     """Invert a measured mean energy to the kick ratio kappa/hbar_eff.
 
     mode "quasilinear" (or "resonant"): sqrt(4 E / n); mode
-    "resonant-max-noise": sqrt(3 E / n), the level-2 peak height.
+    "resonant-max-noise": sqrt(3 E / n), the level-2 peak height.  Both are
+    computed as 2 sqrt(q E / n) with q = 1 or 3/4, a quarter of 4 or 3: bit
+    for bit the same numbers for normal E, and finite up to the float maximum.
     """
     if n_kicks <= 0:
         raise ValueError(f"n_kicks must be positive, got {n_kicks}")
@@ -347,10 +349,9 @@ def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilin
         raise ValueError(f"energy must be finite, got {energy!r}")
     if energy < 0.0:
         raise ValueError(f"energy must be >= 0, got {energy}")
-    if mode in ("quasilinear", "resonant"):
-        return math.sqrt(4.0 * energy / n_kicks)
-    if mode == "resonant-max-noise":
-        return math.sqrt(3.0 * energy / n_kicks)
-    raise ValueError(
-        f"mode must be 'quasilinear', 'resonant' or 'resonant-max-noise', got {mode!r}"
-    )
+    quarter = {"quasilinear": 1.0, "resonant": 1.0, "resonant-max-noise": 0.75}.get(mode)
+    if quarter is None:
+        raise ValueError(
+            f"mode must be 'quasilinear', 'resonant' or 'resonant-max-noise', got {mode!r}"
+        )
+    return 2.0 * math.sqrt(quarter * energy / n_kicks)

@@ -512,6 +512,36 @@ def test_main_predict_fails_before_printing(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--kick-ratio", "-2", "--hbar", "6.0"], "kick_ratio"),
+        (["--kick-ratio", "nan", "--hbar", "6.0"], "kick_ratio"),
+        (["--kick-ratio", "inf", "--hbar", "6.0"], "kick_ratio"),
+        (["--kick-ratio", "3.7", "--hbar", "nan"], "hbar"),
+        (["--kick-ratio", "3.7", "--hbar", "inf"], "hbar"),
+        (["--kick-ratio", "3.7", "--hbar", "0"], "hbar"),
+        (["--kick-ratio", "3.7", "--hbar", "-6.0"], "hbar"),
+    ],
+)
+def test_main_predict_rejects_bad_input_before_any_work(monkeypatch, caplog, capsys,
+                                                        flags, field):
+    monkeypatch.setattr(cli, "diffusion_rate_with_noise", _refuse_to_scan)
+    assert main(["predict", *flags]) == 1
+    assert caplog.records[-1].getMessage().startswith(f"configuration error: {field}")
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "mode, ratio",
+    [("quasilinear", 2e154), ("resonant", 2e154), ("resonant-max-noise", math.sqrt(3.0) * 1e154)],
+)
+def test_main_extract_k_does_not_overflow(capsys, mode, ratio):
+    assert main(["extract-k", "--energy", "1e308", "--kicks", "1", "--mode", mode]) == 0
+    got = float(capsys.readouterr().out)
+    assert got == pytest.approx(ratio, rel=1e-15)
+
+
 def test_main_extract_k(capsys):
     code = main(["extract-k", "--energy", "94.832", "--kicks", "20",
                  "--mode", "resonant-max-noise"])
@@ -519,3 +549,7 @@ def test_main_extract_k(capsys):
     got = float(capsys.readouterr().out.strip())
     assert got == kick_strength_from_energy(94.832, 20, "resonant-max-noise")
     assert got == pytest.approx(math.sqrt(3 * 94.832 / 20), rel=1e-12)
+    # the README example, byte for byte
+    assert main(["extract-k", "--energy", "94.8", "--kicks", "20",
+                 "--mode", "resonant-max-noise"]) == 0
+    assert capsys.readouterr().out == "3.7709415269929605\n"

@@ -377,3 +377,18 @@ def test_kick_strength_round_trip():
     for energy in (math.inf, -math.inf):
         with pytest.raises(ValueError, match="energy must be finite"):
             kick_strength_from_energy(energy, 20)
+
+
+def test_kick_strength_is_bitwise_the_textbook_formula():
+    # 2 sqrt(c E / n) with c = 1 or 3/4 is sqrt(4 E / n) or sqrt(3 E / n) bit
+    # for bit wherever those do not overflow, and stays finite where they do
+    rng = np.random.default_rng(12)
+    energies = np.concatenate([[0.0, 94.8, 94.832, 1e-300], 10.0 ** rng.uniform(-300, 307, 2000)])
+    for energy, n in zip(energies, rng.integers(1, 1000, len(energies))):
+        energy, n = float(energy), int(n)
+        assert kick_strength_from_energy(energy, n) == math.sqrt(4.0 * energy / n)
+        assert kick_strength_from_energy(energy, n, "resonant") == math.sqrt(4.0 * energy / n)
+        assert kick_strength_from_energy(energy, n, "resonant-max-noise") == math.sqrt(
+            3.0 * energy / n
+        )
+    assert kick_strength_from_energy(1.7e308, 1) == pytest.approx(2.0 * math.sqrt(1.7e308))
