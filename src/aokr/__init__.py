@@ -44,7 +44,7 @@ from .theory import (
     resonance_height,
 )
 from .qkr import (
-    DEFAULT_CUTOFF,
+    AUTO_CUTOFF_CAP,
     CutoffError,
     EnsembleSpec,
     MomentumDistribution,

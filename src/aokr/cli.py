@@ -31,7 +31,7 @@ from . import __version__
 from .core import ScaledParams, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
 from .noise import NoiseConfig
-from .qkr import DEFAULT_CUTOFF, CutoffError, EnsembleSpec, ensemble_energy
+from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
 from .theory import diffusion_rate_with_noise, kick_strength_from_energy
 
@@ -124,7 +124,7 @@ class ScanSpec:
     beta_fixed: float = 0.0
     kick_spread: float = 0.0
     p_max: float | None = None
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: int | None = None  # None: sized per realization from a reach bound
     se_probability: float = 0.0
     resonance_order: int = 1
 
@@ -339,6 +339,9 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
     ]
     config = dict(asdict(spec), version=__version__)
     config["levels"] = list(spec.levels)
+    if spec.cutoff is None and spec.engine != "quantum":
+        # no ladder to size: the automatic cutoff resolves to its cap, the |n0| limit
+        config["cutoff"] = AUTO_CUTOFF_CAP
 
     engine, columns, keys = _CELLS[spec.engine]
 
@@ -434,7 +437,11 @@ def _build_parser() -> _Parser:
     scan.add_argument("--beta-fixed", dest="beta_fixed", type=float)
     scan.add_argument("--kick-spread", dest="kick_spread", type=float)
     scan.add_argument("--p-max", dest="p_max", type=float)
-    scan.add_argument("--cutoff", type=int)
+    scan.add_argument(
+        "--cutoff", type=int,
+        help="ladder half-width M, L = 2M+1 sites (default: sized per realization "
+        "from a reach bound, at most 1025 sites)",
+    )
     scan.add_argument("--se-probability", dest="se_probability", type=float)
     scan.add_argument("--resonance-order", dest="resonance_order", type=int)
     scan.add_argument("--workers", type=int, default=1)

@@ -2,19 +2,41 @@
 
 Quasimomentum beta is conserved by the kicks, so each atom lives on its own
 ladder p = n + beta (units of two photon recoils) and is stored as the
-complex amplitude vector c_n, n in [-M, M].  One pulse period applies
+complex amplitude vector c_n over L ladder sites, n = -(L // 2) .. L - 1 -
+L // 2 (the symmetric n = -M .. M when L = 2M + 1 is odd).  One pulse period
+applies
 
     kick:  c' = exp(i k_eff cos(phi)) c        (k_eff = kappa_n / hbar_eff)
     free:  c_n *= exp(-i hbar_eff (n + beta)^2 dtau / 2)
 
-The kick is diagonal on an angle grid; with 2M+1 grid points the FFT round
-trip is exactly unitary, and because the kick is diagonal there the natural
-ladder ordering can be fed to the FFT without any index shuffling (the
+The kick is diagonal on an angle grid of L points; the FFT round trip is
+exactly unitary for any length L, and because the kick is diagonal there
+the ladder ordering can be fed to the FFT without any index shuffling (the
 implied index offset cancels between the transform pair).  One batched
 stepper, `_evolve`, applies every kick, free flight and spontaneous-emission
 swap; a single atom is a batch of one.  The direct Bessel convolution
 (matrix elements <n'|exp(i k cos phi)|n> = i^(n'-n) J_{n'-n}(k)) lives in
 the tests as an independent oracle for it.
+
+Ladder length.  An explicit cutoff M gives L = 2M + 1.  Without one, each
+realization gets its own L from a reach bound, chosen before its first
+chunk of atoms so that every chunk shares it.  Conjugating a kick
+U = exp(i k cos phi) by exp(t n) turns it into multiplication by
+exp(i k cos(phi - i t)), whose modulus is at most exp(|k| sinh t); free
+phases and SE beta swaps commute with n.  So for an atom started in |n0>,
+sum_n exp(2 t n) |c_n|^2 <= exp(2 t n0 + 2 K sinh t) with
+K = (kappa / hbar_eff) sum_s |R_s| max(g), and optimizing t (cosh t = D/K)
+bounds the mass beyond |n - n0| > D by
+
+    2 exp(2 (sqrt(D^2 - K^2) - D arccosh(D / K))),
+
+at every hbar_eff, noise kind and SE schedule.  The reach is max|n0| + D
+for the smallest D that makes this <= REACH_TAIL.  L is the smallest
+5-smooth length (a fast FFT size) >= 2 ceil(reach / 0.9) + 1, so the tail
+guard's edge 0.9 (L // 2) lies beyond the reach, and at least 17 sites.  It
+is capped at the 2 AUTO_CUTOFF_CAP + 1 sites of an explicit cutoff
+AUTO_CUTOFF_CAP, the ladder a reach too wide for the cap runs on.  The tail
+check against TAIL_TOLERANCE stays the guard on every ladder.
 
 At hbar_eff = 2 pi m the free phases collapse and kicks add coherently for
 the resonant quasimomentum class; a plane-wave start then reaches the
@@ -27,6 +49,7 @@ Energies are E = <(n + beta)^2> / 2 throughout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -46,16 +69,30 @@ from .noise import (
     stream_rng,
 )
 
-DEFAULT_CUTOFF = 512
+AUTO_CUTOFF_CAP = 512  # the automatic ladder's widest half-width: L <= 1025
 TAIL_FRACTION = 0.9
 TAIL_TOLERANCE = 1e-8
+REACH_TAIL = 1e-10  # the reach bound's tail: 100x below TAIL_TOLERANCE
+_MIN_CUTOFF = 8
+# the automatic ladder's lengths: the 5-smooth ones (fast FFT sizes) below
+# the cap's 2M + 1 sites, then the cap itself
+_LADDER_LENGTHS = sorted(
+    2**a * 3**b * 5**c
+    for a in range(11) for b in range(7) for c in range(5)
+    if 2**a * 3**b * 5**c < 2 * AUTO_CUTOFF_CAP + 1
+) + [2 * AUTO_CUTOFF_CAP + 1]
 NORM_TOLERANCE = 1e-10
 _CHUNK_ATOMS = 2048
 DEFAULT_BIN_WIDTH = 0.29  # imaging resolution, two-photon recoils
 
 
+def _ladder(l_size: int) -> np.ndarray:
+    """Ladder indices n of an L-site ladder: -(L // 2) .. L - 1 - L // 2."""
+    return np.arange(l_size) - l_size // 2
+
+
 class CutoffError(RuntimeError):
-    """Probability reached the edge of the momentum ladder; raise the cutoff."""
+    """Probability reached the edge of the momentum ladder (or the momenta start there)."""
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +101,7 @@ class CutoffError(RuntimeError):
 
 @dataclass
 class QuantumState:
-    """Amplitudes over ladder sites n = -M .. M at fixed quasimomentum.
+    """Amplitudes over L ladder sites n = -(L // 2) .. L - 1 - L // 2 at fixed quasimomentum.
 
     kick_factor is a per-atom multiplier on the kick strength (beam
     inhomogeneity across the cloud); 1.0 for a clean beam.
@@ -77,8 +114,8 @@ class QuantumState:
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         check_finite(self, "amplitudes", "beta", "kick_factor")
-        if self.amplitudes.ndim != 1 or len(self.amplitudes) % 2 != 1:
-            raise ValueError("amplitudes must be a 1-d vector of odd length 2M+1")
+        if self.amplitudes.ndim != 1 or len(self.amplitudes) == 0:
+            raise ValueError("amplitudes must be a non-empty 1-d vector")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if self.kick_factor <= 0.0:
@@ -86,13 +123,13 @@ class QuantumState:
 
     @property
     def cutoff(self) -> int:
-        return (len(self.amplitudes) - 1) // 2
+        """Half-width L // 2 of the ladder."""
+        return len(self.amplitudes) // 2
 
     @property
     def ladder(self) -> np.ndarray:
         """Integer ladder indices n."""
-        m = self.cutoff
-        return np.arange(-m, m + 1)
+        return _ladder(len(self.amplitudes))
 
     @property
     def momenta(self) -> np.ndarray:
@@ -166,6 +203,8 @@ class EnsembleSpec:
     kick_spread: fractional rms of the per-atom kick factor (beam profile).
     p_max: detection window; probability with |p| > p_max is discarded and
     the remaining cloud renormalized as a whole.  None = no window.
+    cutoff: ladder half-width M (L = 2M + 1 sites).  None = automatic: each
+    realization's ladder is sized from the reach bound (module docstring).
     """
 
     n_atoms: int
@@ -174,7 +213,7 @@ class EnsembleSpec:
     beta_fixed: float = 0.0
     kick_spread: float = 0.0
     p_max: float | None = None
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: int | None = None
     momenta: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -193,8 +232,8 @@ class EnsembleSpec:
             raise ValueError(f"kick_spread must be >= 0, got {self.kick_spread}")
         if self.p_max is not None and self.p_max <= 0.0:
             raise ValueError(f"p_max must be positive, got {self.p_max}")
-        if self.cutoff < 8:
-            raise ValueError(f"cutoff must be >= 8, got {self.cutoff}")
+        if self.cutoff is not None and self.cutoff < _MIN_CUTOFF:
+            raise ValueError(f"cutoff must be >= {_MIN_CUTOFF}, got {self.cutoff}")
         if self.momenta is not None and len(self.momenta) != self.n_atoms:
             raise ValueError(
                 f"momenta holds {len(self.momenta)} entries but n_atoms = {self.n_atoms}"
@@ -263,10 +302,13 @@ def sample_atoms(spec: EnsembleSpec, cfg: NoiseConfig) -> tuple[np.ndarray, np.n
         n0 = np.zeros(n)
 
     # checked before the integer cast, which would wrap a huge index
-    if np.max(np.abs(n0)) > spec.cutoff // 2:
+    if spec.cutoff is not None:
+        m, name = spec.cutoff, "the cutoff"
+    else:
+        m, name = AUTO_CUTOFF_CAP, "the automatic ladder's cap"
+    if np.max(np.abs(n0)) > m // 2:
         raise CutoffError(
-            f"initial momenta reach |n0| = {np.max(np.abs(n0)):g}, "
-            f"too close to the cutoff M = {spec.cutoff}"
+            f"initial momenta reach |n0| = {np.max(np.abs(n0)):g}, too close to {name} M = {m}"
         )
 
     if spec.kick_spread > 0.0:
@@ -291,7 +333,7 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The quantum stepper: drive a batch of atoms through the pulse train.
 
-    c holds one amplitude row per atom (ladder n = -M .. M), beta and g their
+    c holds one amplitude row per atom (any ladder length L), beta and g their
     quasimomenta and kick factors, `rows` their SE schedule's rows in the
     realization.  Returns the final (c, beta) and, per kick index 0..N (0 =
     before any kick), the batch's windowed energy sum and weight.  Equal kick
@@ -299,8 +341,8 @@ def _evolve(
     """
     n_kicks = params.kick_count
     l_size = c.shape[1]
-    m = (l_size - 1) // 2
-    n_grid = np.arange(-m, m + 1)
+    m = l_size // 2
+    n_grid = _ladder(l_size)
     cos_phi = np.cos(2.0 * np.pi * np.arange(l_size) / l_size)
     edge = np.abs(n_grid) > TAIL_FRACTION * m
     hbar = params.hbar_eff
@@ -333,14 +375,52 @@ def _evolve(
         tail = prob[:, edge].sum(axis=1)
         if np.max(tail) > TAIL_TOLERANCE:
             raise CutoffError(
-                f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1}; "
-                f"raise the cutoff above M = {m}"
+                f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1} "
+                f"on the L = {l_size} ladder (M = {m})"
             )
         energy[s + 1], weight[s + 1] = _windowed_energy(prob, p2, p_max)
 
         if s < n_kicks - 1:
             c *= free_unit if free_unit is not None else np.exp((-0.5j * hbar * intervals[s]) * p2)
     return c, beta, energy, weight
+
+
+def _tail_bound(k_total: float, d: float) -> float:
+    """Bound on an atom's mass beyond |n - n0| > d after kicks of summed strength k_total."""
+    if d <= k_total:
+        return 1.0
+    return 2.0 * math.exp(
+        2.0 * (math.sqrt((d - k_total) * (d + k_total)) - d * math.acosh(d / k_total))
+    )
+
+
+def _bound_reach(k_total: float) -> float:
+    """Smallest d with `_tail_bound(k_total, d)` <= REACH_TAIL (inf for a non-finite k_total)."""
+    if k_total == 0.0:
+        return 0.0
+    if not math.isfinite(k_total):
+        return math.inf
+    # at d_hi even the t = 1 Chernoff bound 2 exp(2 (k sinh 1 - d)) is below REACH_TAIL
+    lo, hi = k_total, 1.18 * k_total + 12.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _tail_bound(k_total, mid) <= REACH_TAIL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _auto_ladder(
+    params: ScaledParams, realization: NoiseRealization, n0s: np.ndarray, gs: np.ndarray
+) -> tuple[int, float]:
+    """(L, reach) of one realization's automatic ladder; see the module docstring."""
+    factors = realization.amplitude_factors[: params.kick_count]
+    k_total = (params.kick_strength / params.hbar_eff
+               * float(np.sum(np.abs(factors))) * float(np.max(gs)))
+    reach = float(np.max(np.abs(n0s))) + _bound_reach(k_total)
+    need = 2 * max(math.ceil(min(reach / TAIL_FRACTION, AUTO_CUTOFF_CAP)), _MIN_CUTOFF) + 1
+    return _LADDER_LENGTHS[bisect.bisect_left(_LADDER_LENGTHS, need)], reach
 
 
 def _cloud(
@@ -350,16 +430,29 @@ def _cloud(
 
     Only one chunk's amplitudes are built at a time; the consumer sums the
     chunks' energy sums and weights before the cloud-wide normalization.
+    The ladder is fixed before the first chunk, so every chunk shares it.
     """
-    m = spec.cutoff
     n0s, betas, gs = sample_atoms(spec, realization.config)
+    if spec.cutoff is not None:
+        l_size = 2 * spec.cutoff + 1
+        remedy = f"raise the cutoff above M = {spec.cutoff}"
+    else:
+        l_size, reach = _auto_ladder(params, realization, n0s, gs)
+        remedy = f"automatic ladder L = {l_size} for the reach bound |n0| + D = {reach:.6g}"
+        if reach > TAIL_FRACTION * AUTO_CUTOFF_CAP:
+            remedy += f", beyond the cap; set an explicit cutoff above M = {AUTO_CUTOFF_CAP}"
+    n_grid = _ladder(l_size)
     for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
         rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
-        # each atom starts in |n0>; unnamed here, that array is freed at the first kick
-        yield _evolve(
-            (np.arange(-m, m + 1) == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
-            params, realization, rows, spec.p_max,
-        )
+        try:
+            # each atom starts in |n0>; unnamed here, that array is freed at the first kick
+            out = _evolve(
+                (n_grid == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
+                params, realization, rows, spec.p_max,
+            )
+        except CutoffError as exc:
+            raise CutoffError(f"{exc}; {remedy}") from None
+        yield out
 
 
 def _cloud_energy(sums: np.ndarray) -> np.ndarray:
@@ -440,26 +533,29 @@ def momentum_distribution(
     """Final-time momentum distribution of the cloud, averaged over realizations."""
     if bin_width <= 0.0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    m = spec.cutoff
-    n_grid = np.arange(-m, m + 1)
-    half_bins = int(math.ceil((m + 1) / bin_width))
-    centers = np.arange(-half_bins, half_bins + 1) * bin_width
-    hist = np.zeros(len(centers))
+    hist = np.zeros(1)  # bins -h .. h, h grown to span the widest ladder seen
 
     def run(rcfg: NoiseConfig) -> float:
+        nonlocal hist
         realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
         sums = np.zeros((2, params.kick_count + 1))
         for c, beta, energy, weight in _cloud(spec, params, realization):
             sums += energy, weight
-            p = n_grid[None, :] + beta[:, None]
+            l_size = c.shape[1]
+            grow = math.ceil((l_size // 2 + 1) / bin_width) - len(hist) // 2
+            if grow > 0:
+                hist = np.pad(hist, grow)
+            p = _ladder(l_size)[None, :] + beta[:, None]
             prob = np.abs(c) ** 2
             if spec.p_max is not None:
                 prob *= np.abs(p) <= spec.p_max
-            idx = np.clip(np.round(p / bin_width).astype(int) + half_bins, 0, len(centers) - 1)
+            idx = np.clip(np.round(p / bin_width).astype(int) + len(hist) // 2, 0, len(hist) - 1)
             np.add.at(hist, idx.ravel(), prob.ravel())
         return _cloud_energy(sums)[-1]
 
     mean_energy, sem = realization_mean(cfg, n_realizations, run)
+    half_bins = len(hist) // 2
+    centers = np.arange(-half_bins, half_bins + 1) * bin_width
     total = hist.sum()
     if total <= 0.0:
         raise ValueError("detection window discarded the entire cloud")

@@ -43,7 +43,7 @@ def test_build_spec_defaults():
     spec = build_spec(MINIMAL)
     assert spec.levels == (0.0,)
     assert spec.kicks == 20 and spec.atoms == 1000
-    assert spec.realizations is None and spec.cutoff == 512
+    assert spec.realizations is None and spec.cutoff is None
 
 
 def test_build_spec_strictness():

@@ -16,7 +16,7 @@ PUBLIC_NAMES = """
     sample_realization stream_rng QuadratureError UnsupportedLevelError bessel_j
     bessel_j_row diffusion_rate diffusion_rate_with_noise
     kick_strength_from_energy noise_averaged_bessel quantum_kick_strength
-    resonance_height DEFAULT_CUTOFF CutoffError EnsembleSpec
+    resonance_height AUTO_CUTOFF_CAP CutoffError EnsembleSpec
     MomentumDistribution QuantumState ensemble_energy ensemble_energy_history
     evolve_atom momentum_distribution plane_wave sample_atoms EpsilonZeroError
     EpsParams UnsupportedNoiseError classical_map_energy eps_energy eps_energy_history

@@ -9,6 +9,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from aokr import qkr
+from aokr.cli import build_spec, run_scan
 from aokr.core import LabParams, ScaledParams
 from aokr.epsmap import EpsParams
 from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, sample_realization
@@ -19,6 +20,7 @@ from aokr.qkr import (
     _cloud,
     _cloud_energy,
     _norm_ppf,
+    _tail_bound,
     ensemble_energy,
     ensemble_energy_history,
     evolve_atom,
@@ -61,7 +63,7 @@ def _oracle_kick(c, k_eff):
 def _oracle_atom(c, beta, g, params, realization, atom):
     """Atom `atom` through the pulse train by oracle kicks, explicit free phases
     and SE beta swaps; returns (c, beta, energies with index 0 = before any kick)."""
-    n_grid = np.arange(len(c)) - (len(c) - 1) // 2
+    n_grid = np.arange(len(c)) - len(c) // 2
     intervals = free_evolution_intervals(realization.period_offsets[: params.kick_count])
     energies = [0.5 * np.sum(np.abs(c) ** 2 * (n_grid + beta) ** 2)]
     for s in range(params.kick_count):
@@ -125,8 +127,9 @@ def test_state_validation_errors():
         plane_wave(0)
     with pytest.raises(CutoffError):
         plane_wave(8, n0=9)
-    with pytest.raises(ValueError):
-        QuantumState(amplitudes=np.ones(4, dtype=complex), beta=0.0)
+    for shape in ((0,), (2, 3)):  # any ladder length L >= 1 is valid, even or odd
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            QuantumState(amplitudes=np.ones(shape, dtype=complex), beta=0.0)
     with pytest.raises(ValueError):
         QuantumState(amplitudes=np.ones(5, dtype=complex), beta=1.0)
     with pytest.raises(ValueError):
@@ -196,16 +199,19 @@ def test_kick_populations_match_bessel_squares():
 
 
 def test_kick_methods_agree():
-    # the FFT kick of the stepper against the Bessel-convolution oracle
-    rng = np.random.default_rng(11)
-    amps = np.zeros(129, dtype=complex)
-    amps[54:75] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
-    amps /= np.linalg.norm(amps)
-    s = QuantumState(amplitudes=amps, beta=0.41)
-    for kappa_n in (5.3, -2.7):
-        a = _kick(s, kappa_n, 1.7)
-        b = _oracle_kick(s.amplitudes, kappa_n / 1.7)
-        assert np.max(np.abs(a.amplitudes - b)) < 1e-12
+    # the FFT kick of the stepper against the Bessel-convolution oracle, on
+    # an odd and an even ladder: the round trip is unitary at any length
+    for l_size in (129, 128):
+        rng = np.random.default_rng(11)
+        amps = np.zeros(l_size, dtype=complex)
+        amps[54:75] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
+        amps /= np.linalg.norm(amps)
+        s = QuantumState(amplitudes=amps, beta=0.41)
+        for kappa_n in (5.3, -2.7):
+            a = _kick(s, kappa_n, 1.7)
+            b = _oracle_kick(s.amplitudes, kappa_n / 1.7)
+            assert np.max(np.abs(a.amplitudes - b)) < 1e-12
+            assert a.norm == pytest.approx(1.0, abs=1e-13)
 
 
 def test_evolve_atom_rejects_bad_input(monkeypatch):
@@ -413,12 +419,21 @@ def test_explicit_momenta_and_cutoff_guard():
     n0, beta, _ = sample_atoms(spec, NoiseConfig(master_seed=0))
     assert np.array_equal(n0, [-2, 0, 2])
     assert np.allclose(n0 + beta, [-1.2, 0.0, 2.7])
-    hot = EnsembleSpec(n_atoms=64, sigma_p=40.0, cutoff=16)
-    with pytest.raises(CutoffError):
-        sample_atoms(hot, NoiseConfig(master_seed=0))
-    for far in ((1e19,), (-1e300,)):  # beyond the int64 range of a ladder index
+    # the automatic ladder (cutoff None) takes |n0| up to half its cap, 256:
+    # a sigma_p = 40 cloud (|n0| < 100) fits it, a sigma_p = 400 one does not
+    for cutoff, sigma_p in ((16, 40.0), (None, 400.0)):
+        hot = EnsembleSpec(n_atoms=64, sigma_p=sigma_p, cutoff=cutoff)
         with pytest.raises(CutoffError, match="reach"):
-            sample_atoms(EnsembleSpec(n_atoms=1, momenta=far, cutoff=16), NoiseConfig())
+            sample_atoms(hot, NoiseConfig(master_seed=0))
+    n0, _, _ = sample_atoms(EnsembleSpec(n_atoms=64, sigma_p=40.0), NoiseConfig(master_seed=0))
+    assert 64 < np.max(np.abs(n0)) <= 256
+    assert sample_atoms(EnsembleSpec(n_atoms=1, momenta=(-255.5,)), NoiseConfig())[0] == [-256]
+    with pytest.raises(CutoffError, match="cap M = 512"):
+        sample_atoms(EnsembleSpec(n_atoms=1, momenta=(-256.5,)), NoiseConfig())
+    for cutoff in (16, None):
+        for far in ((1e19,), (-1e300,)):  # beyond the int64 range of a ladder index
+            with pytest.raises(CutoffError, match="reach"):
+                sample_atoms(EnsembleSpec(n_atoms=1, momenta=far, cutoff=cutoff), NoiseConfig())
 
 
 def test_kick_spread_draws_positive_factors():
@@ -507,6 +522,138 @@ def test_detection_window_reduces_energy():
     assert e_win <= 0.5 * 6.0**2
 
 
+# ---------------------------------------------------------------------------
+# the automatic ladder
+# ---------------------------------------------------------------------------
+
+class _LadderSpy:
+    """Records the ladder length L of every `_evolve` call of `_cloud`."""
+
+    def __init__(self, monkeypatch):
+        self.lengths = []
+        evolve = qkr._evolve
+
+        def spy(c, *args):
+            self.lengths.append(c.shape[1])
+            return evolve(c, *args)
+
+        monkeypatch.setattr(qkr, "_evolve", spy)
+
+
+def _is_5_smooth(n):
+    for prime in (2, 3, 5):
+        while n % prime == 0:
+            n //= prime
+    return n == 1
+
+
+_STARTS = {
+    "thermal": dict(beta_mode="thermal", sigma_p=2.5),
+    "uniform": dict(beta_mode="uniform"),
+    "antiresonant": dict(beta_mode="fixed", beta_fixed=0.0),  # at hbar = 2 pi
+    "hot": dict(beta_mode="thermal", sigma_p=30.0),  # |n0| up to ~70 widens the reach
+}
+
+
+@pytest.mark.parametrize("level, kick_spread, se", [(0.0, 0.0, 0.0), (2.0, 0.3, 0.05)])
+@pytest.mark.parametrize(
+    "hbar, start",
+    [(h, start) for h in (TWO_PI, 2.0 * TWO_PI, 3.0) for start in ("thermal", "uniform")]
+    + [(TWO_PI, "antiresonant"), (3.0, "hot")],
+)
+def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, level, kick_spread, se):
+    # the reach bound holds at every hbar (resonances m = 1, 2, off
+    # resonance, antiresonance) and noise kind, with SE: the automatic ladder
+    # gives the per-kick energies of the explicit M = 512 ladder on a
+    # 5-smooth L below its 1025 sites
+    spy = _LadderSpy(monkeypatch)
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+    cfg = NoiseConfig(amplitude_level=level, se_probability=se, master_seed=21)
+    auto = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, **_STARTS[start])
+    explicit = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, cutoff=512, **_STARTS[start])
+    got, got_sem = ensemble_energy_history(auto, p, cfg, n_realizations=2)
+    want, want_sem = ensemble_energy_history(explicit, p, cfg, n_realizations=2)
+    # the antiresonance returns to E = 0 every second kick: scale by the peak
+    scale = np.max(want) if start == "antiresonant" else want
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert np.max(np.abs(got_sem - want_sem)) <= 1e-12 * np.max(want)
+    assert spy.lengths[2:] == [1025, 1025]
+    assert all(_is_5_smooth(n) and n < 1025 for n in spy.lengths[:2])
+
+
+def test_reach_bound_holds_on_the_exact_resonant_populations():
+    # hbar = 2 pi, beta = 1/2: the free phases are one global phase, so N
+    # kicks of strength k act as one of strength K = k N and the populations
+    # are exactly J_n(K)^2; the mass beyond any d stays below the bound, and
+    # the stepper on its automatic ladder reproduces those populations
+    k, n_kicks = 3.63, 20
+    big_k = k * n_kicks
+    n = np.arange(-400, 401)
+    pops = scipy.special.jv(n, big_k) ** 2
+    for d in np.arange(1.0, 140.0, 0.5):
+        assert np.sum(pops[np.abs(n) > d]) <= _tail_bound(big_k, d)
+    reach = qkr._bound_reach(big_k)
+    assert big_k < reach < 1.18 * big_k + 12.0
+    assert _tail_bound(big_k, reach) <= qkr.REACH_TAIL < _tail_bound(big_k, reach - 1.0)
+    assert np.sum(pops[np.abs(n) > reach]) <= _tail_bound(big_k, reach)
+
+    spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5)
+    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=n_kicks)
+    r = sample_realization(NoiseConfig(), n_kicks, 1)
+    (c, _, _, _), = _cloud(spec, p, r)
+    l_size = c.shape[1]
+    assert l_size < 1025 and _is_5_smooth(l_size)
+    ladder = np.arange(l_size) - l_size // 2
+    want = scipy.special.jv(ladder, big_k) ** 2
+    assert np.max(np.abs(np.abs(c[0]) ** 2 - want)) < 1e-12
+
+
+def test_automatic_ladder_falls_back_to_the_cap(monkeypatch):
+    # K = 12 * 40 = 480 > 0.9 * 512: the bound cannot certify any ladder
+    # under the cap, so the cell runs on the explicit M = 512 ladder, bit for
+    # bit; off resonance the cloud spreads diffusively and still fits it
+    spy = _LadderSpy(monkeypatch)
+    p = ScaledParams(hbar_eff=3.0, kick_strength=12.0 * 3.0, kick_count=40)
+    cfg = NoiseConfig(master_seed=5)
+    auto, _ = ensemble_energy_history(EnsembleSpec(n_atoms=8), p, cfg)
+    explicit, _ = ensemble_energy_history(EnsembleSpec(n_atoms=8, cutoff=512), p, cfg)
+    assert spy.lengths == [1025, 1025]
+    assert np.array_equal(auto, explicit)
+
+
+def test_automatic_ladder_guard_names_the_ladder_and_reach(monkeypatch):
+    # resonant and ballistic out to K = 600: the fallback ladder cannot hold it
+    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=30.0 * TWO_PI, kick_count=20)
+    spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5)
+    fallback = r"L = 1025 for the reach bound .* = 6\d\d\.\d*, beyond the cap"
+    with pytest.raises(CutoffError, match=fallback) as exc:
+        ensemble_energy(spec, p, NoiseConfig())
+    assert "raise the cutoff" not in str(exc.value)
+    # a reach cut short by hand: the guard trips on a ladder under the cap
+    monkeypatch.setattr(qkr, "_bound_reach", lambda k_total: 0.5 * k_total)
+    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.0 * TWO_PI, kick_count=20)
+    with pytest.raises(CutoffError, match=r"L = 72 for the reach bound \|n0\| \+ D = 30$") as exc:
+        ensemble_energy(spec, p, NoiseConfig())
+    assert "raise the cutoff" not in str(exc.value)
+    explicit = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5, cutoff=16)
+    with pytest.raises(CutoffError, match="raise the cutoff above M = 16"):
+        ensemble_energy(explicit, p, NoiseConfig())
+
+
+def test_peak_scan_runs_on_small_fast_ladders(monkeypatch):
+    # the resonance-peak scan at seed 1 (1,000 thermal atoms, kick ratio 3.63,
+    # 20 kicks, levels 0 and 2): every automatic ladder is 5-smooth and at
+    # most 300 sites, against the 1,025 of an M = 512 ladder
+    spy = _LadderSpy(monkeypatch)
+    run_scan(build_spec(dict(
+        engine="quantum", abscissa="hbar", lo=TWO_PI - 0.2, hi=TWO_PI + 0.2, step=0.1,
+        kick_ratio=3.63, levels=[0.0, 2.0], kicks=20, atoms=1000, sigma_p=2.5,
+        realizations=1, seed=1,
+    )))
+    assert len(spy.lengths) == 10
+    assert all(_is_5_smooth(n) and n <= 300 for n in spy.lengths), spy.lengths
+
+
 def test_small_cutoff_raises_cutoff_error():
     spec = EnsembleSpec(n_atoms=2, beta_mode="fixed", beta_fixed=0.5, cutoff=8)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.77 * TWO_PI, kick_count=10)
@@ -548,14 +695,36 @@ def test_chunking_does_not_change_momentum_distributions(monkeypatch, p_max):
     # the cloud binned chunk by chunk as it is evolved: five atoms in one
     # chunk and in chunks of two give the same bins bit for bit, and energy
     # sums that differ only by summation order; the cloud reaches |p| ~ 49,
-    # so the window at 6 discards mass and halves the energy
-    spec = EnsembleSpec(n_atoms=5, sigma_p=1.5, cutoff=48, p_max=p_max)
+    # so the window at 6 discards mass and halves the energy.  The bins span
+    # the widest ladder used: M = 48, or the wider of the two realizations'
+    # automatic ladders; realizations 1 and 2 of seed 11 get 64 and then 72
+    # sites, so the bins grow mid-run
     p = ScaledParams(hbar_eff=TWO_PI - 0.1, kick_strength=2.5 * (TWO_PI - 0.1), kick_count=6)
-    cfg = NoiseConfig(amplitude_level=1.0, master_seed=11)
-    whole = momentum_distribution(spec, p, cfg, n_realizations=2)
-    monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
-    chunked = momentum_distribution(spec, p, cfg, n_realizations=2)
-    assert np.array_equal(chunked.momenta, whole.momenta)
-    assert np.array_equal(chunked.probabilities, whole.probabilities)
-    assert abs(chunked.mean_energy - whole.mean_energy) <= 1e-12 * whole.mean_energy
-    assert whole.energy_sem > 0.0
+    dists = {}
+    for cutoff, first in ((48, 0), (None, 1), (512, 1)):
+        cfg = NoiseConfig(amplitude_level=1.0, master_seed=11, realization_index=first)
+        spy = _LadderSpy(monkeypatch)
+        spec = EnsembleSpec(n_atoms=5, sigma_p=1.5, cutoff=cutoff, p_max=p_max)
+        whole = momentum_distribution(spec, p, cfg, n_realizations=2)
+        monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
+        chunked = momentum_distribution(spec, p, cfg, n_realizations=2)
+        assert np.array_equal(chunked.momenta, whole.momenta)
+        assert np.array_equal(chunked.probabilities, whole.probabilities)
+        assert abs(chunked.mean_energy - whole.mean_energy) <= 1e-12 * whole.mean_energy
+        assert whole.energy_sem > 0.0
+        half_bins = math.ceil((max(spy.lengths) // 2 + 1) / qkr.DEFAULT_BIN_WIDTH)
+        assert len(whole.momenta) == 2 * half_bins + 1
+        if cutoff is None:
+            assert spy.lengths[0] < spy.lengths[-1]
+        else:
+            assert set(spy.lengths) == {2 * cutoff + 1}
+        monkeypatch.undo()
+        dists[cutoff] = whole
+    # the automatic ladder's histogram is the explicit M = 512 one on fewer bins
+    auto, explicit = dists[None], dists[512]
+    assert abs(auto.mean_energy - explicit.mean_energy) <= 1e-12 * explicit.mean_energy
+    offset = (len(explicit.momenta) - len(auto.momenta)) // 2
+    assert np.array_equal(explicit.momenta[offset: offset + len(auto.momenta)], auto.momenta)
+    inner = explicit.probabilities[offset: offset + len(auto.momenta)]
+    assert np.max(np.abs(inner - auto.probabilities)) <= 1e-12
+    assert np.sum(inner) == pytest.approx(1.0, abs=1e-12)
