@@ -32,7 +32,6 @@ from .noise import (
     stream_rng,
 )
 from .theory import (
-    QuadratureError,
     UnsupportedLevelError,
     bessel_j,
     bessel_j_row,

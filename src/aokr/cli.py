@@ -30,10 +30,10 @@ import numpy as np
 from . import __version__
 from .core import ScaledParams, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
-from .noise import NoiseConfig
+from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
 from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
-from .theory import diffusion_rate_with_noise, kick_strength_from_energy
+from .theory import ARGUMENT_MAX, diffusion_rate_with_noise, kick_strength_from_energy
 
 log = logging.getLogger("aokr")
 
@@ -45,10 +45,25 @@ NOISE_KINDS = ("amplitude", "period")
 DEFAULT_REALIZATIONS = 12
 DEFAULT_REALIZATIONS_NOISELESS = 3
 MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
+MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
+MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 
 
 class ConfigError(ValueError):
     """A scan configuration violated an invariant; message names the field."""
+
+
+def _check_bessel_argument(kick_ratio: float, hbar: float, level: float) -> None:
+    """Reject a theory cell whose largest Bessel argument exceeds ARGUMENT_MAX.
+
+    Both regimes' arguments are at most kappa (1 + level/2), kappa = kick_ratio * hbar.
+    """
+    largest = kick_ratio * hbar * (1.0 + 0.5 * level)
+    if largest > ARGUMENT_MAX:
+        raise ConfigError(
+            f"kick_ratio * hbar * (1 + level/2) = {largest:g} exceeds {ARGUMENT_MAX:g}, "
+            "the largest Bessel argument the theory engine evaluates"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +191,8 @@ class ScanSpec:
                 raise ConfigError(
                     f"engine {self.engine!r} does not model spontaneous emission"
                 )
+        if self.engine == "theory":  # hbar grows with the point: hi is the worst cell
+            _check_bessel_argument(self.kick_ratio, self.hbar_of(self.hi), max(self.levels))
         if self.engine == "eps-classical" and self.p_max is not None:
             raise ConfigError("p_max: engine 'eps-classical' models no detection window")
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
@@ -504,8 +521,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         spec = load_config(args.config, overrides)
     else:
         spec = build_spec({}, overrides)
-    if args.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {args.workers}")
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {args.workers}")
     with _output(args.out) as out, (
         _output(args.json_path) if args.json_path else nullcontext()
     ) as sidecar:
@@ -521,6 +538,9 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
         n_phi, n_rho = (int(part) for part in args.grid.lower().split("x"))
     except ValueError as exc:
         raise ConfigError(f"grid must look like 16x16, got {args.grid!r}") from exc
+    if n_phi * n_rho * (args.iters + 1) > MAX_PORTRAIT_POINTS:
+        raise ConfigError(f"grid {n_phi}x{n_rho} over {args.iters} iterations makes "
+                          f"more than {MAX_PORTRAIT_POINTS} points")
     with _output(args.out) as out:
         run_portrait(
             args.epsilon, args.kick_ratio, args.level, n_phi, n_rho, args.iters, args.seed, out
@@ -533,6 +553,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         raise ConfigError(f"kick_ratio must be finite and >= 0, got {args.kick_ratio}")
     if not 0.0 < args.hbar < math.inf:
         raise ConfigError(f"hbar must be finite and positive, got {args.hbar}")
+    if not 0.0 <= args.level <= AMPLITUDE_LEVEL_MAX:
+        raise ConfigError(f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {args.level}")
+    _check_bessel_argument(args.kick_ratio, args.hbar, args.level)
     rates = _rates(args.kick_ratio, args.hbar, args.level)
     row = ",".join(repr(x) for x in (args.hbar, args.level, *rates))
     sys.stdout.write(f"hbar,level,d_classical,d_quantum\n{row}\n")

@@ -6,7 +6,9 @@ through Bessel functions of the stochasticity parameter.  The classical map
 uses K = kappa; the quantum dynamics away from resonance behaves like the
 classical map with the rescaled K = kappa_q, which vanishes at the resonant
 hbar_eff = 2 pi m.  Uniform amplitude noise on the kick strength averages
-the Bessel arguments and adds its variance to the quasilinear term.
+the Bessel arguments and adds its variance to the quasilinear term.  Each
+average has a closed form in Bessel functions of the two end arguments, so
+no quadrature is needed.
 
 All energies are in two-photon-recoil units, E = <(p / 2 hbar k_L)^2> / 2,
 and rates are per kick.
@@ -21,8 +23,10 @@ import numpy as np
 from .noise import AMPLITUDE_LEVEL_MAX
 
 BESSEL_TOL = 1e-12
-QUADRATURE_TOL = 1e-10
-_QUADRATURE_MAX_NODES = 4096
+# largest |K| (1 + level/2) `noise_averaged_bessel` takes: its Bessel row runs
+# to an order just above it, and a 2-element row at order 1e5 takes about 1.5 s
+ARGUMENT_MAX = 1e5
+_SERIES_HALF_WIDTH = 1e-3  # below it the closed form's endpoint difference cancels
 # Miller start orders are int64 and grow like x; far below this the
 # recurrence is already too long to run (about x steps per pass)
 _MILLER_X_MAX = 1e15
@@ -30,10 +34,6 @@ _MILLER_X_MAX = 1e15
 
 class UnsupportedLevelError(ValueError):
     """No closed-form peak height exists for the requested noise level."""
-
-
-class QuadratureError(RuntimeError):
-    """Gauss-Legendre refinement failed to converge."""
 
 
 # ---------------------------------------------------------------------------
@@ -211,69 +211,45 @@ def diffusion_rate(kappa: float, hbar_eff: float, regime: str = "quantum") -> fl
     return float(0.5 * (kappa / hbar_eff) ** 2 * corr)
 
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `nodes`-point Gauss-Legendre rule on [-1, 1], built once and kept read-only."""
-    rule = _RULES.get(nodes)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        x.flags.writeable = False
-        w.flags.writeable = False
-        rule = _RULES[nodes] = (x, w)
-    return rule
-
-
-def noise_averaged_bessel(
-    order: int, K: float, level: float, tol: float = QUADRATURE_TOL
-) -> float:
+def noise_averaged_bessel(order: int, K: float, level: float) -> float:
     """J_order averaged over multiplicative kick noise on the argument.
 
-    The noisy argument is K (1 + u) with u uniform on [-level/2, +level/2],
-    so the average is (1/level) * integral of J_order(K(1+u)) du.  Evaluated
-    by Gauss-Legendre quadrature starting at 64 nodes and doubling until two
-    refinements differ by less than tol; the integrand is entire, so the
-    doubling terminates almost immediately.  The 64- and 128-node rules share
-    one `bessel_j_row` call, and each later rule takes one more.
+    The noisy argument is K (1 + u) with u uniform on [-level/2, +level/2].
+    With n = |order|, x = |K| and h = x level / 2 the average is the integral
+    of J_n over [x - h, x + h] divided by 2h, which is (S(x+h) - S(x-h)) / h
+    with S(y) = sum over k >= 0 of J_{n+2k+1}(y) (DLMF 10.22.2).  One
+    `bessel_j_row` call gives both sums, up to the first order m > y = x + h
+    where the bound |J_m(y)| <= exp(sqrt(m^2 - y^2) - m arccosh(m/y)) is
+    below 1e-17 h; it falls faster than geometrically beyond.  For h < 1e-3
+    the difference cancels, and J_n + (h^2/24) (J_{n-2} - 2 J_n + J_{n+2}),
+    good to O(h^4), replaces it.  Signs follow `bessel_j`.  |K| (1 + level/2)
+    may not exceed ARGUMENT_MAX.
     """
     if not math.isfinite(K):
         raise ValueError(f"K must be finite, got {K}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if not 0.0 <= level <= AMPLITUDE_LEVEL_MAX:
         raise UnsupportedLevelError(
             f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"
         )
+    x, h = abs(K), 0.5 * level * abs(K)
+    if x + h > ARGUMENT_MAX:
+        raise ValueError(f"|K| (1 + level/2) = {x + h:g} exceeds {ARGUMENT_MAX:g}")
     if level == 0.0 or K == 0.0:
         return bessel_j(order, K)
 
     n = abs(int(order))
-
-    def estimates(*node_counts: int) -> list[float]:
-        rules = [_gauss_legendre(count) for count in node_counts]
-        args = [K * (1.0 + 0.5 * level * x) for x, _ in rules]
-        values = bessel_j_row(n, np.abs(np.concatenate(args)))[:, n]
-        out = []
-        for (_, w), a, v in zip(rules, args, np.split(values, np.cumsum(node_counts[:-1]))):
-            signs = np.ones_like(a)
-            if order < 0 and n % 2 == 1:
-                signs = -signs
-            signs[a < 0] *= (-1.0) ** n
-            out.append(0.5 * float(np.sum(w * signs * v)))
-        return out
-
-    nodes = 128
-    previous, estimate = estimates(64, nodes)
-    while not abs(estimate - previous) < tol:
-        nodes *= 2
-        if nodes > _QUADRATURE_MAX_NODES:
-            raise QuadratureError(
-                f"noise-averaged J_{order}({K}) did not converge to {tol} "
-                f"within {_QUADRATURE_MAX_NODES} nodes"
-            )
-        previous, (estimate,) = estimate, estimates(nodes)
-    return estimate
+    sign = -1.0 if n % 2 == 1 and (K < 0.0) != (order < 0) else 1.0
+    if h < _SERIES_HALF_WIDTH:
+        row = bessel_j_row(n + 2, x)
+        below = -row[1] if n == 1 else row[abs(n - 2)]  # J_{n-2}
+        return sign * float(row[n] + h * h / 24.0 * (below - 2.0 * row[n] + row[n + 2]))
+    y = x + h
+    m = math.floor(max(n, y)) + 1
+    log_floor = math.log(1e-17 * h)
+    while math.sqrt((m - y) * (m + y)) - m * math.acosh(m / y) > log_floor:
+        m += 1
+    sums = np.sum(bessel_j_row(m, np.array([y, x - h]))[:, n + 1 :: 2], axis=1)
+    return sign * float((sums[0] - sums[1]) / h)
 
 
 def diffusion_rate_with_noise(
@@ -282,7 +258,8 @@ def diffusion_rate_with_noise(
     """Early-time diffusion rate under uniform amplitude noise of width `level`.
 
     The kick-strength variance kappa^2 level^2 / 12 adds to the quasilinear
-    term, and each Bessel correlation is averaged over the noisy argument:
+    term, and each Bessel correlation is averaged over the noisy argument in
+    closed form by `noise_averaged_bessel`, one call per order:
 
     D = (kappa^2 + Var) / (4 hbar^2)
         + kappa^2/(2 hbar^2) * (-<J_2> - <J_1>^2 + <J_2>^2 + <J_3>^2)

@@ -111,8 +111,20 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, step=1e-12))
     with pytest.raises(ConfigError, match="step"):
         build_spec(dict(MINIMAL, lo=-1e308, hi=1e308))
-    edge = build_spec(dict(MINIMAL, lo=0.0, hi=cli.MAX_POINTS - 1.0, step=1.0))
+    edge = build_spec(dict(MINIMAL, lo=0.0, hi=cli.MAX_POINTS - 1.0, step=1.0, kick_ratio=1.0))
     assert len(edge.points()) == cli.MAX_POINTS
+    # theory: kick_ratio * hbar(hi) * (1 + max level / 2) <= ARGUMENT_MAX = 1e5
+    at_limit = dict(MINIMAL, hi=6.25, kick_ratio=8000.0, levels=[0.0, 2.0])
+    assert build_spec(at_limit).kick_ratio == 8000.0
+    with pytest.raises(ConfigError, match=r"kick_ratio \* hbar .* = 100006 exceeds 100000"):
+        build_spec(dict(at_limit, kick_ratio=8000.5))
+    assert build_spec(dict(at_limit, kick_ratio=16000.0, levels=[0.0])).kick_ratio == 16000.0
+    with pytest.raises(ConfigError, match="kick_ratio"):
+        build_spec(dict(at_limit, kick_ratio=16000.5, levels=[0.0]))
+    with pytest.raises(ConfigError, match="kick_ratio"):  # hbar(hi) = 2 pi + 0.01
+        build_spec(dict(MINIMAL, abscissa="epsilon", lo=-0.01, hi=0.01, step=0.01,
+                        kick_ratio=1e5 / (TWO_PI + 0.0099)))
+    assert build_spec(dict(at_limit, engine="quantum", kick_ratio=1e6)).kick_ratio == 1e6
 
 
 def test_engine_noise_compatibility():
@@ -324,8 +336,8 @@ _GOLDEN_SCANS = {
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
              levels=[0.0, 2.0]),
-        "bd24dc7a1f483c08154689e7f7835e486ef2a679ee15edbfef6f8a6b7e7c047c",
-        "cb62c5c403a6b6f50713602534e789a48b01ff6176f6e69b348b8c79ee1fbe55",
+        "a9350acea5be321f2e3e7af71d8280925aa0d9d20f215397047bf695a653eae9",
+        "57f3451e33a9b2e24adecc8dd59c75dd02cf7fcbd426d44dfb9bf673614a0c36",
     ),
 }
 
@@ -430,6 +442,7 @@ def _refuse_to_scan(*args, **kwargs):
         (["--hi", "inf"], "hi"),
         (["--step", "1e-12"], "step"),
         (["--engine", "eps-classical", "--p-max", "30"], "p_max"),
+        (["--engine", "theory", "--kick-ratio", "1e5"], "kick_ratio"),
     ],
 )
 def test_main_rejects_bad_scan_input_before_any_work(tmp_path, monkeypatch, caplog, capsys,
@@ -439,6 +452,38 @@ def test_main_rejects_bad_scan_input_before_any_work(tmp_path, monkeypatch, capl
     assert caplog.records[-1].getMessage().startswith(f"configuration error: {field}")
     assert "Traceback" not in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_main_caps_workers_before_any_thread(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", _RecordingPool)
+    for workers in (cli.MAX_WORKERS + 1, 10**9):
+        assert main(_scan_args(tmp_path, "--workers", str(workers))) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"configuration error: workers must lie in [1, {cli.MAX_WORKERS}], got {workers}"
+        )
+    assert _RecordingPool.sizes == []
+    assert list(tmp_path.iterdir()) == []
+    assert main(_scan_args(tmp_path, "--workers", str(cli.MAX_WORKERS))) == 0
+    assert _RecordingPool.sizes == [cli.MAX_WORKERS]
 
 
 def test_main_bad_output_path_fails_before_the_scan(tmp_path, monkeypatch):
@@ -471,6 +516,23 @@ def test_main_portrait_stdout(capsys):
     assert meta["grid"] == [3, 2] and meta["iters"] == 4
 
 
+def test_main_portrait_caps_its_points_before_any_work(monkeypatch, caplog, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the portrait started")
+
+    monkeypatch.setattr(cli, "phase_portrait", refuse)
+    base = ["portrait", "--epsilon", "0.02", "--kick-ratio", "3.7", "--out", "-"]
+    # 1000 x 100 starts over 99 iterations are 1e7 points; one more iteration is over
+    for grid, iters in (("100000x100000", "100"), ("1000x100", "100"), ("1000x1000", "10")):
+        assert main([*base, "--grid", grid, "--iters", iters]) == 1
+        message = caplog.records[-1].getMessage()
+        assert message.startswith(f"configuration error: grid {grid} over {iters} iterations")
+        assert message.endswith(f"more than {cli.MAX_PORTRAIT_POINTS} points")
+    assert capsys.readouterr().out == ""
+    with pytest.raises(AssertionError, match="the portrait started"):
+        main([*base, "--grid", "1000x100", "--iters", "99"])
+
+
 def test_main_predict_resonant_identity(capsys):
     code = main(["predict", "--kick-ratio", "3.7", "--hbar", repr(TWO_PI), "--level", "2.0"])
     assert code == 0
@@ -485,7 +547,7 @@ _PREDICT_BYTES = [
     (("3.7", repr(TWO_PI), "2.0"),
      "6.283185307179586,2.0,4.435249545232573,4.5633333333333335"),
     (("3.63", "6.0", "0"), "6.0,0.0,2.641057205712794,1.278971188934726"),
-    (("3.63", "5.3", "1"), "5.3,1.0,3.537459578841694,2.593201216989936"),
+    (("3.63", "5.3", "1"), "5.3,1.0,3.537459578841702,2.5932012169899363"),
 ]
 
 
@@ -522,6 +584,10 @@ def test_main_predict_fails_before_printing(capsys):
         (["--kick-ratio", "3.7", "--hbar", "inf"], "hbar"),
         (["--kick-ratio", "3.7", "--hbar", "0"], "hbar"),
         (["--kick-ratio", "3.7", "--hbar", "-6.0"], "hbar"),
+        (["--kick-ratio", "3.7", "--hbar", "6.0", "--level", "2.5"], "level"),
+        (["--kick-ratio", "3.7", "--hbar", "6.0", "--level", "nan"], "level"),
+        (["--kick-ratio", "1e7", "--hbar", "6.0", "--level", "2.0"], "kick_ratio"),
+        (["--kick-ratio", "1e7", "--hbar", "6.0"], "kick_ratio"),
     ],
 )
 def test_main_predict_rejects_bad_input_before_any_work(monkeypatch, caplog, capsys,

@@ -1,6 +1,7 @@
 """The package namespace: every public name stays importable from `aokr`."""
 
 import ast
+import sys
 from pathlib import Path
 
 import aokr
@@ -8,12 +9,13 @@ import aokr
 # the names `aokr.__all__` listed before the single-atom operators `kick`,
 # `free_evolve` and `reshuffle` were folded into the batched stepper, less
 # `diffusion_curve` and `write_diffusion_curve`, which `aokr predict` replaced,
-# and `eps_step_inverse`, which only the tests ran and which they now keep
+# `eps_step_inverse`, which only the tests ran and which they now keep, and
+# `QuadratureError`, whose quadrature the closed-form Bessel averages replaced
 PUBLIC_NAMES = """
     __version__ OMEGA_R_CS DetuningError LabParams ScaledParams effective_potential
     hbar_from_period scale_params AMPLITUDE_LEVEL_MAX PERIOD_LEVEL_MAX IntervalError
     NoiseConfig NoiseLevelError NoiseRealization free_evolution_intervals
-    sample_realization stream_rng QuadratureError UnsupportedLevelError bessel_j
+    sample_realization stream_rng UnsupportedLevelError bessel_j
     bessel_j_row diffusion_rate diffusion_rate_with_noise
     kick_strength_from_energy noise_averaged_bessel quantum_kick_strength
     resonance_height AUTO_CUTOFF_CAP CutoffError EnsembleSpec
@@ -30,7 +32,7 @@ UNREAD_IMPORTS = {
 
 
 def test_package_exports_every_public_name():
-    assert len(PUBLIC_NAMES) == 46
+    assert len(PUBLIC_NAMES) == 45
     missing = [name for name in PUBLIC_NAMES if not hasattr(aokr, name)]
     assert missing == []
     for removed in ("kick", "free_evolve", "reshuffle"):
@@ -41,6 +43,8 @@ def test_package_exports_every_public_name():
         assert not hasattr(aokr.theory, removed)
     assert not hasattr(aokr, "eps_step_inverse")
     assert not hasattr(aokr.epsmap, "eps_step_inverse")
+    assert not hasattr(aokr, "QuadratureError")
+    assert not hasattr(aokr.theory, "QuadratureError")
 
 
 def _unread_imports(source: str) -> list[str]:
@@ -76,3 +80,38 @@ def test_no_module_imports_a_name_it_never_reads():
         for name in _unread_imports(path.read_text(encoding="utf-8"))
     }
     assert unread == set(UNREAD_IMPORTS)
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Top-level modules a source imports that are neither stdlib, numpy nor relative."""
+    foreign = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        foreign.update(
+            root for root in roots if root != "numpy" and root not in sys.stdlib_module_names
+        )
+    return sorted(foreign)
+
+
+def test_foreign_imports_are_found():
+    source = (
+        "import json, numpy.fft\nfrom . import core\nfrom .theory import x\n"
+        "import scipy.special\nfrom mpmath import besselj\n"
+        "def f():\n    from numpy import pi\n    import hypothesis as h\n"
+    )
+    assert _foreign_imports(source) == ["hypothesis", "mpmath", "scipy"]
+
+
+def test_runtime_imports_only_the_standard_library_and_numpy():
+    # README and pyproject promise a numpy-only runtime
+    modules = sorted(Path(aokr.__file__).parent.glob("*.py"))
+    assert len(modules) == 7
+    foreign = {
+        path.name: _foreign_imports(path.read_text(encoding="utf-8")) for path in modules
+    }
+    assert foreign == {path.name: [] for path in modules}

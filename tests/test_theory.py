@@ -1,6 +1,7 @@
-"""Closed-form rates and the Bessel/quadrature machinery behind them."""
+"""Closed-form rates and the Bessel machinery behind them."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from aokr import theory
 from aokr.theory import (
-    QuadratureError,
     UnsupportedLevelError,
     bessel_j,
     bessel_j_row,
@@ -254,12 +254,46 @@ def test_noise_averaged_bessel_reduces_to_plain():
 
 
 def test_noise_averaged_bessel_against_dense_quadrature():
-    # independent fixed-order Gauss-Legendre on the same average
-    for n, big_k, level in ((1, 0.5, 1.0), (2, 2.0, 2.0), (3, 5.0, 2.0), (2, -3.0, 1.0)):
-        nodes, weights = np.polynomial.legendre.leggauss(256)
+    # independent fixed-order Gauss-Legendre on the same average; K = 400
+    # oscillates over [0, 800] and needs the denser rule
+    for n, big_k, level, deg in (
+        (1, 0.5, 1.0, 256), (2, 2.0, 2.0, 256), (3, 5.0, 2.0, 256), (2, -3.0, 1.0, 256),
+        (3, 400.0, 2.0, 1024),
+    ):
+        nodes, weights = np.polynomial.legendre.leggauss(deg)
         vals = scipy.special.jn(n, big_k * (1.0 + 0.5 * level * nodes))
         want = float(np.sum(weights * vals) / 2.0)
         assert noise_averaged_bessel(n, big_k, level) == pytest.approx(want, abs=1e-9)
+
+
+def test_noise_averaged_bessel_against_mpmath():
+    # both branches (h = |K| level / 2 below and above 1e-3), negative K and
+    # order, against arbitrary-precision quadrature of the defining average
+    mpmath.mp.dps = 20
+    worst = 0.0
+    for order in range(-3, 4):
+        for big_k in (1e-12, 1e-3, 0.7, -3.0, 27.3, 110.0):
+            for level in (1e-9, 1e-6, 1e-4, 2e-3, 0.05, 1.0, 2.0):
+                lo, hi = (big_k * (1.0 + s * mpmath.mpf(level) / 2) for s in (-1, 1))
+                integral = mpmath.quad(lambda y: mpmath.besselj(order, y), [lo, hi])
+                want = float(integral / (hi - lo))
+                worst = max(worst, abs(noise_averaged_bessel(order, big_k, level) - want))
+    assert worst <= 1e-12
+
+
+def test_noise_averaged_bessel_at_large_argument():
+    # K = 28,224 at level 2 averages J_n over [0, 2K]; for order one that is
+    # (J0(0) - J0(2K)) / (2K), and every J_n integrates to 1 over [0, inf),
+    # with a tail of order (2K)^(-1/2)
+    big_k = 28_224.0
+    for order in (1, 2, 3):
+        t0 = time.perf_counter()
+        got = noise_averaged_bessel(order, big_k, 2.0)
+        assert time.perf_counter() - t0 < 2.0
+        assert got == pytest.approx(1.0 / (2.0 * big_k), rel=1e-2)
+        if order == 1:
+            want = (scipy.special.j0(0.0) - scipy.special.j0(2.0 * big_k)) / (2.0 * big_k)
+            assert got == pytest.approx(want, abs=1e-15)
 
 
 def test_noise_averaged_bessel_closed_form_order_one():
@@ -271,61 +305,26 @@ def test_noise_averaged_bessel_closed_form_order_one():
     assert abs(want) < abs(scipy.special.j1(5.0))
 
 
-def test_noise_averaged_bessel_refines_and_fails_like_before(monkeypatch):
-    # K = 400 needs 512 nodes at the default tol; an unreachable tol runs every
-    # rule up to the node limit (lowered here to skip the costly large rules)
-    # and raises
-    nodes, weights = np.polynomial.legendre.leggauss(1024)
-    want = 0.5 * float(np.sum(weights * scipy.special.jn(3, 400.0 * (1.0 + nodes))))
-    assert noise_averaged_bessel(3, 400.0, 2.0) == pytest.approx(want, abs=1e-9)
-    monkeypatch.setattr(theory, "_QUADRATURE_MAX_NODES", 256)
-    with pytest.raises(QuadratureError, match="within 256 nodes"):
-        noise_averaged_bessel(3, 5.0, 2.0, tol=1e-300)
-
-
 @pytest.mark.parametrize(
-    "K, tol, match",
+    "K, level, match",
     [
         (math.nan, 1e-10, "K must be finite, got nan"),
         (math.inf, 1e-10, "K must be finite, got inf"),
         (-math.inf, 1e-10, "K must be finite, got -inf"),
-        (5.0, math.nan, "tol must be finite and > 0, got nan"),
-        (5.0, math.inf, "tol must be finite and > 0, got inf"),
-        (5.0, 0.0, "tol must be finite and > 0, got 0.0"),
-        (5.0, -1e-10, "tol must be finite and > 0, got -1e-10"),
+        (5.0, math.nan, "level must lie in"),
+        (5.0, 2.5, "level must lie in"),
+        (6.0e4, 2.0, r"\|K\| \(1 \+ level/2\) = 120000 exceeds 100000"),
+        (-7.0e4, 1.0, r"= 105000 exceeds 100000"),
+        (1e300, 2.0, "exceeds 100000"),
     ],
 )
-def test_noise_averaged_bessel_rejects_bad_input_before_any_work(monkeypatch, K, tol, match):
+def test_noise_averaged_bessel_rejects_bad_input_before_any_work(monkeypatch, K, level, match):
     def forbidden(*args, **kwargs):
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr(theory, "bessel_j_row", forbidden)
-    monkeypatch.setattr(theory, "_gauss_legendre", forbidden)
     with pytest.raises(ValueError, match=match):
-        noise_averaged_bessel(2, K, 2.0, tol)
-
-
-def test_gauss_legendre_rules_are_built_once_and_read_only(monkeypatch):
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-
-    def counting(deg):
-        calls.append(deg)
-        return leggauss(deg)
-
-    monkeypatch.setattr(theory, "_RULES", {})
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    first = [noise_averaged_bessel(n, k, 2.0) for n in (1, 2, 3) for k in (0.7, 5.0, 400.0)]
-    again = [noise_averaged_bessel(n, k, 2.0) for n in (1, 2, 3) for k in (0.7, 5.0, 400.0)]
-    assert again == first
-    assert sorted(calls) == [64, 128, 256, 512]  # one build per node count
-    for nodes in calls:
-        x, w = theory._gauss_legendre(nodes)
-        assert len(x) == len(w) == nodes
-        for arr in (x, w):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0.0
-    assert len(calls) == 4
+        noise_averaged_bessel(2, K, level)
 
 
 def test_noisy_rate_identity_at_resonance():
