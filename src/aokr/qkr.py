@@ -18,6 +18,18 @@ swap; a single atom is a batch of one.  The direct Bessel convolution
 (matrix elements <n'|exp(i k cos phi)|n> = i^(n'-n) J_{n'-n}(k)) lives in
 the tests as an independent oracle for it.
 
+Per-kick cost.  A kick is one in-place FFT pair around a multiply by the
+kick phase, which is rebuilt only when k_eff changes: without amplitude
+noise, once per batch.  The free phase of all-unit gaps is built once.
+Under period noise, exp(-i a (n + beta)^2) with a = hbar_eff tau_s / 2 is
+factored into a row exp(-i a n^2) and per-atom powers of
+z = exp(-2i a beta) from two small tables: about three complex multiplies
+per site instead of an exponential.  Phases are written as cos + i sin into
+buffers, and the amplitudes, phases, |c|^2 and one scratch array are
+allocated once per batch, so no kick allocates an atoms x L array.  The one
+exponential left per site and kick is the per-atom kick phase under
+amplitude noise with a kick spread.
+
 Ladder length.  An explicit cutoff M gives L = 2M + 1.  Without one, each
 realization gets its own L from a reach bound, chosen before its first
 chunk of atoms so that every chunk shares it.  Conjugating a kick
@@ -83,6 +95,7 @@ _LADDER_LENGTHS = sorted(
 ) + [2 * AUTO_CUTOFF_CAP + 1]
 NORM_TOLERANCE = 1e-10
 _CHUNK_ATOMS = 2048
+_POWER_BLOCK = 32  # the jittered free phase's power tables: z^r for r < 32, z^(32 q)
 DEFAULT_BIN_WIDTH = 0.29  # imaging resolution, two-photon recoils
 
 
@@ -180,7 +193,7 @@ def evolve_atom(
     if realization.n_kicks < params.kick_count:
         raise ValueError(f"realization holds {realization.n_kicks} kicks, need {params.kick_count}")
     c, beta, _, _ = _evolve(
-        state.amplitudes[None, :], np.array([state.beta]), np.array([state.kick_factor]),
+        state.amplitudes[None, :].copy(), np.array([state.beta]), np.array([state.kick_factor]),
         params, realization, slice(atom_index, atom_index + 1), None,
     )
     return QuantumState(amplitudes=c[0], beta=float(beta[0]), kick_factor=state.kick_factor)
@@ -322,6 +335,38 @@ def sample_atoms(spec: EnsembleSpec, cfg: NoiseConfig) -> tuple[np.ndarray, np.n
     return n0.astype(int), beta, g
 
 
+def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos x + i sin x for real x, into the complex array `out` (a new one if None).
+
+    Bitwise the same as np.exp(1j * x), without its complex temporaries.
+    """
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
+def _jittered_free_phase(a: float, beta: np.ndarray, n_grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(-i a (n + beta)^2) per atom and site, built in `out`; returns its (atoms, L) view.
+
+    With n = n_min + B q + r (0 <= r < B) the phase factors into a row
+    exp(-i a n^2), a per-atom power z^(B q) exp(-i a beta (beta + 2 n_min))
+    and a per-atom power z^r of z = exp(-2i a beta).  Only the row and the
+    two small power tables are transcendental; each site costs two complex
+    multiplies.  `out` has shape (atoms, Q, B) with Q B >= L.
+    """
+    atoms, q_len, block = out.shape
+    w = -2.0 * a * beta  # arg z
+    powers = _cis(w[:, None] * np.arange(block))
+    blocks = _cis((-a * beta * (beta + 2.0 * n_grid[0]))[:, None]
+                  + w[:, None] * (block * np.arange(q_len)))
+    np.multiply(blocks[:, :, None], powers[:, None, :], out=out)
+    phase = out.reshape(atoms, q_len * block)[:, : n_grid.size]
+    np.multiply(phase, _cis(-a * n_grid**2), out=phase)
+    return phase
+
+
 def _evolve(
     c: np.ndarray,
     beta: np.ndarray,
@@ -333,55 +378,84 @@ def _evolve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The quantum stepper: drive a batch of atoms through the pulse train.
 
-    c holds one amplitude row per atom (any ladder length L), beta and g their
-    quasimomenta and kick factors, `rows` their SE schedule's rows in the
-    realization.  Returns the final (c, beta) and, per kick index 0..N (0 =
-    before any kick), the batch's windowed energy sum and weight.  Equal kick
-    factors share one kick phase; all-unit gaps share one free phase.
+    c holds one amplitude row per atom (any ladder length L) and is evolved
+    in place; beta and g are the atoms' quasimomenta and kick factors, `rows`
+    their SE schedule's rows in the realization.  Returns the final (c, beta)
+    and, per kick index 0..N (0 = before any kick), the batch's windowed
+    energy sum and weight.
+
+    Per kick: one in-place FFT pair around the kick phase, which is rebuilt
+    only when k_eff changes (equal kick factors share one row); the free
+    phase is built once for all-unit gaps, and under period noise factored
+    by `_jittered_free_phase`.  Every atoms x L array is allocated before
+    the first kick.
     """
     n_kicks = params.kick_count
-    l_size = c.shape[1]
+    atoms, l_size = c.shape
     m = l_size // 2
     n_grid = _ladder(l_size)
     cos_phi = np.cos(2.0 * np.pi * np.arange(l_size) / l_size)
-    edge = np.abs(n_grid) > TAIL_FRACTION * m
+    # the tail guard's sites |n| > 0.9 M are the two ends of the ladder
+    inner = np.flatnonzero(np.abs(n_grid) <= TAIL_FRACTION * m)
+    left, right = inner[0], inner[-1] + 1
     hbar = params.hbar_eff
     intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
     common_kick = bool(np.all(g == g[0]))
 
     beta = beta.copy()
     p2 = (n_grid[None, :] + beta[:, None]) ** 2
-    free_unit = np.exp(-0.5j * hbar * p2) if np.all(intervals == 1.0) else None
+    window = None if p_max is None else p2 <= p_max**2
+    prob = np.empty((atoms, l_size))
+    scratch = np.empty((atoms, l_size))
+    kick_phase = np.empty(l_size if common_kick else (atoms, l_size), dtype=complex)
+    if np.all(intervals == 1.0):
+        free_unit = _cis(np.multiply(-0.5 * hbar, p2, out=scratch))
+    else:
+        free_unit = None
+        q_len = -(-l_size // _POWER_BLOCK)
+        free_buffer = np.empty((atoms, q_len, _POWER_BLOCK), dtype=complex)
     energy = np.zeros(n_kicks + 1)
     weight = np.zeros(n_kicks + 1)
-    energy[0], weight[0] = _windowed_energy(np.abs(c) ** 2, p2, p_max)
+    np.square(np.abs(c, out=prob), out=prob)
+    energy[0], weight[0] = _windowed_energy(prob, p2, window, scratch)
 
+    k_built = None
     for s in range(n_kicks):
         k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
-        if common_kick:
-            kick_phase = np.exp(1j * (k_eff * g[0]) * cos_phi)
-        else:
-            kick_phase = np.exp(1j * (k_eff * g)[:, None] * cos_phi[None, :])
-        c = np.fft.fft(kick_phase * np.fft.ifft(c, axis=1), axis=1)
+        if k_eff != k_built:
+            if common_kick:
+                _cis(k_eff * g[0] * cos_phi, out=kick_phase)
+            else:
+                _cis(np.multiply((k_eff * g)[:, None], cos_phi, out=scratch), out=kick_phase)
+            k_built = k_eff
+        np.fft.ifft(c, axis=1, out=c)
+        np.multiply(kick_phase, c, out=c)
+        np.fft.fft(c, axis=1, out=c)
 
         hit = realization.se_events[rows, s]
         if hit.any():
             beta[hit] = realization.se_betas[rows, s][hit]
             p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
+            if window is not None:
+                window[hit] = p2[hit] <= p_max**2
             if free_unit is not None:
-                free_unit[hit] = np.exp(-0.5j * hbar * p2[hit])
+                free_unit[hit] = _cis(-0.5 * hbar * p2[hit])
 
-        prob = np.abs(c) ** 2
-        tail = prob[:, edge].sum(axis=1)
+        np.square(np.abs(c, out=prob), out=prob)
+        tail = prob[:, :left].sum(axis=1) + prob[:, right:].sum(axis=1)
         if np.max(tail) > TAIL_TOLERANCE:
             raise CutoffError(
                 f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1} "
                 f"on the L = {l_size} ladder (M = {m})"
             )
-        energy[s + 1], weight[s + 1] = _windowed_energy(prob, p2, p_max)
+        energy[s + 1], weight[s + 1] = _windowed_energy(prob, p2, window, scratch)
 
         if s < n_kicks - 1:
-            c *= free_unit if free_unit is not None else np.exp((-0.5j * hbar * intervals[s]) * p2)
+            if free_unit is None:
+                free = _jittered_free_phase(0.5 * hbar * intervals[s], beta, n_grid, free_buffer)
+            else:
+                free = free_unit
+            np.multiply(c, free, out=c)
     return c, beta, energy, weight
 
 
@@ -445,7 +519,7 @@ def _cloud(
     for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
         rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
         try:
-            # each atom starts in |n0>; unnamed here, that array is freed at the first kick
+            # each atom starts in |n0>; `_evolve` evolves this array in place
             out = _evolve(
                 (n_grid == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
                 params, realization, rows, spec.p_max,
@@ -463,13 +537,15 @@ def _cloud_energy(sums: np.ndarray) -> np.ndarray:
     return energy / weight
 
 
-def _windowed_energy(prob: np.ndarray, p2: np.ndarray, p_max: float | None) -> tuple[float, float]:
-    """Sum of p^2/2 weights and total weight, restricted to the window."""
-    if p_max is None:
-        return float(np.sum(prob * p2)) / 2.0, float(prob.shape[0])
-    mask = p2 <= p_max**2
-    w = prob * mask
-    return float(np.sum(w * p2)) / 2.0, float(np.sum(w))
+def _windowed_energy(
+    prob: np.ndarray, p2: np.ndarray, window: np.ndarray | None, scratch: np.ndarray
+) -> tuple[float, float]:
+    """Sum of p^2/2 weights and total weight, restricted to the window (None = no window)."""
+    if window is None:
+        return float(np.sum(np.multiply(prob, p2, out=scratch))) / 2.0, float(prob.shape[0])
+    w = np.multiply(prob, window, out=scratch)
+    total = float(np.sum(w))
+    return float(np.sum(np.multiply(w, p2, out=scratch))) / 2.0, total
 
 
 def ensemble_energy_history(

@@ -23,13 +23,11 @@ import numpy as np
 from .noise import AMPLITUDE_LEVEL_MAX
 
 BESSEL_TOL = 1e-12
-# largest |K| (1 + level/2) `noise_averaged_bessel` takes: its Bessel row runs
-# to an order just above it, and a 2-element row at order 1e5 takes about 1.5 s
+# largest Bessel argument: `bessel_j_row` takes x up to it and
+# `noise_averaged_bessel` |K| (1 + level/2).  The Miller recurrence runs about
+# x steps per pass, and a 2-element row at order 1e5 takes about 1.5 s
 ARGUMENT_MAX = 1e5
 _SERIES_HALF_WIDTH = 1e-3  # below it the closed form's endpoint difference cancels
-# Miller start orders are int64 and grow like x; far below this the
-# recurrence is already too long to run (about x steps per pass)
-_MILLER_X_MAX = 1e15
 
 
 class UnsupportedLevelError(ValueError):
@@ -41,7 +39,7 @@ class UnsupportedLevelError(ValueError):
 # ---------------------------------------------------------------------------
 
 def bessel_j_row(n_max: int, x: float | np.ndarray) -> np.ndarray:
-    """J_0(x) .. J_{n_max}(x) for x >= 0 by Miller's backward recurrence.
+    """J_0(x) .. J_{n_max}(x) for 0 <= x <= ARGUMENT_MAX by Miller's backward recurrence.
 
     `x` is a scalar, giving shape (n_max+1,), or a 1-D array, giving one row
     per element, shape (len(x), n_max+1).  Each element is computed on its
@@ -64,10 +62,10 @@ def bessel_j_row(n_max: int, x: float | np.ndarray) -> np.ndarray:
         raise ValueError(f"bessel_j_row requires finite x, got {bad[0]}")
     if np.any(flat < 0.0):
         raise ValueError("bessel_j_row requires x >= 0; use bessel_j for signed x")
-    if np.any(flat > _MILLER_X_MAX):
+    if np.any(flat > ARGUMENT_MAX):
         raise ValueError(
-            f"bessel_j_row requires x <= {_MILLER_X_MAX:g}, got {flat.max()}: "
-            "the recurrence starts at order ~x"
+            f"bessel_j_row requires x <= {ARGUMENT_MAX:g}, got {flat.max()}: "
+            "the recurrence runs about x steps"
         )
     rows = np.zeros((flat.size, n_max + 1))
     tiny = flat < 1e-8
@@ -157,7 +155,7 @@ def _miller_pass(n_max: int, x: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order and real x, |error| < 1e-12.
+    """J_order(x) for integer order and real |x| <= ARGUMENT_MAX, |error| < 1e-12.
 
     Symmetry reduces everything to the non-negative quadrant:
     J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).

@@ -323,8 +323,8 @@ _GOLDEN_SCANS = {
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
              noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
              kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
-        "38b41e31ebdb08bc1592c145735934b91cf63a6d8e70b3721e223dbccc6aec10",
-        "46e6f772a38a30de39281e6e0a4878639b324c8eacb8b3b6c557c6f7f66e7cb0",
+        "0b89712a6d87b262565c4e1eb5832d56acb1e00a790bc9485e647ce052dd2e82",
+        "b6e659348be1e2e72766ad7332fc7b74acddae82aee0653126c448f064a44e7b",
     ),
     "eps-classical": (
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,

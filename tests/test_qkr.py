@@ -1,7 +1,9 @@
 """Quantum ladder dynamics: single states, operator composition, ensembles."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -75,6 +77,49 @@ def _oracle_atom(c, beta, g, params, realization, atom):
         if s < params.kick_count - 1:
             c = c * np.exp(-0.5j * params.hbar_eff * intervals[s] * (n_grid + beta) ** 2)
     return c, beta, np.array(energies)
+
+
+def _direct_exp_stepper(c, beta, g, params, realization, rows, p_max):
+    """The stepper as it was before its buffers: fresh np.exp phases at every
+    kick and a fresh array per pass; the kick multiply puts the kick phase
+    first, as `qkr._evolve` does.  Returns (c, beta, energy sums, weights)."""
+    n_kicks = params.kick_count
+    l_size = c.shape[1]
+    n_grid = np.arange(l_size) - l_size // 2
+    cos_phi = np.cos(2.0 * np.pi * np.arange(l_size) / l_size)
+    hbar = params.hbar_eff
+    intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
+    common_kick = bool(np.all(g == g[0]))
+    beta = beta.copy()
+    p2 = (n_grid[None, :] + beta[:, None]) ** 2
+    free_unit = np.exp(-0.5j * hbar * p2) if np.all(intervals == 1.0) else None
+
+    def windowed(prob):
+        if p_max is None:
+            return np.sum(prob * p2) / 2.0, prob.shape[0]
+        w = prob * (p2 <= p_max**2)
+        return np.sum(w * p2) / 2.0, np.sum(w)
+
+    sums = [windowed(np.abs(c) ** 2)]
+    for s in range(n_kicks):
+        k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
+        if common_kick:
+            kick_phase = np.exp(1j * (k_eff * g[0]) * cos_phi)
+        else:
+            kick_phase = np.exp(1j * (k_eff * g)[:, None] * cos_phi[None, :])
+        c = np.fft.fft(np.multiply(kick_phase, np.fft.ifft(c, axis=1)), axis=1)
+        hit = realization.se_events[rows, s]
+        if hit.any():
+            beta[hit] = realization.se_betas[rows, s][hit]
+            p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
+            if free_unit is not None:
+                free_unit[hit] = np.exp(-0.5j * hbar * p2[hit])
+        sums.append(windowed(np.abs(c) ** 2))
+        if s < n_kicks - 1:
+            free = free_unit if free_unit is not None else np.exp((-0.5j * hbar * intervals[s]) * p2)
+            c = c * free
+    energy, weight = np.array(sums).T
+    return c, beta, energy, weight
 
 
 def _train(factors, offsets=None, se=None):
@@ -337,6 +382,65 @@ def test_evolve_atom_matches_matrix_composition():
         assert np.max(np.abs(out - vec)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "noise, kick_spread, se, p_max",
+    list(itertools.product(("none", "amplitude", "period"), (0.0, 0.05), (0.0, 0.025), (None, 8.0))),
+)
+def test_stepper_matches_the_direct_exp_stepper(noise, kick_spread, se, p_max):
+    # the buffered stepper against fresh np.exp phases at every kick: bit for
+    # bit on uniform gaps (reused kick phases, cos + i sin, in-place
+    # transforms), and to 1e-12 under period noise, whose free phase is
+    # factored; amplitudes are compared relative to each atom's unit norm
+    hbar = TWO_PI + 0.1
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=6)
+    spec = EnsembleSpec(n_atoms=60, kick_spread=kick_spread, p_max=p_max, cutoff=64)
+    levels = {"none": {}, "amplitude": {"amplitude_level": 1.0}, "period": {"period_level": 0.1}}
+    cfg = NoiseConfig(se_probability=se, master_seed=5, **levels[noise])
+    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
+    assert (r.se_events[:, :-1].sum() >= 4) == (se > 0.0)
+    n0, beta, g = sample_atoms(spec, cfg)
+    start = (np.arange(129) - 64 == n0[:, None]).astype(complex)
+    rows = slice(0, spec.n_atoms)
+    c, new_beta, energy, weight = qkr._evolve(start.copy(), beta, g, p, r, rows, p_max)
+    want_c, want_beta, want_energy, want_weight = _direct_exp_stepper(start, beta, g, p, r, rows, p_max)
+    assert np.array_equal(new_beta, want_beta)
+    if p_max is not None:
+        assert weight[-1] < 0.99 * spec.n_atoms  # the window discards mass
+    if noise != "period":
+        for got, want in ((c, want_c), (energy, want_energy), (weight, want_weight)):
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert np.max(np.linalg.norm(c - want_c, axis=1)) <= 1e-12
+        np.testing.assert_allclose(energy, want_energy, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(weight, want_weight, rtol=1e-12, atol=0.0)
+
+
+def test_jittered_free_phase_against_mpmath():
+    # the factored free phase exp(-i a (n + beta)^2) is no less accurate than
+    # the direct np.exp of the full argument, for |n| <= 512 and every gap:
+    # a = hbar tau / 2 with tau up to 1 + L_P at hbar = 2 pi + 0.2; the exact
+    # phase is reduced mod 2 pi in 256-bit arithmetic
+    mpmath.mp.prec = 256
+    hbar = TWO_PI + 0.2
+    n_grid = np.arange(-512, 513)
+    betas = np.array([0.0, 0.125, 0.3, 0.5, 0.77, 0.999, 1.0 - 2.0**-30])
+    buffer = np.empty((betas.size, 33, qkr._POWER_BLOCK), dtype=complex)
+    two_pi = 2 * mpmath.pi
+    for tau in (1e-3, 0.25, 0.5, 1.0, 1.5, 1.75, 1.999):
+        a = 0.5 * hbar * tau
+        got = qkr._jittered_free_phase(a, betas, n_grid, buffer)
+        direct = np.exp(-1j * a * (n_grid[None, :] + betas[:, None]) ** 2)
+        exact = np.array([
+            [float(mpmath.fmod(-mpmath.mpf(a) * (int(n) + mpmath.mpf(b)) ** 2, two_pi))
+             for n in n_grid]
+            for b in betas
+        ])
+        want = np.exp(1j * exact)
+        worst = np.max(np.abs(got - want))
+        assert worst <= np.max(np.abs(direct - want))
+        assert worst <= 1.2e-10
+
+
 def test_evolve_atom_edge_cases():
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=0)
     s = plane_wave(8, beta=0.1)
@@ -481,6 +585,25 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
             assert np.max(np.abs(one.amplitudes - c)) < 1e-12
             assert final_beta[a] == one.beta == beta
         assert energies == pytest.approx(np.mean(histories, axis=0), rel=1e-12)
+
+
+def test_batch_rows_match_a_batch_of_one():
+    # each row of a large batch is bitwise the same atom evolved alone.  With
+    # the kick phase a fresh temporary, numpy's temporary elision (arrays of
+    # 256 KiB and up) swapped the operands of the kick multiply, and complex
+    # multiplies with FMA are not bitwise commutative: no row matched
+    hbar = TWO_PI + 0.1
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=4)
+    spec = EnsembleSpec(n_atoms=600, kick_spread=0.05, cutoff=192)
+    cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=4)
+    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
+    [(c, beta, _, _)] = list(_cloud(spec, p, r))
+    assert c.nbytes >= 256 * 1024
+    n0s, betas, gs = sample_atoms(spec, cfg)
+    for a in range(0, 600, 60):
+        one = evolve_atom(plane_wave(192, int(n0s[a]), float(betas[a]), float(gs[a])), p, r, a)
+        assert one.amplitudes.tobytes() == c[a].tobytes()
+        assert one.beta == beta[a]
 
 
 def test_uniform_beta_resonance_slope():

@@ -141,9 +141,26 @@ def test_bessel_row_shapes():
         bessel_j_row(3, np.array([1.0, -0.5]))
     with pytest.raises(ValueError, match="n_max"):
         bessel_j_row(-1, 1.0)
-    # start orders grow like x and are int64: beyond the bound they would wrap
-    with pytest.raises(ValueError, match=r"x <= 1e\+15, got 1e\+19"):
+    # the recurrence runs about x steps: beyond ARGUMENT_MAX it is rejected
+    with pytest.raises(ValueError, match=r"x <= 100000, got 1e\+19"):
         bessel_j_row(0, np.array([1.0, 1e19]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: diffusion_rate(4e5, 1.0, "classical"), lambda: bessel_j_row(3, 1e9)],
+    ids=["diffusion_rate", "bessel_j_row"],
+)
+def test_bessel_argument_limit_rejects_before_any_recurrence(monkeypatch, call):
+    # once 3.2 s and an hours-long Miller loop; now rejected before any pass
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recurrence started before the argument was checked")
+
+    monkeypatch.setattr(theory, "_miller_rows", forbidden)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"x <= 100000"):
+        call()
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
