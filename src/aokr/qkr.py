@@ -347,7 +347,9 @@ def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _jittered_free_phase(a: float, beta: np.ndarray, n_grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _jittered_free_phase(
+    a: float, beta: np.ndarray, n_grid: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """exp(-i a (n + beta)^2) per atom and site, built in `out`; returns its (atoms, L) view.
 
     With n = n_min + B q + r (0 <= r < B) the phase factors into a row
