@@ -1,7 +1,7 @@
 """Simulation laboratory for the atom-optics kicked rotor with pulse-train noise.
 
-Layers, bottom up: `core` converts laboratory pulse parameters to the
-scaled units of the kicked rotor; `noise` draws reproducible pulse-train
+Layers, bottom up: `core` holds the scaled kicked-rotor parameters and maps
+a pulse period to hbar_eff; `noise` draws reproducible pulse-train
 noise realizations (amplitude, period, spontaneous emission); `qkr` evolves
 quantum ensembles on the momentum ladder; `epsmap` runs the classical map
 approximations valid near the quantum resonances; `theory` supplies the
@@ -11,15 +11,7 @@ them over a pulse-period range and writes plot-ready files.
 
 __version__ = "0.1.0"
 
-from .core import (
-    OMEGA_R_CS,
-    DetuningError,
-    LabParams,
-    ScaledParams,
-    effective_potential,
-    hbar_from_period,
-    scale_params,
-)
+from .core import OMEGA_R_CS, ScaledParams, hbar_from_period
 from .noise import (
     AMPLITUDE_LEVEL_MAX,
     PERIOD_LEVEL_MAX,
@@ -59,7 +51,6 @@ from .epsmap import (
     EpsilonZeroError,
     EpsParams,
     UnsupportedNoiseError,
-    classical_map_energy,
     eps_energy,
     eps_energy_history,
     eps_step,

@@ -155,6 +155,13 @@ class ScanSpec:
             for x in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigError(f"{field.name} must be finite, got {value}")
+        for name in ("atoms", "kicks", "realizations", "seed", "cutoff", "resonance_order"):
+            value = getattr(self, name)
+            if value is None and name in ("realizations", "cutoff"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers serialize as int
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
         if self.step <= 0.0:

@@ -13,10 +13,6 @@ eps = 0 the map itself degenerates (the kick term carries a factor |eps|)
 and the analytic resonant limit is used instead, where momentum after n
 kicks is the phasor sum rho_n / |eps| = n0 + kick_ratio * sum_s R_s
 sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta.
-
-Dropping the gauge terms (pi m, hbar_eff beta) and the eps rescaling gives
-the ordinary standard map, used here as a brute-force oracle for the
-kick-to-kick correlation expansion of the diffusion rate.
 """
 
 from __future__ import annotations
@@ -29,18 +25,16 @@ import numpy as np
 
 from .core import check_finite
 from .noise import (
-    STREAM_ATOM_MOMENTA,
     STREAM_MAP_PHASE,
     NoiseConfig,
     realization_mean,
     sample_realization,
     stream_rng,
 )
-from .qkr import EnsembleSpec, _norm_ppf, sample_atoms
+from .qkr import EnsembleSpec, sample_atoms
 
 TWO_PI = 2.0 * math.pi
 EPS_WARN_LIMIT = 0.5
-_RHO_SIGMA = 4.0 * TWO_PI  # broad momentum start for the standard-map oracle
 
 
 class EpsilonZeroError(ValueError):
@@ -58,25 +52,21 @@ class EpsParams:
     epsilon is the distance of hbar_eff from the resonance 2 pi m (either
     sign); kick_ratio is kappa / hbar_eff; the resonance order m also sets
     the pi * m gauge term (the free phase pi m n^2 equals pi m n modulo
-    2 pi); beta is the quasimomentum used when no per-trajectory values are
-    supplied.
+    2 pi).  The quasimomentum beta is per trajectory and goes to `eps_step`.
     """
 
     epsilon: float
     kick_ratio: float
     resonance_order: int = 1
-    beta: float = 0.0
 
     def __post_init__(self) -> None:
-        check_finite(self, "epsilon", "kick_ratio", "beta")
+        check_finite(self, "epsilon", "kick_ratio")
         if self.kick_ratio < 0.0:
             raise ValueError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
         if self.resonance_order < 1:
             raise ValueError(
                 f"resonance_order must be a positive integer, got {self.resonance_order}"
             )
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
         if abs(self.epsilon) > EPS_WARN_LIMIT:
             warnings.warn(
                 f"|epsilon| = {abs(self.epsilon)} is large for a near-resonance model",
@@ -92,14 +82,14 @@ def _phase_advance(p: EpsParams, beta) -> np.ndarray | float:
     return math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
 
 
-def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=None):
+def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
     """One map iteration; phi updates first and feeds the kick.
 
     phi, rho may be scalars or arrays (broadcast together).  kick_factor is
-    the per-kick amplitude factor; beta overrides p.beta per trajectory.
+    the per-kick amplitude factor; beta is the quasimomentum, scalar or per
+    trajectory.
     """
-    b = p.beta if beta is None else beta
-    phi = np.mod(phi + np.sign(p.epsilon) * np.asarray(rho) + _phase_advance(p, b), TWO_PI)
+    phi = np.mod(phi + np.sign(p.epsilon) * np.asarray(rho) + _phase_advance(p, beta), TWO_PI)
     rho = rho + abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
     return phi, rho
 
@@ -238,63 +228,3 @@ def phase_portrait(
         points[block, 0] = phi
         points[block, 1] = np.mod(rho, TWO_PI)
     return points
-
-
-def classical_map_energy(
-    kappa: float,
-    hbar_eff: float,
-    n_kicks: int = 5,
-    n_traj: int = 100_000,
-    cfg: NoiseConfig = NoiseConfig(),
-    n_realizations: int = 1,
-    fit_range: tuple[int, int] = (0, 5),
-) -> tuple[float, float]:
-    """Energy growth rate of the plain standard map, by least squares.
-
-    phi' = phi + rho; rho' = rho + kappa * R * sin(phi'), with uniform
-    start angles and a broad Gaussian momentum spread (narrow starts leave
-    a spurious start-angle correlation in the first kicks).  Returns the
-    slope of <rho^2> / (2 hbar_eff^2) against kick number over the
-    inclusive window fit_range, averaged over noise realizations, with its
-    s.e.m.  hbar_eff only sets the energy units for comparison with the
-    quantum-facing rate formulas.
-
-    With amplitude noise the first two kicks run at the bare quasilinear
-    rate before the kick-to-kick correlations switch on, so the default
-    early window overestimates the asymptotic rate by several percent;
-    pass a later window (say n_kicks=16, fit_range=(8, 16)) to measure
-    the settled rate in that case.
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if hbar_eff <= 0.0:
-        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
-    if n_traj < 2:
-        raise ValueError(f"n_traj must be >= 2, got {n_traj}")
-    lo, hi = fit_range
-    if not 0 <= lo < hi <= n_kicks:
-        raise ValueError(
-            f"fit_range must satisfy 0 <= lo < hi <= n_kicks, got {fit_range} with n_kicks={n_kicks}"
-        )
-    _require_amplitude_only(cfg)
-
-    kicks = np.arange(lo, hi + 1, dtype=float)
-
-    def run(rcfg: NoiseConfig) -> float:
-        factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
-        rng_phi = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
-        phi = _stratified_phases(rng_phi, n_traj)
-        rng_rho = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_ATOM_MOMENTA)
-        rho = _RHO_SIGMA * _norm_ppf((np.arange(n_traj) + rng_rho.random(n_traj)) / n_traj)
-
-        energy = np.empty(n_kicks + 1)
-        energy[0] = np.mean(rho**2)
-        for n in range(n_kicks):
-            phi = np.mod(phi + rho, TWO_PI)
-            rho = rho + kappa * factors[n] * np.sin(phi)
-            energy[n + 1] = np.mean(rho**2)
-        energy /= 2.0 * hbar_eff**2
-        return float(np.polyfit(kicks, energy[lo : hi + 1], 1)[0])
-
-    mean, sem = realization_mean(cfg, n_realizations, run)
-    return float(mean), float(sem)

@@ -18,7 +18,7 @@ import scipy.special
 
 from aokr.cli import build_spec, run_scan
 from aokr.core import ScaledParams
-from aokr.epsmap import EpsParams, classical_map_energy, eps_energy, eps_energy_history
+from aokr.epsmap import EpsParams, eps_energy, eps_energy_history
 from aokr.noise import NoiseConfig, free_evolution_intervals, sample_realization
 from aokr.qkr import (
     EnsembleSpec,
@@ -33,6 +33,8 @@ from aokr.theory import (
     diffusion_rate_with_noise,
     noise_averaged_bessel,
 )
+
+from standard_map import classical_map_energy
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,7 +76,7 @@ def test_c02_resonant_ballistic_law():
     # same law pins the map's resonant limit (rho_0 = 0, fixed beta = 1/2)
     spec = EnsembleSpec(n_atoms=64, beta_mode="fixed", beta_fixed=0.5, cutoff=32)
     hist, _ = eps_energy_history(
-        EpsParams(epsilon=0.0, kick_ratio=k, beta=0.5), 10, spec, NoiseConfig(master_seed=0)
+        EpsParams(epsilon=0.0, kick_ratio=k), 10, spec, NoiseConfig(master_seed=0)
     )
     worst_m = float(np.max(np.abs(hist[1:] / (0.25 * k**2 * steps**2) - 1.0)))
 

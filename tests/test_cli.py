@@ -454,6 +454,31 @@ def test_main_rejects_bad_scan_input_before_any_work(tmp_path, monkeypatch, capl
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", [2.5, True], ids=["2.5", "true"])
+@pytest.mark.parametrize(
+    "field", ["atoms", "kicks", "realizations", "seed", "cutoff", "resonance_order"]
+)
+def test_main_rejects_non_integer_counts_from_a_config(tmp_path, monkeypatch, caplog, capsys,
+                                                       field, value):
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(MINIMAL, engine="quantum", **{field: value})))
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    assert main(["scan", "--config", str(config), "--out", str(out)]) == 1
+    assert caplog.records[-1].getMessage().startswith(
+        f"configuration error: {field} must be an integer"
+    )
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_spec_keeps_numpy_integer_counts_as_int():
+    spec = build_spec(dict(MINIMAL, kicks=np.int64(5), cutoff=np.int32(16)))
+    assert spec.kicks == 5 and type(spec.kicks) is int
+    assert spec.cutoff == 16 and type(spec.cutoff) is int
+    assert build_spec(dict(MINIMAL, realizations=None, cutoff=None)).cutoff is None
+
+
 class _RecordingPool:
     """Stands in for ThreadPoolExecutor: records max_workers and maps serially."""
 

@@ -1,34 +1,13 @@
-"""Lab-to-scaled parameter conversions."""
+"""Scaled parameters and the pulse-period-to-hbar_eff conversion."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from aokr.core import (
-    OMEGA_R_CS,
-    DetuningError,
-    LabParams,
-    ScaledParams,
-    effective_potential,
-    hbar_from_period,
-    scale_params,
-)
+from aokr.core import ScaledParams, hbar_from_period
 
 TWO_PI = 2.0 * math.pi
-
-
-def test_effective_potential_value():
-    # far-detuned beam: plain Rabi-squared over detuning
-    assert effective_potential(1.0e6, 2.0e9) == pytest.approx(1.0e12 / 2.0e9)
-    assert effective_potential(1.0e6, -2.0e9) < 0.0
-
-
-def test_effective_potential_rejects_near_resonant_beam():
-    with pytest.raises(DetuningError):
-        effective_potential(1.0e6, 5.0e6)  # |detuning| below 10x Rabi
-    with pytest.raises(ValueError):
-        effective_potential(0.0, 1.0e9)
 
 
 def test_hbar_from_period_matches_caesium_resonance():
@@ -51,47 +30,6 @@ def test_hbar_linear_in_period(period):
     )
 
 
-def test_scale_params_round_numbers():
-    lab = LabParams(
-        rabi_frequency=1.0e6,
-        detuning=1.0e9,
-        pulse_duration=300e-9,
-        pulse_period=60.5e-6,
-        kick_count=20,
-    )
-    scaled = scale_params(lab)
-    assert scaled.hbar_eff == pytest.approx(TWO_PI, rel=1e-12)
-    omega_eff = 1.0e12 / 1.0e9
-    want_kappa = omega_eff * OMEGA_R_CS * 60.5e-6 * 300e-9
-    assert scaled.kick_strength == pytest.approx(want_kappa, rel=1e-12)
-    assert scaled.kick_count == 20
-    assert scaled.kick_ratio == pytest.approx(want_kappa / TWO_PI, rel=1e-12)
-
-
-def test_scale_params_red_detuning_gives_positive_strength():
-    lab = LabParams(
-        rabi_frequency=1.0e6,
-        detuning=-1.0e9,
-        pulse_duration=300e-9,
-        pulse_period=60.5e-6,
-    )
-    assert scale_params(lab).kick_strength > 0.0
-
-
-def test_lab_params_validation():
-    with pytest.raises(ValueError):
-        LabParams(rabi_frequency=1.0e6, detuning=1.0e9, pulse_duration=-1e-9, pulse_period=60e-6)
-    with pytest.raises(ValueError):
-        LabParams(rabi_frequency=1.0e6, detuning=1.0e9, pulse_duration=1e-9, pulse_period=0.0)
-    with pytest.raises(DetuningError):
-        LabParams(rabi_frequency=1.0e6, detuning=2.0e6, pulse_duration=1e-9, pulse_period=60e-6)
-    with pytest.raises(ValueError):
-        LabParams(
-            rabi_frequency=1.0e6, detuning=1.0e9, pulse_duration=1e-9,
-            pulse_period=60e-6, se_probability=1.5,
-        )
-
-
 def test_scaled_params_validation():
     with pytest.raises(ValueError):
         ScaledParams(hbar_eff=0.0, kick_strength=1.0)
@@ -99,3 +37,9 @@ def test_scaled_params_validation():
         ScaledParams(hbar_eff=TWO_PI, kick_strength=-1.0)
     with pytest.raises(ValueError):
         ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=-1)
+
+
+def test_scaled_params_kick_ratio():
+    scaled = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.7 * TWO_PI, kick_count=20)
+    assert scaled.kick_ratio == pytest.approx(3.7, rel=1e-12)
+    assert scaled.kick_count == 20

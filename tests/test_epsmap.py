@@ -11,7 +11,6 @@ from aokr.epsmap import (
     EpsilonZeroError,
     EpsParams,
     UnsupportedNoiseError,
-    classical_map_energy,
     eps_energy,
     eps_energy_history,
     eps_step,
@@ -21,14 +20,15 @@ from aokr.noise import NoiseConfig
 from aokr.qkr import EnsembleSpec, ensemble_energy
 from aokr.theory import diffusion_rate
 
+from standard_map import classical_map_energy
+
 TWO_PI = 2.0 * math.pi
 
 
-def _eps_step_inverse(phi, rho, p, kick_factor=1.0, beta=None):
+def _eps_step_inverse(phi, rho, p, kick_factor=1.0, beta=0.0):
     """Exact inverse of `eps_step`: undo the kick, then the rotation."""
-    b = p.beta if beta is None else beta
     rho = rho - abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
-    advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(b, dtype=float)
+    advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
     phi = np.mod(phi - np.sign(p.epsilon) * np.asarray(rho) - advance, TWO_PI)
     return phi, rho
 
@@ -44,8 +44,6 @@ def test_params_validation_and_hbar():
         EpsParams(epsilon=0.02, kick_ratio=-1.0)
     with pytest.raises(ValueError):
         EpsParams(epsilon=0.02, kick_ratio=1.0, resonance_order=0)
-    with pytest.raises(ValueError):
-        EpsParams(epsilon=0.02, kick_ratio=1.0, beta=1.0)
     with pytest.warns(UserWarning):
         EpsParams(epsilon=0.6, kick_ratio=1.0)
 
@@ -56,27 +54,27 @@ def test_params_validation_and_hbar():
 
 def test_step_fixed_point_at_resonance():
     # beta = 1/2 on the resonance: the pi + hbar*beta advance is a full turn
-    p = EpsParams(epsilon=0.0, kick_ratio=3.7, beta=0.5)
-    phi, rho = eps_step(0.0, 0.0, p)
+    p = EpsParams(epsilon=0.0, kick_ratio=3.7)
+    phi, rho = eps_step(0.0, 0.0, p, beta=0.5)
     assert phi == pytest.approx(0.0, abs=1e-12)
     assert rho == 0.0
 
 
 def test_step_resonant_growth_starts_at_quarter_turn():
-    p0 = EpsParams(epsilon=0.0, kick_ratio=3.7, beta=0.5)
-    phi, rho = eps_step(math.pi / 2, 0.0, p0)
+    p0 = EpsParams(epsilon=0.0, kick_ratio=3.7)
+    phi, rho = eps_step(math.pi / 2, 0.0, p0, beta=0.5)
     assert phi == pytest.approx(math.pi / 2, abs=1e-12)
     assert rho == 0.0  # kick term carries |eps|
     # off resonance the angle picks up eps/2 and the kick |eps| k sin(phi')
-    p = EpsParams(epsilon=0.02, kick_ratio=3.7, beta=0.5)
-    phi, rho = eps_step(math.pi / 2, 0.0, p)
+    p = EpsParams(epsilon=0.02, kick_ratio=3.7)
+    phi, rho = eps_step(math.pi / 2, 0.0, p, beta=0.5)
     assert phi == pytest.approx(math.pi / 2 + 0.01, abs=1e-12)
     assert rho == pytest.approx(0.02 * 3.7 * math.sin(math.pi / 2 + 0.01), rel=1e-12)
 
 
 def test_step_zero_amplitude_advances_angle_only():
-    p = EpsParams(epsilon=-0.03, kick_ratio=3.7, beta=0.2)
-    phi, rho = eps_step(1.0, 0.7, p, kick_factor=0.0)
+    p = EpsParams(epsilon=-0.03, kick_ratio=3.7)
+    phi, rho = eps_step(1.0, 0.7, p, kick_factor=0.0, beta=0.2)
     assert rho == 0.7
     want = (1.0 - 0.7 + math.pi + p.hbar_eff * 0.2) % TWO_PI
     assert phi == pytest.approx(want, abs=1e-12)
@@ -96,16 +94,16 @@ def test_step_accepts_arrays_with_per_trajectory_beta():
 
 
 def test_many_step_reversibility():
-    p = EpsParams(epsilon=0.04, kick_ratio=3.7, beta=0.3)
+    p = EpsParams(epsilon=0.04, kick_ratio=3.7)
     rng = np.random.default_rng(5)
     phi0 = TWO_PI * rng.random(64)
     rho0 = rng.standard_normal(64)
     factors = 1.0 + 0.5 * (rng.random(50) - 0.5)
     phi, rho = phi0.copy(), rho0.copy()
     for f in factors:
-        phi, rho = eps_step(phi, rho, p, kick_factor=f)
+        phi, rho = eps_step(phi, rho, p, kick_factor=f, beta=0.3)
     for f in factors[::-1]:
-        phi, rho = _eps_step_inverse(phi, rho, p, kick_factor=f)
+        phi, rho = _eps_step_inverse(phi, rho, p, kick_factor=f, beta=0.3)
     assert np.max(np.abs(rho - rho0)) < 1e-9
     assert np.max(np.abs(np.mod(phi - phi0 + math.pi, TWO_PI) - math.pi)) < 1e-9
 
@@ -118,9 +116,9 @@ def test_many_step_reversibility():
     beta=st.floats(min_value=0.0, max_value=0.99),
 )
 def test_single_step_round_trip(phi, rho, epsilon, beta):
-    p = EpsParams(epsilon=epsilon, kick_ratio=3.7, beta=beta)
-    phi1, rho1 = eps_step(phi, rho, p, kick_factor=1.3)
-    phi2, rho2 = _eps_step_inverse(phi1, rho1, p, kick_factor=1.3)
+    p = EpsParams(epsilon=epsilon, kick_ratio=3.7)
+    phi1, rho1 = eps_step(phi, rho, p, kick_factor=1.3, beta=beta)
+    phi2, rho2 = _eps_step_inverse(phi1, rho1, p, kick_factor=1.3, beta=beta)
     assert rho2 == pytest.approx(rho, abs=1e-12)
     assert math.cos(phi2 - phi) == pytest.approx(1.0, abs=1e-12)
 
@@ -128,9 +126,9 @@ def test_single_step_round_trip(phi, rho, epsilon, beta):
 def test_step_jacobian_is_area_preserving():
     h = 1e-6
     for eps in (0.03, -0.03):
-        p = EpsParams(epsilon=eps, kick_ratio=3.7, beta=0.2)
+        p = EpsParams(epsilon=eps, kick_ratio=3.7)
         for phi, rho in ((1.0, 0.7), (2.5, -1.3), (5.1, 0.2)):
-            fp = lambda f, r: np.array(eps_step(f, r, p))
+            fp = lambda f, r: np.array(eps_step(f, r, p, beta=0.2))
             dphi = (fp(phi + h, rho) - fp(phi - h, rho)) / (2 * h)
             drho = (fp(phi, rho + h) - fp(phi, rho - h)) / (2 * h)
             det = dphi[0] * drho[1] - dphi[1] * drho[0]
@@ -146,12 +144,12 @@ def test_resonant_limit_matches_tiny_epsilon_iteration():
     spec = EnsembleSpec(n_atoms=512, beta_mode="fixed", beta_fixed=0.5, cutoff=32)
     k, n = 2.0, 10
     exact = eps_energy_history(
-        EpsParams(epsilon=0.0, kick_ratio=k, beta=0.5), n, spec, NoiseConfig(master_seed=3)
+        EpsParams(epsilon=0.0, kick_ratio=k), n, spec, NoiseConfig(master_seed=3)
     )[0]
     want = 0.25 * k**2 * np.arange(n + 1) ** 2
     assert np.max(np.abs(exact - want)) < 1e-9
     tiny = eps_energy_history(
-        EpsParams(epsilon=1e-6, kick_ratio=k, beta=0.5), n, spec, NoiseConfig(master_seed=3)
+        EpsParams(epsilon=1e-6, kick_ratio=k), n, spec, NoiseConfig(master_seed=3)
     )[0]
     assert tiny[-1] == pytest.approx(exact[-1], rel=1e-3)
 

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import aokr
@@ -9,11 +10,12 @@ import aokr
 # the names `aokr.__all__` listed before the single-atom operators `kick`,
 # `free_evolve` and `reshuffle` were folded into the batched stepper, less
 # `diffusion_curve` and `write_diffusion_curve`, which `aokr predict` replaced,
-# `eps_step_inverse`, which only the tests ran and which they now keep, and
-# `QuadratureError`, whose quadrature the closed-form Bessel averages replaced
+# `eps_step_inverse` and `classical_map_energy`, which only the tests ran and
+# which they now keep, `QuadratureError`, whose quadrature the closed-form
+# Bessel averages replaced, and the laboratory-unit layer no command used
 PUBLIC_NAMES = """
-    __version__ OMEGA_R_CS DetuningError LabParams ScaledParams effective_potential
-    hbar_from_period scale_params AMPLITUDE_LEVEL_MAX PERIOD_LEVEL_MAX IntervalError
+    __version__ OMEGA_R_CS ScaledParams hbar_from_period AMPLITUDE_LEVEL_MAX
+    PERIOD_LEVEL_MAX IntervalError
     NoiseConfig NoiseLevelError NoiseRealization free_evolution_intervals
     sample_realization stream_rng UnsupportedLevelError bessel_j
     bessel_j_row diffusion_rate diffusion_rate_with_noise
@@ -21,7 +23,7 @@ PUBLIC_NAMES = """
     resonance_height AUTO_CUTOFF_CAP CutoffError EnsembleSpec
     MomentumDistribution QuantumState ensemble_energy ensemble_energy_history
     evolve_atom momentum_distribution plane_wave sample_atoms EpsilonZeroError
-    EpsParams UnsupportedNoiseError classical_map_energy eps_energy eps_energy_history
+    EpsParams UnsupportedNoiseError eps_energy eps_energy_history
     eps_step phase_portrait
 """.split()
 
@@ -32,7 +34,7 @@ UNREAD_IMPORTS = {
 
 
 def test_package_exports_every_public_name():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 40
     missing = [name for name in PUBLIC_NAMES if not hasattr(aokr, name)]
     assert missing == []
     for removed in ("kick", "free_evolve", "reshuffle"):
@@ -41,10 +43,23 @@ def test_package_exports_every_public_name():
     for removed in ("diffusion_curve", "write_diffusion_curve"):
         assert not hasattr(aokr, removed)
         assert not hasattr(aokr.theory, removed)
-    assert not hasattr(aokr, "eps_step_inverse")
-    assert not hasattr(aokr.epsmap, "eps_step_inverse")
+    for removed in ("eps_step_inverse", "classical_map_energy"):
+        assert not hasattr(aokr, removed)
+        assert not hasattr(aokr.epsmap, removed)
+    for removed in ("LabParams", "scale_params", "effective_potential", "DetuningError",
+                    "MIN_DETUNING_RATIO"):
+        assert not hasattr(aokr, removed)
+        assert not hasattr(aokr.core, removed)
+    assert not hasattr(aokr.epsmap, "_norm_ppf")  # epsmap reads no private qkr name
     assert not hasattr(aokr, "QuadratureError")
     assert not hasattr(aokr.theory, "QuadratureError")
+
+
+def test_eps_params_carry_no_quasimomentum():
+    # beta is per trajectory and goes to eps_step, never through the parameters
+    assert [f.name for f in fields(aokr.EpsParams)] == [
+        "epsilon", "kick_ratio", "resonance_order"
+    ]
 
 
 def _unread_imports(source: str) -> list[str]:

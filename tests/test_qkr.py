@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from aokr import qkr
 from aokr.cli import build_spec, run_scan
-from aokr.core import LabParams, ScaledParams
+from aokr.core import ScaledParams
 from aokr.epsmap import EpsParams
 from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, sample_realization
 from aokr.qkr import (
@@ -202,13 +202,8 @@ def test_state_validation_errors():
             (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=NAN), "beta"),
             (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=0.0, kick_factor=INF),
              "kick_factor"),
-            (LabParams, dict(rabi_frequency=1e6, detuning=1e9, pulse_duration=INF,
-                             pulse_period=6e-5), "pulse_duration"),
-            (LabParams, dict(rabi_frequency=NAN, detuning=1e9, pulse_duration=1e-7,
-                             pulse_period=6e-5), "rabi_frequency"),
             (EpsParams, dict(epsilon=NAN, kick_ratio=1.0), "epsilon"),
             (EpsParams, dict(epsilon=0.01, kick_ratio=NAN), "kick_ratio"),
-            (EpsParams, dict(epsilon=0.01, kick_ratio=1.0, beta=NAN), "beta"),
             (kick_strength_from_energy, dict(energy=NAN, n_kicks=20), "energy"),
         ]
     ],
