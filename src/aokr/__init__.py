@@ -1,12 +1,12 @@
 """Simulation laboratory for the atom-optics kicked rotor with pulse-train noise.
 
 Layers, bottom up: `core` holds the scaled kicked-rotor parameters and maps
-a pulse period to hbar_eff; `noise` draws reproducible pulse-train
-noise realizations (amplitude, period, spontaneous emission); `qkr` evolves
-quantum ensembles on the momentum ladder; `epsmap` runs the classical map
-approximations valid near the quantum resonances; `theory` supplies the
-closed-form diffusion rates and resonance peak heights; `cli` scans any of
-them over a pulse-period range and writes plot-ready files.
+a pulse period to hbar_eff; `noise` draws reproducible pulse-train noise
+realizations (amplitude, period, spontaneous emission); `qkr` evolves atom
+clouds on the momentum ladder to their mean energy after each kick; `epsmap`
+runs the classical map approximations valid near the quantum resonances;
+`theory` supplies the closed-form diffusion rates and resonance peak
+heights; `cli` scans any of them over a pulse-period range to CSV and JSON.
 """
 
 __version__ = "0.1.0"
@@ -38,13 +38,8 @@ from .qkr import (
     AUTO_CUTOFF_CAP,
     CutoffError,
     EnsembleSpec,
-    MomentumDistribution,
-    QuantumState,
     ensemble_energy,
     ensemble_energy_history,
-    evolve_atom,
-    momentum_distribution,
-    plane_wave,
     sample_atoms,
 )
 from .epsmap import (

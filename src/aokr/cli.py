@@ -28,7 +28,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ScaledParams, hbar_from_period
+from .core import ScaledParams, check_integer, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
 from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
@@ -155,13 +155,11 @@ class ScanSpec:
             for x in value if isinstance(value, (tuple, list)) else (value,):
                 if isinstance(x, float) and not math.isfinite(x):
                     raise ConfigError(f"{field.name} must be finite, got {value}")
-        for name in ("atoms", "kicks", "realizations", "seed", "cutoff", "resonance_order"):
-            value = getattr(self, name)
-            if value is None and name in ("realizations", "cutoff"):
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # numpy integers serialize as int
+        optional = [name for name in ("realizations", "cutoff") if getattr(self, name) is not None]
+        try:  # numpy integers are stored as int, which the JSON meta line needs
+            check_integer(self, "atoms", "kicks", "seed", "resonance_order", *optional)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
         if self.step <= 0.0:
@@ -530,6 +528,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         spec = build_spec({}, overrides)
     if not 1 <= args.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {args.workers}")
+    if args.json_path and (
+        args.json_path == args.out if "-" in (args.out, args.json_path)
+        else os.path.realpath(args.json_path) == os.path.realpath(args.out)
+    ):  # '-' is stdout, never a file named '-'
+        raise ConfigError(f"--json {args.json_path!r} names the same output as --out {args.out!r}")
     with _output(args.out) as out, (
         _output(args.json_path) if args.json_path else nullcontext()
     ) as sidecar:

@@ -26,6 +26,15 @@ def check_finite(owner: object, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def check_integer(owner: object, *names: str) -> None:
+    """Reject a bool or non-integer in any named field; numpy integers are stored as int."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(owner, name, int(value))  # frozen dataclasses too
+
+
 @dataclass(frozen=True)
 class ScaledParams:
     """Dimensionless kicked-rotor parameters.
@@ -42,17 +51,13 @@ class ScaledParams:
 
     def __post_init__(self) -> None:
         check_finite(self, "hbar_eff", "kick_strength")
+        check_integer(self, "kick_count")
         if self.hbar_eff <= 0.0:
             raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
         if self.kick_strength < 0.0:
             raise ValueError(f"kick_strength must be >= 0, got {self.kick_strength}")
         if self.kick_count < 0:
             raise ValueError(f"kick_count must be >= 0, got {self.kick_count}")
-
-    @property
-    def kick_ratio(self) -> float:
-        """Kick strength per effective Planck constant, kappa / hbar_eff."""
-        return self.kick_strength / self.hbar_eff
 
 
 def hbar_from_period(pulse_period: float, recoil_frequency: float = OMEGA_R_CS) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_finite
+from .core import check_finite, check_integer
 from .noise import (
     STREAM_MAP_PHASE,
     NoiseConfig,
@@ -61,6 +61,7 @@ class EpsParams:
 
     def __post_init__(self) -> None:
         check_finite(self, "epsilon", "kick_ratio")
+        check_integer(self, "resonance_order")
         if self.kick_ratio < 0.0:
             raise ValueError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
         if self.resonance_order < 1:

@@ -14,7 +14,7 @@ exactly unitary for any length L, and because the kick is diagonal there
 the ladder ordering can be fed to the FFT without any index shuffling (the
 implied index offset cancels between the transform pair).  One batched
 stepper, `_evolve`, applies every kick, free flight and spontaneous-emission
-swap; a single atom is a batch of one.  The direct Bessel convolution
+swap, and the cloud is its only entry point.  The direct Bessel convolution
 (matrix elements <n'|exp(i k cos phi)|n> = i^(n'-n) J_{n'-n}(k)) lives in
 the tests as an independent oracle for it.
 
@@ -64,11 +64,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .core import ScaledParams, check_finite
+from .core import ScaledParams, check_finite, check_integer
 from .noise import (
     STREAM_ATOM_BETA,
     STREAM_ATOM_MOMENTA,
@@ -93,10 +92,8 @@ _LADDER_LENGTHS = sorted(
     for a in range(11) for b in range(7) for c in range(5)
     if 2**a * 3**b * 5**c < 2 * AUTO_CUTOFF_CAP + 1
 ) + [2 * AUTO_CUTOFF_CAP + 1]
-NORM_TOLERANCE = 1e-10
 _CHUNK_ATOMS = 2048
 _POWER_BLOCK = 32  # the jittered free phase's power tables: z^r for r < 32, z^(32 q)
-DEFAULT_BIN_WIDTH = 0.29  # imaging resolution, two-photon recoils
 
 
 def _ladder(l_size: int) -> np.ndarray:
@@ -107,101 +104,6 @@ def _ladder(l_size: int) -> np.ndarray:
 class CutoffError(RuntimeError):
     """Probability reached the edge of the momentum ladder (or the momenta start there)."""
 
-
-# ---------------------------------------------------------------------------
-# single-atom state: a batch of one
-# ---------------------------------------------------------------------------
-
-@dataclass
-class QuantumState:
-    """Amplitudes over L ladder sites n = -(L // 2) .. L - 1 - L // 2 at fixed quasimomentum.
-
-    kick_factor is a per-atom multiplier on the kick strength (beam
-    inhomogeneity across the cloud); 1.0 for a clean beam.
-    """
-
-    amplitudes: np.ndarray
-    beta: float
-    kick_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        check_finite(self, "amplitudes", "beta", "kick_factor")
-        if self.amplitudes.ndim != 1 or len(self.amplitudes) == 0:
-            raise ValueError("amplitudes must be a non-empty 1-d vector")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if self.kick_factor <= 0.0:
-            raise ValueError(f"kick_factor must be positive, got {self.kick_factor}")
-
-    @property
-    def cutoff(self) -> int:
-        """Half-width L // 2 of the ladder."""
-        return len(self.amplitudes) // 2
-
-    @property
-    def ladder(self) -> np.ndarray:
-        """Integer ladder indices n."""
-        return _ladder(len(self.amplitudes))
-
-    @property
-    def momenta(self) -> np.ndarray:
-        """Physical momenta n + beta in two-photon-recoil units."""
-        return self.ladder + self.beta
-
-    @property
-    def norm(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    @property
-    def energy(self) -> float:
-        """Kinetic energy <(n + beta)^2> / 2."""
-        p = self.momenta
-        return float(np.sum(np.abs(self.amplitudes) ** 2 * p**2)) / 2.0
-
-
-def plane_wave(cutoff: int, n0: int = 0, beta: float = 0.0, kick_factor: float = 1.0) -> QuantumState:
-    """Momentum eigenstate |n0 + beta> on a ladder of half-width `cutoff`."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if abs(n0) > cutoff:
-        raise CutoffError(f"initial index n0 = {n0} lies outside the ladder |n| <= {cutoff}")
-    amps = np.zeros(2 * cutoff + 1, dtype=complex)
-    amps[cutoff + n0] = 1.0
-    return QuantumState(amplitudes=amps, beta=beta, kick_factor=kick_factor)
-
-
-def evolve_atom(
-    state: QuantumState,
-    params: ScaledParams,
-    realization: NoiseRealization,
-    atom_index: int = 0,
-) -> QuantumState:
-    """Drive one atom through the full pulse train of a noise realization.
-
-    A batch of one through the ensemble stepper: atom `atom_index` of the
-    realization supplies the SE schedule.  Timeline: kick 0, gap, kick 1,
-    gap, .. , kick N-1; an SE swap fires immediately after its kick (the
-    final kick included).  N = 0 returns the state untouched.
-    """
-    if not 0 <= atom_index < realization.n_atoms:
-        raise ValueError(f"atom_index must lie in [0, {realization.n_atoms}), got {atom_index}")
-    if not abs(state.norm - 1.0) <= NORM_TOLERANCE:
-        raise ValueError(f"state norm is {state.norm!r}, not 1 within {NORM_TOLERANCE}")
-    if params.kick_count == 0:
-        return state
-    if realization.n_kicks < params.kick_count:
-        raise ValueError(f"realization holds {realization.n_kicks} kicks, need {params.kick_count}")
-    c, beta, _, _ = _evolve(
-        state.amplitudes[None, :].copy(), np.array([state.beta]), np.array([state.kick_factor]),
-        params, realization, slice(atom_index, atom_index + 1), None,
-    )
-    return QuantumState(amplitudes=c[0], beta=float(beta[0]), kick_factor=state.kick_factor)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -231,6 +133,7 @@ class EnsembleSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, "sigma_p", "beta_fixed", "kick_spread", "p_max", "momenta")
+        check_integer(self, "n_atoms", *(() if self.cutoff is None else ("cutoff",)))
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
         if self.beta_mode not in ("thermal", "uniform", "fixed"):
@@ -377,14 +280,14 @@ def _evolve(
     realization: NoiseRealization,
     rows: slice,
     p_max: float | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """The quantum stepper: drive a batch of atoms through the pulse train.
 
-    c holds one amplitude row per atom (any ladder length L) and is evolved
-    in place; beta and g are the atoms' quasimomenta and kick factors, `rows`
-    their SE schedule's rows in the realization.  Returns the final (c, beta)
-    and, per kick index 0..N (0 = before any kick), the batch's windowed
-    energy sum and weight.
+    c holds one amplitude row per atom (any ladder length L) and beta their
+    quasimomenta; both are evolved in place.  g holds the atoms' kick
+    factors, `rows` their SE schedule's rows in the realization.  Returns
+    the batch's windowed energy sum and weight per kick index 0..N (0 =
+    before any kick) as the two rows of a (2, N + 1) array.
 
     Per kick: one in-place FFT pair around the kick phase, which is rebuilt
     only when k_eff changes (equal kick factors share one row); the free
@@ -404,7 +307,6 @@ def _evolve(
     intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
     common_kick = bool(np.all(g == g[0]))
 
-    beta = beta.copy()
     p2 = (n_grid[None, :] + beta[:, None]) ** 2
     window = None if p_max is None else p2 <= p_max**2
     prob = np.empty((atoms, l_size))
@@ -416,10 +318,9 @@ def _evolve(
         free_unit = None
         q_len = -(-l_size // _POWER_BLOCK)
         free_buffer = np.empty((atoms, q_len, _POWER_BLOCK), dtype=complex)
-    energy = np.zeros(n_kicks + 1)
-    weight = np.zeros(n_kicks + 1)
+    sums = np.zeros((2, n_kicks + 1))
     np.square(np.abs(c, out=prob), out=prob)
-    energy[0], weight[0] = _windowed_energy(prob, p2, window, scratch)
+    sums[:, 0] = _windowed_energy(prob, p2, window, scratch)
 
     k_built = None
     for s in range(n_kicks):
@@ -450,7 +351,7 @@ def _evolve(
                 f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1} "
                 f"on the L = {l_size} ladder (M = {m})"
             )
-        energy[s + 1], weight[s + 1] = _windowed_energy(prob, p2, window, scratch)
+        sums[:, s + 1] = _windowed_energy(prob, p2, window, scratch)
 
         if s < n_kicks - 1:
             if free_unit is None:
@@ -458,7 +359,7 @@ def _evolve(
             else:
                 free = free_unit
             np.multiply(c, free, out=c)
-    return c, beta, energy, weight
+    return sums
 
 
 def _tail_bound(k_total: float, d: float) -> float:
@@ -499,14 +400,15 @@ def _auto_ladder(
     return _LADDER_LENGTHS[bisect.bisect_left(_LADDER_LENGTHS, need)], reach
 
 
-def _cloud(
+def _cloud_energy(
     spec: EnsembleSpec, params: ScaledParams, realization: NoiseRealization
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Evolve the whole cloud in chunks of atoms, yielding each chunk's `_evolve` result.
+) -> np.ndarray:
+    """Mean energy per kick index 0..N of the cloud in one noise realization.
 
-    Only one chunk's amplitudes are built at a time; the consumer sums the
-    chunks' energy sums and weights before the cloud-wide normalization.
-    The ladder is fixed before the first chunk, so every chunk shares it.
+    The cloud is evolved in chunks of atoms, so only one chunk's amplitudes
+    exist at a time; the chunks' energy sums and weights are added before
+    the cloud-wide normalization.  The ladder is fixed before the first
+    chunk, so every chunk shares it.
     """
     n0s, betas, gs = sample_atoms(spec, realization.config)
     if spec.cutoff is not None:
@@ -518,21 +420,17 @@ def _cloud(
         if reach > TAIL_FRACTION * AUTO_CUTOFF_CAP:
             remedy += f", beyond the cap; set an explicit cutoff above M = {AUTO_CUTOFF_CAP}"
     n_grid = _ladder(l_size)
+    sums = np.zeros((2, params.kick_count + 1))
     for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
         rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
         try:
-            # each atom starts in |n0>; `_evolve` evolves this array in place
-            out = _evolve(
+            # each atom starts in |n0>
+            sums += _evolve(
                 (n_grid == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
                 params, realization, rows, spec.p_max,
             )
         except CutoffError as exc:
             raise CutoffError(f"{exc}; {remedy}") from None
-        yield out
-
-
-def _cloud_energy(sums: np.ndarray) -> np.ndarray:
-    """Mean energy per kick from the cloud's summed (energy, weight) rows."""
     energy, weight = sums
     if np.any(weight <= 0.0):
         raise ValueError("detection window discarded the entire cloud")
@@ -564,10 +462,7 @@ def ensemble_energy_history(
 
     def run(rcfg: NoiseConfig) -> np.ndarray:
         realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
-        sums = np.zeros((2, params.kick_count + 1))
-        for _, _, energy, weight in _cloud(spec, params, realization):
-            sums += energy, weight
-        return _cloud_energy(sums)
+        return _cloud_energy(spec, params, realization)
 
     return realization_mean(cfg, n_realizations, run)
 
@@ -582,64 +477,3 @@ def ensemble_energy(
     mean, sem = ensemble_energy_history(spec, params, cfg, n_realizations)
     return float(mean[-1]), float(sem[-1])
 
-
-# ---------------------------------------------------------------------------
-# momentum distributions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentumDistribution:
-    """Binned cloud-momentum distribution with its energy summary.
-
-    Probabilities sum to 1 (up to the detection window, which removes mass
-    before renormalization happens cloud-wide).
-    """
-
-    momenta: np.ndarray
-    probabilities: np.ndarray
-    mean_energy: float
-    energy_sem: float
-
-
-def momentum_distribution(
-    spec: EnsembleSpec,
-    params: ScaledParams,
-    cfg: NoiseConfig,
-    n_realizations: int = 1,
-    bin_width: float = DEFAULT_BIN_WIDTH,
-) -> MomentumDistribution:
-    """Final-time momentum distribution of the cloud, averaged over realizations."""
-    if bin_width <= 0.0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    hist = np.zeros(1)  # bins -h .. h, h grown to span the widest ladder seen
-
-    def run(rcfg: NoiseConfig) -> float:
-        nonlocal hist
-        realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
-        sums = np.zeros((2, params.kick_count + 1))
-        for c, beta, energy, weight in _cloud(spec, params, realization):
-            sums += energy, weight
-            l_size = c.shape[1]
-            grow = math.ceil((l_size // 2 + 1) / bin_width) - len(hist) // 2
-            if grow > 0:
-                hist = np.pad(hist, grow)
-            p = _ladder(l_size)[None, :] + beta[:, None]
-            prob = np.abs(c) ** 2
-            if spec.p_max is not None:
-                prob *= np.abs(p) <= spec.p_max
-            idx = np.clip(np.round(p / bin_width).astype(int) + len(hist) // 2, 0, len(hist) - 1)
-            np.add.at(hist, idx.ravel(), prob.ravel())
-        return _cloud_energy(sums)[-1]
-
-    mean_energy, sem = realization_mean(cfg, n_realizations, run)
-    half_bins = len(hist) // 2
-    centers = np.arange(-half_bins, half_bins + 1) * bin_width
-    total = hist.sum()
-    if total <= 0.0:
-        raise ValueError("detection window discarded the entire cloud")
-    return MomentumDistribution(
-        momenta=centers,
-        probabilities=hist / total,
-        mean_energy=float(mean_energy),
-        energy_sem=float(sem),
-    )

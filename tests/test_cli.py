@@ -519,6 +519,20 @@ def test_main_bad_output_path_fails_before_the_scan(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_rejects_a_sidecar_that_names_the_output(tmp_path, monkeypatch, caplog, capsys):
+    # the same file by name or by another path to it, and stdout twice
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    monkeypatch.chdir(tmp_path)
+    for out, sidecar in (("a.csv", "a.csv"), ("./a.csv", "a.csv"), ("-", "-")):
+        args = _scan_args(tmp_path, "--out", out, "--json", sidecar)
+        assert main(args) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"configuration error: --json {sidecar!r} names the same output as --out {out!r}"
+        )
+        assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_help_and_version(capsys):
     assert main(["--version"]) == 0
     assert "aokr" in capsys.readouterr().out

@@ -38,8 +38,3 @@ def test_scaled_params_validation():
     with pytest.raises(ValueError):
         ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=-1)
 
-
-def test_scaled_params_kick_ratio():
-    scaled = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.7 * TWO_PI, kick_count=20)
-    assert scaled.kick_ratio == pytest.approx(3.7, rel=1e-12)
-    assert scaled.kick_count == 20

@@ -28,6 +28,9 @@ def test_config_bounds():
         NoiseConfig(period_level=1.0)
     with pytest.raises(NoiseLevelError):
         NoiseConfig(se_probability=1.01)
+    # a negative seed is named here, not left to numpy's SeedSequence
+    with pytest.raises(ValueError, match=r"^master_seed must be >= 0, got -1$"):
+        NoiseConfig(master_seed=-1)
 
 
 def test_amplitude_factor_distribution():

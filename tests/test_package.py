@@ -12,7 +12,8 @@ import aokr
 # `diffusion_curve` and `write_diffusion_curve`, which `aokr predict` replaced,
 # `eps_step_inverse` and `classical_map_energy`, which only the tests ran and
 # which they now keep, `QuadratureError`, whose quadrature the closed-form
-# Bessel averages replaced, and the laboratory-unit layer no command used
+# Bessel averages replaced, the laboratory-unit layer no command used, and
+# the single-atom API and momentum histogram that only the tests ran
 PUBLIC_NAMES = """
     __version__ OMEGA_R_CS ScaledParams hbar_from_period AMPLITUDE_LEVEL_MAX
     PERIOD_LEVEL_MAX IntervalError
@@ -21,8 +22,7 @@ PUBLIC_NAMES = """
     bessel_j_row diffusion_rate diffusion_rate_with_noise
     kick_strength_from_energy noise_averaged_bessel quantum_kick_strength
     resonance_height AUTO_CUTOFF_CAP CutoffError EnsembleSpec
-    MomentumDistribution QuantumState ensemble_energy ensemble_energy_history
-    evolve_atom momentum_distribution plane_wave sample_atoms EpsilonZeroError
+    ensemble_energy ensemble_energy_history sample_atoms EpsilonZeroError
     EpsParams UnsupportedNoiseError eps_energy eps_energy_history
     eps_step phase_portrait
 """.split()
@@ -34,7 +34,7 @@ UNREAD_IMPORTS = {
 
 
 def test_package_exports_every_public_name():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 35
     missing = [name for name in PUBLIC_NAMES if not hasattr(aokr, name)]
     assert missing == []
     for removed in ("kick", "free_evolve", "reshuffle"):
@@ -51,6 +51,11 @@ def test_package_exports_every_public_name():
         assert not hasattr(aokr, removed)
         assert not hasattr(aokr.core, removed)
     assert not hasattr(aokr.epsmap, "_norm_ppf")  # epsmap reads no private qkr name
+    for removed in ("QuantumState", "plane_wave", "evolve_atom", "momentum_distribution",
+                    "MomentumDistribution", "DEFAULT_BIN_WIDTH", "NORM_TOLERANCE"):
+        assert not hasattr(aokr, removed)
+        assert not hasattr(aokr.qkr, removed)
+    assert not hasattr(aokr.ScaledParams, "kick_ratio")
     assert not hasattr(aokr, "QuadratureError")
     assert not hasattr(aokr.theory, "QuadratureError")
 

@@ -1,4 +1,4 @@
-"""Quantum ladder dynamics: single states, operator composition, ensembles."""
+"""Quantum ladder dynamics: single atoms, operator composition, ensembles."""
 
 import itertools
 import math
@@ -18,16 +18,10 @@ from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, 
 from aokr.qkr import (
     CutoffError,
     EnsembleSpec,
-    QuantumState,
-    _cloud,
-    _cloud_energy,
     _norm_ppf,
     _tail_bound,
     ensemble_energy,
     ensemble_energy_history,
-    evolve_atom,
-    momentum_distribution,
-    plane_wave,
     sample_atoms,
 )
 from aokr.theory import bessel_j_row, kick_strength_from_energy
@@ -38,7 +32,7 @@ INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
-# the Bessel-convolution oracle and hand-built pulse trains
+# oracles, hand-built pulse trains and the one-atom route through the stepper
 # ---------------------------------------------------------------------------
 
 def _kick_kernel(k_eff, l_size):
@@ -141,10 +135,30 @@ def _train(factors, offsets=None, se=None):
     )
 
 
-def _kick(state, kappa_n, hbar_eff):
-    """One kick exp(i k_eff cos phi), k_eff = kick_factor * kappa_n / hbar_eff."""
+def _plane_wave(cutoff, n0=0):
+    """Amplitudes of the momentum eigenstate |n0> on a ladder of half-width `cutoff`."""
+    c = np.zeros(2 * cutoff + 1, dtype=complex)
+    c[cutoff + n0] = 1.0
+    return c
+
+
+def _evolve_row(amplitudes, beta, params, realization, g=1.0, atom=0):
+    """One atom through the stepper as a (1, L) batch; atom `atom` of the
+    realization supplies its SE schedule.  Returns the amplitudes and beta
+    that `qkr._evolve` evolved in place, and the energy after each kick
+    (index 0 = before any kick)."""
+    c = np.array(amplitudes, dtype=complex)[None, :]
+    b = np.array([beta], dtype=float)
+    energy, weight = qkr._evolve(
+        c, b, np.array([g], dtype=float), params, realization, slice(atom, atom + 1), None
+    )
+    return c[0], float(b[0]), energy / weight
+
+
+def _kick(amplitudes, kappa_n, hbar_eff, beta=0.0):
+    """Amplitudes after one kick exp(i k_eff cos phi), k_eff = kappa_n / hbar_eff."""
     params = ScaledParams(hbar_eff=hbar_eff, kick_strength=1.0, kick_count=1)
-    return evolve_atom(state, params, _train([kappa_n]))
+    return _evolve_row(amplitudes, beta, params, _train([kappa_n]))[0]
 
 
 def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
@@ -155,33 +169,26 @@ def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
     return ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))[0]
 
 
+class _StepperSpy:
+    """Keeps the amplitudes and beta that each `_evolve` call of the cloud
+    evolves in place, and records their ladder length L."""
+
+    def __init__(self, monkeypatch):
+        self.batches = []
+        self.lengths = []
+        evolve = qkr._evolve
+
+        def spy(c, beta, *args):
+            self.batches.append((c, beta))
+            self.lengths.append(c.shape[1])
+            return evolve(c, beta, *args)
+
+        monkeypatch.setattr(qkr, "_evolve", spy)
+
+
 # ---------------------------------------------------------------------------
-# states
+# validation
 # ---------------------------------------------------------------------------
-
-def test_plane_wave_basics():
-    s = plane_wave(16, n0=3, beta=0.25)
-    assert s.cutoff == 16
-    assert len(s.amplitudes) == 33
-    assert s.norm == pytest.approx(1.0)
-    assert s.energy == pytest.approx(0.5 * 3.25**2)
-    assert s.ladder[0] == -16 and s.ladder[-1] == 16
-    assert np.allclose(s.momenta, s.ladder + 0.25)
-
-
-def test_state_validation_errors():
-    with pytest.raises(ValueError):
-        plane_wave(0)
-    with pytest.raises(CutoffError):
-        plane_wave(8, n0=9)
-    for shape in ((0,), (2, 3)):  # any ladder length L >= 1 is valid, even or odd
-        with pytest.raises(ValueError, match="non-empty 1-d"):
-            QuantumState(amplitudes=np.ones(shape, dtype=complex), beta=0.0)
-    with pytest.raises(ValueError):
-        QuantumState(amplitudes=np.ones(5, dtype=complex), beta=1.0)
-    with pytest.raises(ValueError):
-        QuantumState(amplitudes=np.ones(5, dtype=complex), beta=0.0, kick_factor=0.0)
-
 
 @pytest.mark.parametrize(
     "make, kwargs, field",
@@ -198,10 +205,6 @@ def test_state_validation_errors():
             (NoiseConfig, dict(amplitude_level=NAN), "amplitude_level"),
             (NoiseConfig, dict(period_level=NAN), "period_level"),
             (NoiseConfig, dict(se_probability=NAN), "se_probability"),
-            (QuantumState, dict(amplitudes=[0.0, NAN, 0.0], beta=0.0), "amplitudes"),
-            (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=NAN), "beta"),
-            (QuantumState, dict(amplitudes=[0.0, 1.0, 0.0], beta=0.0, kick_factor=INF),
-             "kick_factor"),
             (EpsParams, dict(epsilon=NAN, kick_ratio=1.0), "epsilon"),
             (EpsParams, dict(epsilon=0.01, kick_ratio=NAN), "kick_ratio"),
             (kick_strength_from_energy, dict(energy=NAN, n_kicks=20), "energy"),
@@ -213,12 +216,36 @@ def test_non_finite_fields_are_rejected(make, kwargs, field):
         make(**kwargs)
 
 
+@pytest.mark.parametrize("value", [2.5, True, np.int64(16)], ids=["float", "bool", "numpy"])
+@pytest.mark.parametrize(
+    "make, kwargs, field",
+    [
+        pytest.param(make, kwargs, field, id=f"{make.__name__}.{field}")
+        for make, kwargs, field in [
+            (EnsembleSpec, dict(), "n_atoms"),
+            (EnsembleSpec, dict(n_atoms=2), "cutoff"),
+            (ScaledParams, dict(hbar_eff=1.0, kick_strength=1.0), "kick_count"),
+            (EpsParams, dict(epsilon=0.01, kick_ratio=1.0), "resonance_order"),
+            (NoiseConfig, dict(), "master_seed"),
+            (NoiseConfig, dict(), "realization_index"),
+        ]
+    ],
+)
+def test_counts_must_be_integers(make, kwargs, field, value):
+    # a numpy integer is kept as int; a bool or a float is rejected by name
+    if isinstance(value, np.integer):
+        made = make(**kwargs, **{field: value})
+        assert getattr(made, field) == 16 and type(getattr(made, field)) is int
+    else:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            make(**kwargs, **{field: value})
+
+
 def test_validate_flags_tail_mass():
     amps = np.zeros(33, dtype=complex)
     amps[1] = 1.0  # n = -15, beyond 0.9 * 16
-    bad = QuantumState(amplitudes=amps, beta=0.0)
     with pytest.raises(CutoffError):
-        _kick(bad, 0.0, 1.0)
+        _kick(amps, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,16 +253,15 @@ def test_validate_flags_tail_mass():
 # ---------------------------------------------------------------------------
 
 def test_kick_zero_strength_is_identity():
-    s = plane_wave(16, n0=2, beta=0.3)
-    out = _kick(s, 0.0, TWO_PI)
-    assert np.max(np.abs(out.amplitudes - s.amplitudes)) < 1e-14
+    s = _plane_wave(16, n0=2)
+    out = _kick(s, 0.0, TWO_PI, beta=0.3)
+    assert np.max(np.abs(out - s)) < 1e-14
 
 
 def test_kick_populations_match_bessel_squares():
     # one kick from vacuum populates sidebands with weight J_d(k_eff)^2
     k_eff = 3.77
-    s = _kick(plane_wave(64), k_eff, 1.0)
-    pops = np.abs(s.amplitudes) ** 2
+    pops = np.abs(_kick(_plane_wave(64), k_eff, 1.0)) ** 2
     want = scipy.special.jn(np.arange(-64, 65), k_eff) ** 2
     assert np.max(np.abs(pops - want)) < 1e-14
 
@@ -248,54 +274,33 @@ def test_kick_methods_agree():
         amps = np.zeros(l_size, dtype=complex)
         amps[54:75] = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         amps /= np.linalg.norm(amps)
-        s = QuantumState(amplitudes=amps, beta=0.41)
         for kappa_n in (5.3, -2.7):
-            a = _kick(s, kappa_n, 1.7)
-            b = _oracle_kick(s.amplitudes, kappa_n / 1.7)
-            assert np.max(np.abs(a.amplitudes - b)) < 1e-12
-            assert a.norm == pytest.approx(1.0, abs=1e-13)
-
-
-def test_evolve_atom_rejects_bad_input(monkeypatch):
-    # every check runs before the stepper applies a kick
-    def no_kick(*args):
-        raise AssertionError("the stepper ran")
-
-    monkeypatch.setattr(qkr, "_evolve", no_kick)
-    p = ScaledParams(hbar_eff=1.0, kick_strength=1.0, kick_count=2)
-    r = sample_realization(NoiseConfig(master_seed=1), 2, 3)
-    for index in (-1, 3):
-        with pytest.raises(ValueError, match="atom_index"):
-            evolve_atom(plane_wave(8), p, r, atom_index=index)
-    for value in (1.0 + 1e-9, 0.0, NAN):
-        s = plane_wave(8)
-        s.amplitudes[8] = value  # the n = 0 amplitude; the state's norm is value^2
-        with pytest.raises(ValueError, match="norm"):
-            evolve_atom(s, p, r)
+            a = _kick(amps, kappa_n, 1.7, beta=0.41)
+            b = _oracle_kick(amps, kappa_n / 1.7)
+            assert np.max(np.abs(a - b)) < 1e-12
+            assert np.sum(np.abs(a) ** 2) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_free_evolution_phases_and_invariants():
     # two zero-strength kicks around one gap of 0.7 periods
     amps = np.zeros(17, dtype=complex)
     amps[8] = amps[9] = 1.0 / math.sqrt(2.0)  # n = 0 and n = 1
-    s = QuantumState(amplitudes=amps, beta=0.2)
     p = ScaledParams(hbar_eff=1.9, kick_strength=0.0, kick_count=2)
-    out = evolve_atom(s, p, _train([1.0, 1.0], offsets=[0.0, -0.3]))
-    assert np.allclose(np.abs(out.amplitudes), np.abs(s.amplitudes))
-    assert out.energy == pytest.approx(s.energy)
-    ratio = out.amplitudes[9] / s.amplitudes[9] * np.conj(out.amplitudes[8] / s.amplitudes[8])
+    out, _, energies = _evolve_row(amps, 0.2, p, _train([1.0, 1.0], offsets=[0.0, -0.3]))
+    assert np.allclose(np.abs(out), np.abs(amps))
+    assert energies[-1] == pytest.approx(0.25 * (0.2**2 + 1.2**2))
+    ratio = out[9] / amps[9] * np.conj(out[8] / amps[8])
     want = np.exp(-0.5j * 1.9 * 0.7 * (1.2**2 - 0.2**2))
     assert abs(ratio - want) < 1e-14
 
 
 def test_reshuffle_swaps_beta_only():
     # an SE event right after the kick replaces beta and keeps the amplitudes
-    s = plane_wave(32, beta=0.1)
     p = ScaledParams(hbar_eff=1.0, kick_strength=2.0, kick_count=1)
-    plain = evolve_atom(s, p, _train([1.0]))
-    out = evolve_atom(s, p, _train([1.0], se={0: 0.9}))
-    assert plain.beta == 0.1 and out.beta == 0.9
-    assert np.array_equal(out.amplitudes, plain.amplitudes)
+    plain, plain_beta, _ = _evolve_row(_plane_wave(32), 0.1, p, _train([1.0]))
+    out, out_beta, _ = _evolve_row(_plane_wave(32), 0.1, p, _train([1.0], se={0: 0.9}))
+    assert plain_beta == 0.1 and out_beta == 0.9
+    assert np.array_equal(out, plain)
 
 
 @settings(max_examples=25, deadline=None)
@@ -307,9 +312,8 @@ def test_kick_is_unitary(beta, kappa_n):
     amps = np.zeros(33, dtype=complex)
     amps[14:19] = [0.5, -0.5j, 0.5, 0.3, 0.3j]
     amps /= np.linalg.norm(amps)
-    s = QuantumState(amplitudes=amps, beta=beta)
-    out = _kick(s, kappa_n, 1.3)
-    assert abs(out.norm - 1.0) < 1e-12
+    out = _kick(amps, kappa_n, 1.3, beta=beta)
+    assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +341,9 @@ def test_ladder_translation_symmetry_at_resonance():
     for hbar in (TWO_PI, 2 * TWO_PI):
         p = ScaledParams(hbar_eff=hbar, kick_strength=3.77 * hbar, kick_count=4)
         r = sample_realization(NoiseConfig(amplitude_level=1.0, master_seed=2), 4, 1)
-        base = evolve_atom(plane_wave(96, n0=0, beta=0.0), p, r)
-        moved = evolve_atom(plane_wave(96, n0=5, beta=0.0), p, r)
-        assert np.max(
-            np.abs(np.roll(np.abs(base.amplitudes) ** 2, 5) - np.abs(moved.amplitudes) ** 2)
-        ) < 1e-12
+        base, _, _ = _evolve_row(_plane_wave(96, n0=0), 0.0, p, r)
+        moved, _, _ = _evolve_row(_plane_wave(96, n0=5), 0.0, p, r)
+        assert np.max(np.abs(np.roll(np.abs(base) ** 2, 5) - np.abs(moved) ** 2)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -366,15 +368,15 @@ def test_evolve_atom_matches_matrix_composition():
 
     vec = np.zeros(2 * m + 1, dtype=complex)
     vec[m + 1] = 1.0  # n0 = 1
-    start = plane_wave(m, n0=1, beta=beta)
+    start = _plane_wave(m, n0=1)
     for s in range(p.kick_count):
         k_eff = p.kick_strength * r.amplitude_factors[s] / hbar
         vec = _dense_step_matrices(n_grid, k_eff) @ vec
         if s < p.kick_count - 1:
             vec = vec * np.exp(-0.5j * hbar * intervals[s] * (n_grid + beta) ** 2)
 
-    stepper = evolve_atom(start, p, r).amplitudes
-    oracle, _, _ = _oracle_atom(start.amplitudes, beta, 1.0, p, r, 0)
+    stepper, _, _ = _evolve_row(start, beta, p, r)
+    oracle, _, _ = _oracle_atom(start, beta, 1.0, p, r, 0)
     for out in (stepper, oracle):
         assert np.max(np.abs(out - vec)) < 1e-9
 
@@ -400,7 +402,8 @@ def test_stepper_matches_the_direct_exp_stepper(noise, kick_spread, se, p_max):
     n0, beta, g = sample_atoms(spec, cfg)
     start = (np.arange(129) - 64 == n0[:, None]).astype(complex)
     rows = slice(0, spec.n_atoms)
-    c, new_beta, energy, weight = qkr._evolve(start.copy(), beta, g, p, r, rows, p_max)
+    c, new_beta = start.copy(), beta.copy()
+    energy, weight = qkr._evolve(c, new_beta, g, p, r, rows, p_max)
     want_c, want_beta, want_energy, want_weight = _direct_exp_stepper(
         start, beta, g, p, r, rows, p_max
     )
@@ -440,12 +443,12 @@ def test_jittered_free_phase_against_mpmath():
 
 
 def test_evolve_atom_edge_cases():
+    # a train of no kicks leaves the amplitudes and beta as they were
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=0)
-    s = plane_wave(8, beta=0.1)
     r = sample_realization(NoiseConfig(master_seed=1), 3, 1)
-    assert evolve_atom(s, p, r) is s
-    with pytest.raises(ValueError):
-        evolve_atom(s, ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=5), r)
+    c, beta, energies = _evolve_row(_plane_wave(8), 0.1, p, r)
+    assert np.array_equal(c, _plane_wave(8)) and beta == 0.1
+    assert energies.tolist() == [0.5 * 0.1**2]
 
 
 def test_norm_survives_noisy_train():
@@ -454,8 +457,8 @@ def test_norm_survives_noisy_train():
         amplitude_level=1.5, period_level=0.08, se_probability=0.3, master_seed=9
     )
     r = sample_realization(cfg, p.kick_count, 1)
-    out = evolve_atom(plane_wave(128, beta=0.33), p, r)
-    assert abs(out.norm - 1.0) < 1e-12
+    out, _, _ = _evolve_row(_plane_wave(128), 0.33, p, r)
+    assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +559,7 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
     # phases and SE beta swaps; once with period noise (a free phase per gap)
     # and once with kick spread (a kick phase per atom)
     monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
+    spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.2 * TWO_PI, kick_count=6)
     for period_level, kick_spread in ((0.06, 0.0), (0.0, 0.1)):
         spec = EnsembleSpec(
@@ -566,26 +570,26 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
         )
         r = sample_realization(cfg, p.kick_count, spec.n_atoms)
         assert r.se_events[:, :-1].sum() >= 4
-        chunks = list(_cloud(spec, p, r))
-        assert len(chunks) == 2
-        final_c = np.concatenate([chunk[0] for chunk in chunks])
-        final_beta = np.concatenate([chunk[1] for chunk in chunks])
-        energies = _cloud_energy(np.sum([chunk[2:] for chunk in chunks], axis=0))
+        spy.batches.clear()
+        energies = qkr._cloud_energy(spec, p, r)
+        assert len(spy.batches) == 2
+        final_c = np.concatenate([c for c, _ in spy.batches])
+        final_beta = np.concatenate([beta for _, beta in spy.batches])
 
         n0s, betas, gs = sample_atoms(spec, cfg)
         histories = []
         for a in range(3):
-            start = plane_wave(48, int(n0s[a]), float(betas[a]), float(gs[a]))
-            c, beta, history = _oracle_atom(start.amplitudes, start.beta, gs[a], p, r, a)
+            start = _plane_wave(48, int(n0s[a]))
+            c, beta, history = _oracle_atom(start, float(betas[a]), gs[a], p, r, a)
             histories.append(history)
-            one = evolve_atom(start, p, r, atom_index=a)
+            one, one_beta, _ = _evolve_row(start, betas[a], p, r, g=gs[a], atom=a)
             assert np.max(np.abs(final_c[a] - c)) < 1e-12
-            assert np.max(np.abs(one.amplitudes - c)) < 1e-12
-            assert final_beta[a] == one.beta == beta
+            assert np.max(np.abs(one - c)) < 1e-12
+            assert final_beta[a] == one_beta == beta
         assert energies == pytest.approx(np.mean(histories, axis=0), rel=1e-12)
 
 
-def test_batch_rows_match_a_batch_of_one():
+def test_batch_rows_match_a_batch_of_one(monkeypatch):
     # each row of a large batch is bitwise the same atom evolved alone.  With
     # the kick phase a fresh temporary, numpy's temporary elision (arrays of
     # 256 KiB and up) swapped the operands of the kick multiply, and complex
@@ -595,13 +599,15 @@ def test_batch_rows_match_a_batch_of_one():
     spec = EnsembleSpec(n_atoms=600, kick_spread=0.05, cutoff=192)
     cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=4)
     r = sample_realization(cfg, p.kick_count, spec.n_atoms)
-    [(c, beta, _, _)] = list(_cloud(spec, p, r))
+    spy = _StepperSpy(monkeypatch)
+    qkr._cloud_energy(spec, p, r)
+    [(c, beta)] = spy.batches
     assert c.nbytes >= 256 * 1024
     n0s, betas, gs = sample_atoms(spec, cfg)
     for a in range(0, 600, 60):
-        one = evolve_atom(plane_wave(192, int(n0s[a]), float(betas[a]), float(gs[a])), p, r, a)
-        assert one.amplitudes.tobytes() == c[a].tobytes()
-        assert one.beta == beta[a]
+        one, one_beta, _ = _evolve_row(_plane_wave(192, int(n0s[a])), betas[a], p, r, gs[a], a)
+        assert one.tobytes() == c[a].tobytes()
+        assert one_beta == beta[a]
 
 
 def test_uniform_beta_resonance_slope():
@@ -641,25 +647,15 @@ def test_detection_window_reduces_energy():
     e_win, _ = ensemble_energy(seen, p, cfg)
     assert e_win < e_all
     assert e_win <= 0.5 * 6.0**2
+    # every atom starts at |p| = 1/2, outside a window at 0.1
+    dark = EnsembleSpec(n_atoms=2, beta_mode="fixed", beta_fixed=0.5, cutoff=16, p_max=0.1)
+    with pytest.raises(ValueError, match="^detection window discarded the entire cloud$"):
+        ensemble_energy(dark, ScaledParams(hbar_eff=TWO_PI, kick_strength=0.0, kick_count=2), cfg)
 
 
 # ---------------------------------------------------------------------------
 # the automatic ladder
 # ---------------------------------------------------------------------------
-
-class _LadderSpy:
-    """Records the ladder length L of every `_evolve` call of `_cloud`."""
-
-    def __init__(self, monkeypatch):
-        self.lengths = []
-        evolve = qkr._evolve
-
-        def spy(c, *args):
-            self.lengths.append(c.shape[1])
-            return evolve(c, *args)
-
-        monkeypatch.setattr(qkr, "_evolve", spy)
-
 
 def _is_5_smooth(n):
     for prime in (2, 3, 5):
@@ -687,7 +683,7 @@ def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, leve
     # resonance, antiresonance) and noise kind, with SE: the automatic ladder
     # gives the per-kick energies of the explicit M = 512 ladder on a
     # 5-smooth L below its 1025 sites
-    spy = _LadderSpy(monkeypatch)
+    spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
     cfg = NoiseConfig(amplitude_level=level, se_probability=se, master_seed=21)
     auto = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, **_STARTS[start])
@@ -702,7 +698,7 @@ def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, leve
     assert all(_is_5_smooth(n) and n < 1025 for n in spy.lengths[:2])
 
 
-def test_reach_bound_holds_on_the_exact_resonant_populations():
+def test_reach_bound_holds_on_the_exact_resonant_populations(monkeypatch):
     # hbar = 2 pi, beta = 1/2: the free phases are one global phase, so N
     # kicks of strength k act as one of strength K = k N and the populations
     # are exactly J_n(K)^2; the mass beyond any d stays below the bound, and
@@ -721,7 +717,9 @@ def test_reach_bound_holds_on_the_exact_resonant_populations():
     spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=n_kicks)
     r = sample_realization(NoiseConfig(), n_kicks, 1)
-    (c, _, _, _), = _cloud(spec, p, r)
+    spy = _StepperSpy(monkeypatch)
+    qkr._cloud_energy(spec, p, r)
+    [(c, _)] = spy.batches
     l_size = c.shape[1]
     assert l_size < 1025 and _is_5_smooth(l_size)
     ladder = np.arange(l_size) - l_size // 2
@@ -733,7 +731,7 @@ def test_automatic_ladder_falls_back_to_the_cap(monkeypatch):
     # K = 12 * 40 = 480 > 0.9 * 512: the bound cannot certify any ladder
     # under the cap, so the cell runs on the explicit M = 512 ladder, bit for
     # bit; off resonance the cloud spreads diffusively and still fits it
-    spy = _LadderSpy(monkeypatch)
+    spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=3.0, kick_strength=12.0 * 3.0, kick_count=40)
     cfg = NoiseConfig(master_seed=5)
     auto, _ = ensemble_energy_history(EnsembleSpec(n_atoms=8), p, cfg)
@@ -765,7 +763,7 @@ def test_peak_scan_runs_on_small_fast_ladders(monkeypatch):
     # the resonance-peak scan at seed 1 (1,000 thermal atoms, kick ratio 3.63,
     # 20 kicks, levels 0 and 2): every automatic ladder is 5-smooth and at
     # most 300 sites, against the 1,025 of an M = 512 ladder
-    spy = _LadderSpy(monkeypatch)
+    spy = _StepperSpy(monkeypatch)
     run_scan(build_spec(dict(
         engine="quantum", abscissa="hbar", lo=TWO_PI - 0.2, hi=TWO_PI + 0.2, step=0.1,
         kick_ratio=3.63, levels=[0.0, 2.0], kicks=20, atoms=1000, sigma_p=2.5,
@@ -782,70 +780,29 @@ def test_small_cutoff_raises_cutoff_error():
         ensemble_energy(spec, p, NoiseConfig(master_seed=0))
 
 
-# ---------------------------------------------------------------------------
-# momentum distributions
-# ---------------------------------------------------------------------------
-
-def test_momentum_distribution_content():
-    spec = EnsembleSpec(n_atoms=32, sigma_p=1.5, cutoff=64)
-    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.0 * TWO_PI, kick_count=5)
-    cfg = NoiseConfig(amplitude_level=1.0, master_seed=7)
-    dist = momentum_distribution(spec, p, cfg, n_realizations=2, bin_width=0.25)
-    assert np.sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
-    assert len(dist.momenta) % 2 == 1
-    assert np.allclose(np.diff(dist.momenta), 0.25)
-    binned_e = 0.5 * np.sum(dist.probabilities * dist.momenta**2)
-    assert binned_e == pytest.approx(dist.mean_energy, rel=0.05)
-    assert dist.energy_sem > 0.0
-
-    with pytest.raises(ValueError):
-        momentum_distribution(spec, p, cfg, bin_width=0.0)
-
-
-def test_momentum_distribution_window_masks_tails():
-    spec = EnsembleSpec(n_atoms=8, beta_mode="uniform", cutoff=64, p_max=4.0)
-    p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.5 * TWO_PI, kick_count=6)
-    dist = momentum_distribution(spec, p, NoiseConfig(master_seed=3))
-    outside = np.abs(dist.momenta) > 4.0 + 0.29
-    assert np.sum(dist.probabilities[outside]) == 0.0
-    assert np.sum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("p_max", [None, 6.0])
-def test_chunking_does_not_change_momentum_distributions(monkeypatch, p_max):
-    # the cloud binned chunk by chunk as it is evolved: five atoms in one
-    # chunk and in chunks of two give the same bins bit for bit, and energy
-    # sums that differ only by summation order; the cloud reaches |p| ~ 49,
-    # so the window at 6 discards mass and halves the energy.  The bins span
-    # the widest ladder used: M = 48, or the wider of the two realizations'
-    # automatic ladders; realizations 1 and 2 of seed 11 get 64 and then 72
-    # sites, so the bins grow mid-run
+def test_chunking_does_not_change_energies(monkeypatch, p_max):
+    # five atoms in one chunk and in chunks of two give energies that differ
+    # only by summation order; the cloud reaches |p| ~ 49, so the window at 6
+    # discards mass.  Realizations 1 and 2 of seed 11 get automatic ladders
+    # of 64 and then 72 sites, and their energies are those of the explicit
+    # M = 512 ladder
     p = ScaledParams(hbar_eff=TWO_PI - 0.1, kick_strength=2.5 * (TWO_PI - 0.1), kick_count=6)
-    dists = {}
+    histories = {}
     for cutoff, first in ((48, 0), (None, 1), (512, 1)):
         cfg = NoiseConfig(amplitude_level=1.0, master_seed=11, realization_index=first)
-        spy = _LadderSpy(monkeypatch)
+        spy = _StepperSpy(monkeypatch)
         spec = EnsembleSpec(n_atoms=5, sigma_p=1.5, cutoff=cutoff, p_max=p_max)
-        whole = momentum_distribution(spec, p, cfg, n_realizations=2)
+        whole, whole_sem = ensemble_energy_history(spec, p, cfg, n_realizations=2)
         monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
-        chunked = momentum_distribution(spec, p, cfg, n_realizations=2)
-        assert np.array_equal(chunked.momenta, whole.momenta)
-        assert np.array_equal(chunked.probabilities, whole.probabilities)
-        assert abs(chunked.mean_energy - whole.mean_energy) <= 1e-12 * whole.mean_energy
-        assert whole.energy_sem > 0.0
-        half_bins = math.ceil((max(spy.lengths) // 2 + 1) / qkr.DEFAULT_BIN_WIDTH)
-        assert len(whole.momenta) == 2 * half_bins + 1
+        chunked, _ = ensemble_energy_history(spec, p, cfg, n_realizations=2)
+        assert np.all(np.abs(chunked - whole) <= 1e-12 * whole)
+        assert whole_sem[-1] > 0.0
         if cutoff is None:
             assert spy.lengths[0] < spy.lengths[-1]
         else:
             assert set(spy.lengths) == {2 * cutoff + 1}
         monkeypatch.undo()
-        dists[cutoff] = whole
-    # the automatic ladder's histogram is the explicit M = 512 one on fewer bins
-    auto, explicit = dists[None], dists[512]
-    assert abs(auto.mean_energy - explicit.mean_energy) <= 1e-12 * explicit.mean_energy
-    offset = (len(explicit.momenta) - len(auto.momenta)) // 2
-    assert np.array_equal(explicit.momenta[offset: offset + len(auto.momenta)], auto.momenta)
-    inner = explicit.probabilities[offset: offset + len(auto.momenta)]
-    assert np.max(np.abs(inner - auto.probabilities)) <= 1e-12
-    assert np.sum(inner) == pytest.approx(1.0, abs=1e-12)
+        histories[cutoff] = whole
+    auto, explicit = histories[None], histories[512]
+    assert np.all(np.abs(auto - explicit) <= 1e-12 * explicit)
