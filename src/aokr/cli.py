@@ -501,13 +501,15 @@ def _output(path: str) -> Iterator[IO[str]]:
     """A text stream for `path`, where '-' is stdout.
 
     Any other path is written through a temporary file beside it, opened on
-    entry so that a bad path fails before any work.  The file replaces
-    `path` when the block succeeds and is removed when it fails, so no
-    truncated output is ever left behind.
+    entry so that a bad path (a directory, say) fails before any work.  The
+    file replaces `path` when the block succeeds and is removed when it
+    fails, so no truncated output is ever left behind.
     """
     if path == "-":
         yield sys.stdout
         return
+    if os.path.isdir(path):
+        raise ConfigError(f"output {path!r} is a directory")
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:

@@ -214,10 +214,7 @@ def phase_portrait(
     if p.epsilon == 0.0:
         raise EpsilonZeroError("eps = 0 degenerates the map; no portrait exists")
 
-    if n_iters > 0:
-        factors = sample_realization(cfg, n_iters, 1).amplitude_factors
-    else:
-        factors = np.empty(0)
+    factors = sample_realization(cfg, n_iters, 1).amplitude_factors
     phi = np.repeat(TWO_PI * (np.arange(n_phi) + 0.5) / n_phi, n_rho)
     rho = np.tile(TWO_PI * (np.arange(n_rho) + 0.5) / n_rho, n_phi)
     points = np.empty((n_phi * n_rho * (n_iters + 1), 2))

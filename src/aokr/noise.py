@@ -103,14 +103,6 @@ class NoiseRealization:
     se_events: np.ndarray
     se_betas: np.ndarray
 
-    @property
-    def n_kicks(self) -> int:
-        return len(self.amplitude_factors)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.se_events.shape[0]
-
 
 def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> NoiseRealization:
     """Draw one pulse train (and per-atom SE schedule) from the config's streams."""

@@ -519,6 +519,26 @@ def test_main_bad_output_path_fails_before_the_scan(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_rejects_a_directory_output_before_any_work(tmp_path, monkeypatch, caplog):
+    # once the scan ran in full and failed only at the final rename, exit 2
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    monkeypatch.setattr(cli, "run_portrait", _refuse_to_scan)
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    portrait = ["portrait", "--epsilon", "0.02", "--kick-ratio", "3.7", "--out", str(adir)]
+    for args in (
+        _scan_args(tmp_path, "--out", str(adir)),
+        _scan_args(tmp_path, "--json", str(adir)),
+        portrait,
+    ):
+        assert main(args) == 1
+        assert caplog.records[-1].getMessage() == (
+            f"configuration error: output {str(adir)!r} is a directory"
+        )
+        assert list(tmp_path.iterdir()) == [adir]
+        assert list(adir.iterdir()) == []
+
+
 def test_main_rejects_a_sidecar_that_names_the_output(tmp_path, monkeypatch, caplog, capsys):
     # the same file by name or by another path to it, and stdout twice
     monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)

@@ -38,6 +38,16 @@ def test_bessel_row_against_mpmath():
         assert np.max(np.abs(row - np.array(want))) < 1e-12
 
 
+def test_bessel_row_against_mpmath_up_to_the_argument_limit():
+    # the scan accepts arguments up to ARGUMENT_MAX = 1e5; 42,336 is the
+    # upper end of a level-2 average at K = 28,224
+    mpmath.mp.dps = 30
+    for x in (300.0, 4_000.0, 42_336.0, 99_999.5):
+        row = bessel_j_row(5, x)
+        want = [float(mpmath.besselj(n, x)) for n in range(6)]
+        assert np.max(np.abs(row - np.array(want))) <= 1e-13, x
+
+
 def test_bessel_scalar_signs():
     mpmath.mp.dps = 30
     for order in (-5, -2, -1, 0, 1, 3, 8):
@@ -156,7 +166,7 @@ def test_bessel_argument_limit_rejects_before_any_recurrence(monkeypatch, call):
     def forbidden(*args, **kwargs):
         raise AssertionError("the recurrence started before the argument was checked")
 
-    monkeypatch.setattr(theory, "_miller_rows", forbidden)
+    monkeypatch.setattr(theory, "_scalar_row", forbidden)
     start = time.perf_counter()
     with pytest.raises(ValueError, match=r"x <= 100000"):
         call()
