@@ -25,14 +25,12 @@ from .noise import (
 )
 from .theory import (
     UnsupportedLevelError,
-    bessel_j,
     bessel_j_row,
     diffusion_rate,
     diffusion_rate_with_noise,
     kick_strength_from_energy,
     noise_averaged_bessel,
     quantum_kick_strength,
-    resonance_height,
 )
 from .qkr import (
     AUTO_CUTOFF_CAP,

@@ -18,20 +18,21 @@ import argparse
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, fields
-from typing import IO, Iterator, Sequence
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import IO, Iterator, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .core import ScaledParams, check_integer, hbar_from_period
+from .core import ScaledParams, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
-from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
+from .qkr import AUTO_CUTOFF_CAP, BETA_MODES, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
 from .theory import ARGUMENT_MAX, diffusion_rate_with_noise, kick_strength_from_energy
 
@@ -116,11 +117,17 @@ _CELLS = {
     "theory": (_theory_cell, *_RATE_NAMES),
 }
 ENGINES = tuple(_CELLS)
+# the allowed values of ScanSpec's string keys, which `aokr scan` offers as choices
+_CHOICES = dict(engine=ENGINES, abscissa=ABSCISSAS, noise=NOISE_KINDS, beta_mode=BETA_MODES)
 
 
 @dataclass(frozen=True)
 class ScanSpec:
-    """One scan: engine, abscissa range, noise levels, ensemble knobs."""
+    """One scan: engine, abscissa range, noise levels, ensemble knobs.
+
+    Each field is a configuration key and the `aokr scan` flag of that name,
+    of its annotated type; the fields without a default are required.
+    """
 
     engine: str
     abscissa: str
@@ -139,27 +146,34 @@ class ScanSpec:
     beta_fixed: float = 0.0
     kick_spread: float = 0.0
     p_max: float | None = None
-    cutoff: int | None = None  # None: sized per realization from a reach bound
+    cutoff: int | None = field(default=None, metadata={
+        "help": "ladder half-width M, L = 2M+1 sites (default: sized per realization "
+        "from a reach bound, at most 1025 sites)"
+    })
     se_probability: float = 0.0
     resonance_order: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigError(f"engine = {self.engine!r} not one of {ENGINES}")
-        if self.abscissa not in ABSCISSAS:
-            raise ConfigError(f"abscissa = {self.abscissa!r} not one of {ABSCISSAS}")
-        if self.noise not in NOISE_KINDS:
-            raise ConfigError(f"noise = {self.noise!r} not one of {NOISE_KINDS}")
-        for field in fields(self):
-            value = getattr(self, field.name)
-            for x in value if isinstance(value, (tuple, list)) else (value,):
-                if isinstance(x, float) and not math.isfinite(x):
-                    raise ConfigError(f"{field.name} must be finite, got {value}")
-        optional = [name for name in ("realizations", "cutoff") if getattr(self, name) is not None]
-        try:  # numpy integers are stored as int, which the JSON meta line needs
-            check_integer(self, "atoms", "kicks", "seed", "resonance_order", *optional)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        for name, (kind, optional, many) in _KEY_TYPES.items():
+            value = getattr(self, name)
+            if name in _CHOICES:
+                if value not in _CHOICES[name]:
+                    raise ConfigError(f"{name} = {value!r} not one of {_CHOICES[name]}")
+                continue
+            if value is None and optional:
+                continue
+            if many and not isinstance(value, (tuple, list)):
+                raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
+            number, noun = _NUMBERS[kind]
+            for i, x in enumerate(value if many else (value,)):
+                if isinstance(x, bool) or not isinstance(x, number):
+                    where = f"{name}[{i}]" if many else name
+                    raise ConfigError(f"{where} must be {noun}, got {x!r}")
+                # nan, inf, and an int too large for a float
+                if kind is float and not abs(x) <= sys.float_info.max:
+                    raise ConfigError(f"{name} must be finite, got {value}")
+            if many or kind is int:  # the JSON meta line needs int, not numpy integers
+                object.__setattr__(self, name, tuple(map(kind, value)) if many else int(value))
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
         if self.step <= 0.0:
@@ -170,6 +184,9 @@ class ScanSpec:
                 f"step = {self.step} makes more than {MAX_POINTS} points "
                 f"over [{self.lo}, {self.hi}]"
             )
+        # hbar grows with the point, so lo is the smallest
+        if (self.abscissa == "period-us" and self.lo <= 0.0) or self.hbar_of(self.lo) <= 0.0:
+            raise ConfigError(f"lo = {self.lo} makes hbar_eff <= 0 at the first point")
         if len(self.levels) == 0:
             raise ConfigError("levels must not be empty")
         for i, level in enumerate(self.levels):
@@ -198,8 +215,10 @@ class ScanSpec:
                 )
         if self.engine == "theory":  # hbar grows with the point: hi is the worst cell
             _check_bessel_argument(self.kick_ratio, self.hbar_of(self.hi), max(self.levels))
-        if self.engine == "eps-classical" and self.p_max is not None:
-            raise ConfigError("p_max: engine 'eps-classical' models no detection window")
+        if self.engine != "quantum" and self.p_max is not None:
+            raise ConfigError(f"p_max: engine {self.engine!r} models no detection window")
+        if self.engine == "theory" and self.kick_spread != 0.0:
+            raise ConfigError("kick_spread: engine 'theory' models no kick spread")
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
 
     def points(self) -> np.ndarray:
@@ -242,7 +261,16 @@ class ScanSpec:
             raise ConfigError(str(exc)) from exc
 
 
-_SCAN_KEYS = frozenset(ScanSpec.__dataclass_fields__)
+def _key_type(hint: object) -> tuple[type, bool, bool]:
+    """(type of one value, None allowed, a tuple of values) of a ScanSpec annotation."""
+    args = get_args(hint)
+    kind = next((arg for arg in args if arg not in (type(None), Ellipsis)), hint)
+    return kind, type(None) in args, get_origin(hint) is tuple
+
+
+_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+_KEY_TYPES = {name: _key_type(hint) for name, hint in get_type_hints(ScanSpec).items()}
+_SCAN_KEYS = frozenset(_KEY_TYPES)
 
 
 def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
@@ -277,22 +305,10 @@ def build_spec(raw: dict, overrides: dict | None = None) -> ScanSpec:
     unknown = set(merged) - _SCAN_KEYS
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    missing = [
-        key
-        for key in ("engine", "abscissa", "lo", "hi", "step", "kick_ratio")
-        if key not in merged
-    ]
+    missing = [f.name for f in fields(ScanSpec) if f.default is MISSING and f.name not in merged]
     if missing:
         raise ConfigError(f"missing required configuration keys: {missing}")
-    if "levels" in merged:
-        levels = merged["levels"]
-        if not isinstance(levels, (list, tuple)):
-            raise ConfigError(f"levels must be a list, got {type(levels).__name__}")
-        merged["levels"] = tuple(float(level) for level in levels)
-    try:
-        return ScanSpec(**merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScanSpec(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -442,30 +458,13 @@ def _build_parser() -> _Parser:
 
     scan = sub.add_parser("scan", help="energy curve over an abscissa range")
     scan.add_argument("--config", help="JSON configuration file (flags override it)")
-    scan.add_argument("--engine", choices=ENGINES)
-    scan.add_argument("--abscissa", choices=ABSCISSAS)
-    scan.add_argument("--lo", type=float)
-    scan.add_argument("--hi", type=float)
-    scan.add_argument("--step", type=float)
-    scan.add_argument("--kick-ratio", dest="kick_ratio", type=float)
-    scan.add_argument("--noise", choices=NOISE_KINDS)
-    scan.add_argument("--levels", type=float, nargs="+")
-    scan.add_argument("--kicks", type=int)
-    scan.add_argument("--atoms", type=int)
-    scan.add_argument("--realizations", type=int)
-    scan.add_argument("--seed", type=int)
-    scan.add_argument("--sigma-p", dest="sigma_p", type=float)
-    scan.add_argument("--beta-mode", dest="beta_mode", choices=("thermal", "uniform", "fixed"))
-    scan.add_argument("--beta-fixed", dest="beta_fixed", type=float)
-    scan.add_argument("--kick-spread", dest="kick_spread", type=float)
-    scan.add_argument("--p-max", dest="p_max", type=float)
-    scan.add_argument(
-        "--cutoff", type=int,
-        help="ladder half-width M, L = 2M+1 sites (default: sized per realization "
-        "from a reach bound, at most 1025 sites)",
-    )
-    scan.add_argument("--se-probability", dest="se_probability", type=float)
-    scan.add_argument("--resonance-order", dest="resonance_order", type=int)
+    for key in fields(ScanSpec):  # each key is a flag; an absent flag leaves it None
+        kind, _, many = _KEY_TYPES[key.name]
+        scan.add_argument(
+            "--" + key.name.replace("_", "-"), dest=key.name, type=kind,
+            choices=_CHOICES.get(key.name), nargs="+" if many else None,
+            help=key.metadata.get("help"),
+        )
     scan.add_argument("--workers", type=int, default=1)
     scan.add_argument("--out", required=True, help="CSV output path ('-' for stdout)")
     scan.add_argument("--json", dest="json_path", help="JSON sidecar path")

@@ -80,6 +80,7 @@ from .noise import (
     stream_rng,
 )
 
+BETA_MODES = ("thermal", "uniform", "fixed")  # how EnsembleSpec draws quasimomenta
 AUTO_CUTOFF_CAP = 512  # the automatic ladder's widest half-width: L <= 1025
 TAIL_FRACTION = 0.9
 TAIL_TOLERANCE = 1e-8
@@ -136,10 +137,8 @@ class EnsembleSpec:
         check_integer(self, "n_atoms", *(() if self.cutoff is None else ("cutoff",)))
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.beta_mode not in ("thermal", "uniform", "fixed"):
-            raise ValueError(
-                f"beta_mode must be 'thermal', 'uniform' or 'fixed', got {self.beta_mode!r}"
-            )
+        if self.beta_mode not in BETA_MODES:
+            raise ValueError(f"beta_mode must be one of {BETA_MODES}, got {self.beta_mode!r}")
         if self.sigma_p <= 0.0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         if not 0.0 <= self.beta_fixed < 1.0:

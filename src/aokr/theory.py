@@ -31,7 +31,7 @@ _SERIES_HALF_WIDTH = 1e-3  # below it the closed form's endpoint difference canc
 
 
 class UnsupportedLevelError(ValueError):
-    """No closed-form peak height exists for the requested noise level."""
+    """The noise level lies outside [0, AMPLITUDE_LEVEL_MAX], where the closed forms hold."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def bessel_j_row(n_max: int, x: float | np.ndarray) -> np.ndarray:
     if bad.size:
         raise ValueError(f"bessel_j_row requires finite x, got {bad[0]}")
     if np.any(flat < 0.0):
-        raise ValueError("bessel_j_row requires x >= 0; use bessel_j for signed x")
+        raise ValueError("bessel_j_row requires x >= 0")
     if np.any(flat > ARGUMENT_MAX):
         raise ValueError(
             f"bessel_j_row requires x <= {ARGUMENT_MAX:g}, got {flat.max()}: "
@@ -108,21 +108,6 @@ def _scalar_row(n_max: int, x: float) -> np.ndarray:
         if prev is not None and np.max(np.abs(out - prev)) < 1e-14:
             return out
         prev, start = out, start + 30
-
-
-def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order and real |x| <= ARGUMENT_MAX, |error| < 1e-12.
-
-    Symmetry reduces everything to the non-negative quadrant:
-    J_{-n}(x) = (-1)^n J_n(x) and J_n(-x) = (-1)^n J_n(x).
-    """
-    n = abs(int(order))
-    sign = 1.0
-    if order < 0 and n % 2 == 1:
-        sign = -sign
-    if x < 0.0 and n % 2 == 1:
-        sign = -sign
-    return sign * float(bessel_j_row(n, abs(x))[n])
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +161,9 @@ def noise_averaged_bessel(order: int, K: float, level: float) -> float:
     where the bound |J_m(y)| <= exp(sqrt(m^2 - y^2) - m arccosh(m/y)) is
     below 1e-17 h; it falls faster than geometrically beyond.  For h < 1e-3
     the difference cancels, and J_n + (h^2/24) (J_{n-2} - 2 J_n + J_{n+2}),
-    good to O(h^4), replaces it.  Signs follow `bessel_j`.  |K| (1 + level/2)
-    may not exceed ARGUMENT_MAX.
+    good to O(h^4), replaces it.  At level 0 it is J_order(K) itself.  Signs
+    follow J_{-n}(x) = J_n(-x) = (-1)^n J_n(x).  |K| (1 + level/2) may not
+    exceed ARGUMENT_MAX.
     """
     if not math.isfinite(K):
         raise ValueError(f"K must be finite, got {K}")
@@ -188,11 +174,10 @@ def noise_averaged_bessel(order: int, K: float, level: float) -> float:
     x, h = abs(K), 0.5 * level * abs(K)
     if x + h > ARGUMENT_MAX:
         raise ValueError(f"|K| (1 + level/2) = {x + h:g} exceeds {ARGUMENT_MAX:g}")
-    if level == 0.0 or K == 0.0:
-        return bessel_j(order, K)
-
     n = abs(int(order))
     sign = -1.0 if n % 2 == 1 and (K < 0.0) != (order < 0) else 1.0
+    if level == 0.0 or K == 0.0:
+        return sign * float(bessel_j_row(n, x)[n])
     if h < _SERIES_HALF_WIDTH:
         row = bessel_j_row(n + 2, x)
         below = -row[1] if n == 1 else row[abs(n - 2)]  # J_{n-2}
@@ -245,32 +230,14 @@ def diffusion_rate_with_noise(
 # Resonance peak heights and their inversion
 # ---------------------------------------------------------------------------
 
-def resonance_height(kick_ratio: float, n_kicks: int, level: float | str = 0.0) -> float:
-    """Mean energy after n kicks at exact resonance, uniform quasimomentum.
-
-    Averaging the ballistic subclass over a flat quasimomentum distribution
-    leaves linear growth: E_n = (1/4) r^2 n for kick ratio r = kappa/hbar_eff
-    without noise (identical to the quasilinear prediction, pass
-    level="quasilinear" to say so explicitly), and E_n = (1/3) r^2 n at full
-    amplitude noise (level 2), where the variance of the uniform kick factor
-    adds r^2/12 per kick.
-    """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
-    if level == "quasilinear" or level == 0.0 or level == 0:
-        return 0.25 * kick_ratio**2 * n_kicks
-    if level == 2.0 or level == 2:
-        return kick_ratio**2 * n_kicks / 3.0
-    raise UnsupportedLevelError(
-        f"no closed form at level {level!r}; supported: 0, 2, 'quasilinear'"
-    )
-
-
 def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilinear") -> float:
     """Invert a measured mean energy to the kick ratio kappa/hbar_eff.
 
-    mode "quasilinear" (or "resonant"): sqrt(4 E / n); mode
-    "resonant-max-noise": sqrt(3 E / n), the level-2 peak height.  Both are
+    At exact resonance with flat quasimomenta the peak height after n kicks
+    is E = r^2 n / 4 for kick ratio r without noise (the quasilinear value),
+    and E = r^2 n / 3 at amplitude level 2, whose uniform kick factor adds
+    r^2 / 12 per kick.  So mode "quasilinear" (or "resonant") gives
+    sqrt(4 E / n), and mode "resonant-max-noise" sqrt(3 E / n).  Both are
     computed as 2 sqrt(q E / n) with q = 1 or 3/4, a quarter of 4 or 3: bit
     for bit the same numbers for normal E, and finite up to the float maximum.
     """

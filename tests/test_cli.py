@@ -111,7 +111,7 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, step=1e-12))
     with pytest.raises(ConfigError, match="step"):
         build_spec(dict(MINIMAL, lo=-1e308, hi=1e308))
-    edge = build_spec(dict(MINIMAL, lo=0.0, hi=cli.MAX_POINTS - 1.0, step=1.0, kick_ratio=1.0))
+    edge = build_spec(dict(MINIMAL, lo=1.0, hi=float(cli.MAX_POINTS), step=1.0, kick_ratio=1.0))
     assert len(edge.points()) == cli.MAX_POINTS
     # theory: kick_ratio * hbar(hi) * (1 + max level / 2) <= ARGUMENT_MAX = 1e5
     at_limit = dict(MINIMAL, hi=6.25, kick_ratio=8000.0, levels=[0.0, 2.0])
@@ -148,8 +148,8 @@ def test_points_fencepost():
     assert len(pts) == 9
     assert pts[0] == pytest.approx(TWO_PI - 0.2)
     assert pts[-1] == pytest.approx(TWO_PI + 0.2)
-    ragged = build_spec(dict(MINIMAL, lo=0.0, hi=1.0, step=0.3))
-    assert np.allclose(ragged.points(), [0.0, 0.3, 0.6, 0.9])
+    ragged = build_spec(dict(MINIMAL, lo=1.0, hi=2.0, step=0.3))
+    assert np.allclose(ragged.points(), [1.0, 1.3, 1.6, 1.9])
 
 
 def test_hbar_conversions():
@@ -342,15 +342,27 @@ _GOLDEN_SCANS = {
 }
 
 
+def _as_flags(raw):
+    """The command-line flags that spell the configuration `raw`."""
+    flags = []
+    for key, value in raw.items():
+        values = value if isinstance(value, list) else [value]
+        flags += ["--" + key.replace("_", "-"), *map(str, values)]
+    return flags
+
+
 @pytest.mark.parametrize("engine", sorted(_GOLDEN_SCANS))
 def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
+    # the same scan from a config file and from flags: a flag parsed as the
+    # wrong type (kicks as float, say) would change the meta line
     raw, csv_sha, json_sha = _GOLDEN_SCANS[engine]
     config = tmp_path / "scan.json"
     config.write_text(json.dumps(raw))
-    out, sidecar = tmp_path / "out.csv", tmp_path / "out.json"
-    assert main(["scan", "--config", str(config), "--out", str(out), "--json", str(sidecar)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
-    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+    for source in (["--config", str(config)], _as_flags(raw)):
+        out, sidecar = tmp_path / "out.csv", tmp_path / "out.json"
+        assert main(["scan", *source, "--out", str(out), "--json", str(sidecar)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +455,34 @@ def _refuse_to_scan(*args, **kwargs):
         (["--step", "1e-12"], "step"),
         (["--engine", "eps-classical", "--p-max", "30"], "p_max"),
         (["--engine", "theory", "--kick-ratio", "1e5"], "kick_ratio"),
+        (["--lo", "-0.2"], "lo"),  # hbar_eff <= 0 at the first point
+        (["--abscissa", "epsilon", "--lo", "-7.0", "--hi", "0.1"], "lo"),
+        (["--abscissa", "period-us", "--lo", "0.0", "--hi", "60.0"], "lo"),
+        (["--engine", "theory", "--p-max", "30"], "p_max"),
+        (["--engine", "theory", "--kick-spread", "0.3"], "kick_spread"),
+        # a dict is a JSON config, for values that no flag can spell
+        ({"lo": True}, "lo must be a number, got True"),
+        ({"se_probability": False}, "se_probability must be a number, got False"),
+        ({"levels": [True]}, "levels[0] must be a number, got True"),
+        ({"levels": ["2"]}, "levels[0] must be a number, got '2'"),
+        ({"kick_ratio": 10**400}, "kick_ratio must be finite"),  # beyond the float range
     ],
 )
 def test_main_rejects_bad_scan_input_before_any_work(tmp_path, monkeypatch, caplog, capsys,
                                                       extra, field):
     monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
-    assert main(_scan_args(tmp_path, *extra)) == 1
+    made = []
+    if isinstance(extra, dict):
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps(dict(MINIMAL, **extra)))
+        args = ["scan", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+        made = [config]
+    else:
+        args = _scan_args(tmp_path, *extra)
+    assert main(args) == 1
     assert caplog.records[-1].getMessage().startswith(f"configuration error: {field}")
     assert "Traceback" not in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == made
 
 
 @pytest.mark.parametrize("value", [2.5, True], ids=["2.5", "true"])

@@ -12,16 +12,18 @@ import aokr
 # `diffusion_curve` and `write_diffusion_curve`, which `aokr predict` replaced,
 # `eps_step_inverse` and `classical_map_energy`, which only the tests ran and
 # which they now keep, `QuadratureError`, whose quadrature the closed-form
-# Bessel averages replaced, the laboratory-unit layer no command used, and
-# the single-atom API and momentum histogram that only the tests ran
+# Bessel averages replaced, the laboratory-unit layer no command used, the
+# single-atom API and momentum histogram that only the tests ran, `bessel_j`,
+# which `noise_averaged_bessel(order, x, 0.0)` computes bit for bit, and
+# `resonance_height`, which only the tests ran
 PUBLIC_NAMES = """
     __version__ OMEGA_R_CS ScaledParams hbar_from_period AMPLITUDE_LEVEL_MAX
     PERIOD_LEVEL_MAX IntervalError
     NoiseConfig NoiseLevelError NoiseRealization free_evolution_intervals
-    sample_realization stream_rng UnsupportedLevelError bessel_j
+    sample_realization stream_rng UnsupportedLevelError
     bessel_j_row diffusion_rate diffusion_rate_with_noise
     kick_strength_from_energy noise_averaged_bessel quantum_kick_strength
-    resonance_height AUTO_CUTOFF_CAP CutoffError EnsembleSpec
+    AUTO_CUTOFF_CAP CutoffError EnsembleSpec
     ensemble_energy ensemble_energy_history sample_atoms EpsilonZeroError
     EpsParams UnsupportedNoiseError eps_energy eps_energy_history
     eps_step phase_portrait
@@ -34,7 +36,7 @@ UNREAD_IMPORTS = {
 
 
 def test_package_exports_every_public_name():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     missing = [name for name in PUBLIC_NAMES if not hasattr(aokr, name)]
     assert missing == []
     for removed in ("kick", "free_evolve", "reshuffle"):
@@ -56,8 +58,9 @@ def test_package_exports_every_public_name():
         assert not hasattr(aokr, removed)
         assert not hasattr(aokr.qkr, removed)
     assert not hasattr(aokr.ScaledParams, "kick_ratio")
-    assert not hasattr(aokr, "QuadratureError")
-    assert not hasattr(aokr.theory, "QuadratureError")
+    for removed in ("QuadratureError", "bessel_j", "resonance_height"):
+        assert not hasattr(aokr, removed)
+        assert not hasattr(aokr.theory, removed)
 
 
 def test_eps_params_carry_no_quasimomentum():

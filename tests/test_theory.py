@@ -11,15 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from aokr import theory
 from aokr.theory import (
-    UnsupportedLevelError,
-    bessel_j,
     bessel_j_row,
     diffusion_rate,
     diffusion_rate_with_noise,
     kick_strength_from_energy,
     noise_averaged_bessel,
     quantum_kick_strength,
-    resonance_height,
 )
 from test_acceptance import SERIES_BELOW, bessel_j123
 
@@ -53,7 +50,7 @@ def test_bessel_scalar_signs():
     for order in (-5, -2, -1, 0, 1, 3, 8):
         for x in (-7.3, -1.0, 0.0, 2.5, 11.0):
             want = float(mpmath.besselj(order, x))
-            assert bessel_j(order, x) == pytest.approx(want, abs=1e-12)
+            assert noise_averaged_bessel(order, x, 0.0) == pytest.approx(want, abs=1e-12)
 
 
 def _scalar_row_oracle(n_max, x, rescales=None):
@@ -180,8 +177,8 @@ def test_bessel_rejects_non_finite_arguments(bad):
         bessel_j_row(3, bad)
     with pytest.raises(ValueError, match=f"finite x, got {name}"):
         bessel_j_row(3, np.array([1.0, bad, 2.0]))
-    with pytest.raises(ValueError, match="finite x"):
-        bessel_j(2, bad)
+    with pytest.raises(ValueError, match=f"K must be finite, got {name}"):
+        noise_averaged_bessel(2, bad, 0.0)
 
 
 def test_bessel_row_against_scipy():
@@ -229,9 +226,10 @@ def test_bessel_row_normalization(x):
     x=st.floats(min_value=-30.0, max_value=30.0),
 )
 def test_bessel_parity_relations(order, x):
-    direct = bessel_j(order, x)
-    assert bessel_j(-order, x) == pytest.approx((-1.0) ** order * direct, abs=1e-12)
-    assert bessel_j(order, -x) == pytest.approx((-1.0) ** order * direct, abs=1e-12)
+    direct = noise_averaged_bessel(order, x, 0.0)
+    flipped = (-1.0) ** order * direct
+    assert noise_averaged_bessel(-order, x, 0.0) == pytest.approx(flipped, abs=1e-12)
+    assert noise_averaged_bessel(order, -x, 0.0) == pytest.approx(flipped, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +382,10 @@ def test_rate_rejects_bad_inputs():
 # resonance peaks and inversion
 # ---------------------------------------------------------------------------
 
-def test_resonance_height_values():
-    assert resonance_height(3.77, 30) == pytest.approx(0.25 * 3.77**2 * 30)
-    assert resonance_height(3.77, 30, "quasilinear") == resonance_height(3.77, 30)
-    assert resonance_height(3.77, 20, 2.0) == pytest.approx(3.77**2 * 20 / 3.0)
-    with pytest.raises(UnsupportedLevelError):
-        resonance_height(3.77, 20, 1.0)
-
-
 def test_kick_strength_round_trip():
-    for mode, level in (("quasilinear", 0.0), ("resonant-max-noise", 2.0)):
-        energy = resonance_height(3.63, 20, level)
+    # the peak heights at exact resonance: r^2 n / 4 without noise, r^2 n / 3 at level 2
+    for mode, energy in (("quasilinear", 0.25 * 3.63**2 * 20),
+                         ("resonant-max-noise", 3.63**2 * 20 / 3.0)):
         assert kick_strength_from_energy(energy, 20, mode) == pytest.approx(3.63, rel=1e-12)
     with pytest.raises(ValueError):
         kick_strength_from_energy(10.0, 0)
