@@ -46,6 +46,7 @@ NOISE_KINDS = ("amplitude", "period")
 DEFAULT_REALIZATIONS = 12
 DEFAULT_REALIZATIONS_NOISELESS = 3
 MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
+MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of map on one core
 MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
 MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 
@@ -220,6 +221,14 @@ class ScanSpec:
         if self.engine == "theory" and self.kick_spread != 0.0:
             raise ConfigError("kick_spread: engine 'theory' models no kick spread")
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
+        if self.engine != "theory":  # a theory cell is one pair of rates
+            # the automatic ladder counts at its cap
+            sites = 2 * (AUTO_CUTOFF_CAP if self.cutoff is None else self.cutoff) + 1
+            work = len(self.points()) * sum(map(self.realizations_at, self.levels)) * self.atoms
+            work *= self.kicks * (sites if self.engine == "quantum" else 1)
+            if work > MAX_WORK:
+                raise ConfigError(f"{work:.3g} atom-kicks (x ladder sites for quantum) "
+                                  f"exceed MAX_WORK = {MAX_WORK:.0e}")
 
     def points(self) -> np.ndarray:
         """Abscissa grid lo, lo+step, .. capped at hi (inclusive up to rounding)."""
@@ -597,8 +606,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         log.error("configuration error: %s", exc)
         return 1
-    except (CutoffError, RuntimeError, OSError) as exc:
-        log.error("runtime error: %s", exc)
+    except (CutoffError, RuntimeError, OSError, MemoryError) as exc:
+        log.error("runtime error: %s", exc)  # numpy's MemoryError names its allocation
         return 2
 
 

@@ -13,6 +13,9 @@ eps = 0 the map itself degenerates (the kick term carries a factor |eps|)
 and the analytic resonant limit is used instead, where momentum after n
 kicks is the phasor sum rho_n / |eps| = n0 + kick_ratio * sum_s R_s
 sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta.
+
+Every iteration runs in place through `_kick`, which reduces the angle as
+phi - 2 pi floor(phi / 2 pi) in four passes: np.mod bit for bit on [0, 40).
 """
 
 from __future__ import annotations
@@ -83,16 +86,32 @@ def _phase_advance(p: EpsParams, beta) -> np.ndarray | float:
     return math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
 
 
+def _kick(phi, rho, epsilon: float, advance, kick, buf: np.ndarray) -> None:
+    """In place: phi += sign(eps) rho + advance (mod 2 pi), then rho += kick sin(phi).
+
+    advance = pi m + hbar_eff beta and kick = |eps| kick_ratio R g, scalar or
+    per trajectory; buf is scratch shaped like phi.
+    """
+    if epsilon:  # at eps = 0, rho = eps n turns nothing
+        (np.add if epsilon > 0.0 else np.subtract)(phi, rho, out=phi)
+    np.add(phi, advance, out=phi)
+    np.floor(np.divide(phi, TWO_PI, out=buf), out=buf)
+    np.subtract(phi, np.multiply(buf, TWO_PI, out=buf), out=phi)
+    np.add(rho, np.multiply(kick, np.sin(phi, out=buf), out=buf), out=rho)
+
+
 def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
     """One map iteration; phi updates first and feeds the kick.
 
     phi, rho may be scalars or arrays (broadcast together).  kick_factor is
     the per-kick amplitude factor; beta is the quasimomentum, scalar or per
-    trajectory.
+    trajectory.  The inputs are copied, never changed.
     """
-    phi = np.mod(phi + np.sign(p.epsilon) * np.asarray(rho) + _phase_advance(p, beta), TWO_PI)
-    rho = rho + abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
-    return phi, rho
+    arrays = np.broadcast_arrays(phi, rho, kick_factor, beta)
+    phi, rho, factor, beta = (np.array(x, dtype=float) for x in arrays)
+    kick = abs(p.epsilon) * p.kick_ratio * factor
+    _kick(phi, rho, p.epsilon, _phase_advance(p, beta), kick, np.empty_like(phi))
+    return phi[()], rho[()]
 
 
 def _require_amplitude_only(cfg: NoiseConfig) -> None:
@@ -168,12 +187,16 @@ def eps_energy_history(
         rng = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng, spec.n_atoms)
         rho = abs(p.epsilon) * n0s.astype(float)
+        advance, strength = _phase_advance(p, betas), abs(p.epsilon) * p.kick_ratio
+        kick, buf = np.empty_like(rho), np.empty_like(rho)
         scale = 0.5 / p.epsilon**2
         history = np.empty(n_kicks + 1)
-        history[0] = float(np.mean(rho**2)) * scale
+        history[0] = float(np.mean(np.square(rho, out=buf))) * scale
         for n in range(n_kicks):
-            phi, rho = eps_step(phi, rho, p, kick_factor=factors[n] * gains, beta=betas)
-            history[n + 1] = float(np.mean(rho**2)) * scale
+            np.multiply(gains, factors[n], out=kick)
+            np.multiply(kick, strength, out=kick)  # (|eps| k) (R g), the order eps_step uses
+            _kick(phi, rho, p.epsilon, advance, kick, buf)
+            history[n + 1] = float(np.mean(np.square(rho, out=buf))) * scale
         return history
 
     return realization_mean(cfg, n_realizations, run)
@@ -220,8 +243,10 @@ def phase_portrait(
     points = np.empty((n_phi * n_rho * (n_iters + 1), 2))
     points[: phi.size, 0] = phi
     points[: phi.size, 1] = rho
+    advance, strength = _phase_advance(p, 0.0), abs(p.epsilon) * p.kick_ratio
+    buf = np.empty_like(phi)
     for n in range(n_iters):
-        phi, rho = eps_step(phi, rho, p, kick_factor=factors[n])
+        _kick(phi, rho, p.epsilon, advance, strength * factors[n], buf)
         block = slice((n + 1) * phi.size, (n + 2) * phi.size)
         points[block, 0] = phi
         points[block, 1] = np.mod(rho, TWO_PI)

@@ -584,6 +584,49 @@ def test_main_rejects_a_sidecar_that_names_the_output(tmp_path, monkeypatch, cap
     assert list(tmp_path.iterdir()) == []
 
 
+def test_spec_bounds_the_work_of_a_scan():
+    # points x realizations x atoms x kicks, times L = 2M + 1 ladder sites for
+    # quantum; a theory cell is one pair of rates and has no such count
+    assert cli.MAX_WORK == 10**11
+    grid = dict(MINIMAL, abscissa="epsilon", lo=-0.05, hi=0.05, step=0.1, levels=[0.0, 2.0])
+    for engine, atoms, kicks, extra in (
+        ("eps-classical", 5 * 10**5, 25_000, dict(realizations=2)),  # 2 x 4 runs
+        ("eps-classical", 10**6, 3_333, {}),  # 2 x (3 + 12) runs, 1.0002e11 at 3,334 kicks
+        ("quantum", 5_000, 100_000, dict(realizations=2, cutoff=12)),  # 8 runs, L = 25
+    ):
+        raw = dict(grid, engine=engine, atoms=atoms, kicks=kicks, **extra)
+        assert build_spec(raw).kicks == kicks
+        with pytest.raises(ConfigError, match="exceed MAX_WORK"):
+            build_spec(dict(raw, kicks=kicks + 1))
+    # the automatic ladder counts at its cap, L = 1025
+    with pytest.raises(ConfigError, match="8.2e\\+12 atom-kicks"):
+        build_spec(dict(grid, engine="quantum", atoms=10**4, kicks=10**5, realizations=2))
+
+
+def test_main_rejects_unbounded_kicks_before_any_output(capsys, caplog):
+    # once a numpy MemoryError (72.8 TiB) in the first cell, exit 1 by the interpreter
+    args = ["scan", "--engine", "quantum", "--abscissa", "hbar", "--lo", "6.0", "--hi", "6.1",
+            "--step", "0.1", "--kick-ratio", "3.7", "--cutoff", "8", "--realizations", "1",
+            "--atoms", "1", "--kicks", "10000000000000", "--out", "-"]
+    assert main(args) == 1
+    assert caplog.records[-1].getMessage().startswith("configuration error: 3.4e+14 atom-kicks")
+    assert capsys.readouterr().out == ""
+
+
+def test_main_reports_memory_errors_as_runtime_errors(tmp_path, monkeypatch, caplog, capsys):
+    message = ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+               "and data type float64")
+
+    def exhaust(spec, workers=1):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_scan", exhaust)
+    assert main(_scan_args(tmp_path)) == 2
+    assert caplog.records[-1].getMessage() == f"runtime error: {message}"
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_help_and_version(capsys):
     assert main(["--version"]) == 0
     assert "aokr" in capsys.readouterr().out

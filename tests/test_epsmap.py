@@ -16,8 +16,15 @@ from aokr.epsmap import (
     eps_step,
     phase_portrait,
 )
-from aokr.noise import NoiseConfig
-from aokr.qkr import EnsembleSpec, ensemble_energy
+from aokr.epsmap import _kick, _stratified_phases
+from aokr.noise import (
+    STREAM_MAP_PHASE,
+    NoiseConfig,
+    realization_mean,
+    sample_realization,
+    stream_rng,
+)
+from aokr.qkr import EnsembleSpec, ensemble_energy, sample_atoms
 from aokr.theory import diffusion_rate
 
 from standard_map import classical_map_energy
@@ -31,6 +38,33 @@ def _eps_step_inverse(phi, rho, p, kick_factor=1.0, beta=0.0):
     advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
     phi = np.mod(phi - np.sign(p.epsilon) * np.asarray(rho) - advance, TWO_PI)
     return phi, rho
+
+
+def _fresh_array_step(phi, rho, p, kick_factor=1.0, beta=0.0):
+    """The map step written as one expression: np.mod and fresh arrays every kick."""
+    advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
+    phi = np.mod(phi + np.sign(p.epsilon) * np.asarray(rho) + advance, TWO_PI)
+    rho = rho + abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
+    return phi, rho
+
+
+def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations):
+    """Oracle for `eps_energy_history` at eps != 0, iterating `_fresh_array_step`."""
+
+    def run(rcfg):
+        factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
+        n0s, betas, gains = sample_atoms(spec, rcfg)
+        rng = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
+        phi = _stratified_phases(rng, spec.n_atoms)
+        rho = abs(p.epsilon) * n0s.astype(float)
+        history = [float(np.mean(rho**2))]
+        for n in range(n_kicks):
+            kick_factor = factors[n] * gains
+            phi, rho = _fresh_array_step(phi, rho, p, kick_factor=kick_factor, beta=betas)
+            history.append(float(np.mean(rho**2)))
+        return np.array(history) * (0.5 / p.epsilon**2)
+
+    return realization_mean(cfg, n_realizations, run)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +169,40 @@ def test_step_jacobian_is_area_preserving():
             assert abs(det - 1.0) < 1e-8
 
 
+def _reduced(x):
+    """The kernel's angle reduction alone: no turn, no advance, no kick."""
+    phi, rho = x.copy(), np.zeros_like(x)
+    _kick(phi, rho, 0.0, 0.0, 0.0, np.empty_like(x))
+    assert not np.any(rho)
+    return phi
+
+
+def test_reduction_is_np_mod_on_nonnegative_angles():
+    rng = np.random.default_rng(12)
+    x = np.concatenate([rng.uniform(0.0, 40.0, 200_000), TWO_PI * np.arange(7.0), [0.0]])
+    assert np.array_equal(_reduced(x), np.mod(x, TWO_PI))
+
+
+def test_reduction_stays_within_ulps_of_np_mod_on_negative_angles():
+    # np.mod is exact up to its last 2pi shift; the floor form rounds q * 2pi
+    # with |q| <= 16 on this range, half an ulp of 100 (8 ulps of 2pi), and
+    # each form's last rounding adds half an ulp of 2pi
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-100.0, 100.0, 400_000)
+    got = _reduced(x)
+    assert np.max(np.abs(got - np.mod(x, TWO_PI))) <= 9 * np.spacing(TWO_PI)
+    assert np.all((got >= 0.0) & (got < TWO_PI))
+
+
+def test_step_leaves_its_inputs_unchanged():
+    p = EpsParams(epsilon=-0.05, kick_ratio=2.0)
+    phi0, rho0, beta = np.array([0.3, 5.9]), np.array([0.8, -0.4]), np.array([0.1, 0.7])
+    phi, rho = eps_step(phi0, rho0, p, kick_factor=1.5, beta=beta)
+    assert np.array_equal(phi0, [0.3, 5.9]) and np.array_equal(rho0, [0.8, -0.4])
+    want = _fresh_array_step(phi0, rho0, p, kick_factor=1.5, beta=beta)
+    assert np.array_equal(phi, want[0]) and np.array_equal(rho, want[1])
+
+
 # ---------------------------------------------------------------------------
 # ensemble energies
 # ---------------------------------------------------------------------------
@@ -152,6 +220,21 @@ def test_resonant_limit_matches_tiny_epsilon_iteration():
         EpsParams(epsilon=1e-6, kick_ratio=k), n, spec, NoiseConfig(master_seed=3)
     )[0]
     assert tiny[-1] == pytest.approx(exact[-1], rel=1e-3)
+
+
+@pytest.mark.parametrize("beta_mode", ["uniform", "fixed"])
+@pytest.mark.parametrize("level", [0.0, 2.0])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("epsilon", [-0.2, -0.05, 0.05, 0.2])
+def test_history_is_the_fresh_array_step_bit_for_bit(epsilon, order, level, beta_mode):
+    # here the angle before reduction stays in [0, 40), where the in-place
+    # reduction is np.mod exactly; a kick spread checks the (|eps| k) (R g) order
+    spec = EnsembleSpec(n_atoms=1000, beta_mode=beta_mode, beta_fixed=0.3, kick_spread=0.05)
+    p = EpsParams(epsilon=epsilon, kick_ratio=3.7, resonance_order=order)
+    cfg = NoiseConfig(amplitude_level=level, master_seed=5)
+    got = eps_energy_history(p, 30, spec, cfg, n_realizations=2)
+    want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_zero_kick_ratio_keeps_energy():
@@ -223,6 +306,18 @@ def test_portrait_grid_and_shape():
     assert start.shape == (12, 2)
     assert np.allclose(np.unique(start[:, 0]), TWO_PI * (np.arange(4) + 0.5) / 4)
     assert np.allclose(np.unique(start[:, 1]), TWO_PI * (np.arange(3) + 0.5) / 3)
+
+
+def test_portrait_is_the_fresh_array_step_bit_for_bit():
+    p = EpsParams(epsilon=-0.03, kick_ratio=3.7, resonance_order=2)
+    cfg = NoiseConfig(amplitude_level=2.0, master_seed=2)
+    pts = phase_portrait(p, n_phi=5, n_rho=4, n_iters=50, cfg=cfg)
+    factors = sample_realization(cfg, 50, 1).amplitude_factors
+    phi, rho = pts[:20, 0], pts[:20, 1]
+    for n in range(50):
+        phi, rho = _fresh_array_step(phi, rho, p, kick_factor=factors[n])
+        assert np.array_equal(pts[20 * (n + 1):20 * (n + 2), 0], phi)
+        assert np.array_equal(pts[20 * (n + 1):20 * (n + 2), 1], np.mod(rho, TWO_PI))
 
 
 def test_portrait_unkicked_rotor_keeps_momentum_lines():
