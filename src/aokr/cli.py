@@ -47,6 +47,8 @@ DEFAULT_REALIZATIONS = 12
 DEFAULT_REALIZATIONS_NOISELESS = 3
 MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
 MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of map on one core
+MAX_ATOMS = 10**7  # atoms of one realization, ~65 B each at peak (tracemalloc): 0.65 GB
+MAX_SE_SCHEDULE = 10**8  # atoms x kicks of one SE schedule, a bool and a float each: 0.9 GB
 MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
 MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 
@@ -109,13 +111,22 @@ def _theory_cell(
     return _rates(spec.kick_ratio, hbar, level)
 
 
-# engine -> (cell, CSV columns of its two values, JSON keys of the same values)
+# the ScanSpec keys every engine reads (the seed also sets the sidecar's point
+# seeds), and those of the noisy ensemble, which only the simulations read
+_SCAN_LEVEL = frozenset(("engine", "abscissa", "lo", "hi", "step", "kick_ratio", "levels",
+                         "seed", "resonance_order"))
+_ENSEMBLE = frozenset(("noise", "kicks", "atoms", "realizations", "sigma_p", "beta_mode",
+                       "beta_fixed", "kick_spread", "p_max", "cutoff", "se_probability"))
 _ENERGY_NAMES = ("energy", "sem"), ("energies", "sems")
 _RATE_NAMES = ("d_classical", "d_quantum"), ("d_classical", "d_quantum")
+# engine -> (cell, CSV columns of its two values, JSON keys of the same values,
+# the ScanSpec keys it reads; every other key must keep its default).  The map
+# models amplitude noise only, with no detection window and no spontaneous emission.
 _CELLS = {
-    "quantum": (_quantum_cell, *_ENERGY_NAMES),
-    "eps-classical": (_eps_cell, *_ENERGY_NAMES),
-    "theory": (_theory_cell, *_RATE_NAMES),
+    "quantum": (_quantum_cell, *_ENERGY_NAMES, _SCAN_LEVEL | _ENSEMBLE),
+    "eps-classical": (_eps_cell, *_ENERGY_NAMES,
+                      _SCAN_LEVEL | (_ENSEMBLE - {"noise", "p_max", "se_probability"})),
+    "theory": (_theory_cell, *_RATE_NAMES, _SCAN_LEVEL),
 }
 ENGINES = tuple(_CELLS)
 # the allowed values of ScanSpec's string keys, which `aokr scan` offers as choices
@@ -175,6 +186,11 @@ class ScanSpec:
                     raise ConfigError(f"{name} must be finite, got {value}")
             if many or kind is int:  # the JSON meta line needs int, not numpy integers
                 object.__setattr__(self, name, tuple(map(kind, value)) if many else int(value))
+        for key in fields(self):  # a key the engine does not read keeps its default
+            value = getattr(self, key.name)
+            if key.name not in _CELLS[self.engine][3] and value != key.default:
+                raise ConfigError(f"{key.name} = {value!r}: engine {self.engine!r} does not "
+                                  f"model it; leave it at {key.default!r}")
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
         if self.step <= 0.0:
@@ -195,31 +211,13 @@ class ScanSpec:
                 self.noise_config(level)
             except ValueError as exc:
                 raise ConfigError(f"levels[{i}] = {level}: {exc}") from exc
-        if self.kick_ratio < 0.0:
-            raise ConfigError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
-        if self.kicks < 0:
-            raise ConfigError(f"kicks must be >= 0, got {self.kicks}")
-        if self.realizations is not None and self.realizations < 1:
-            raise ConfigError(f"realizations must be >= 1, got {self.realizations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.resonance_order < 1:
-            raise ConfigError(f"resonance_order must be >= 1, got {self.resonance_order}")
-        if self.engine in ("eps-classical", "theory"):
-            if self.noise == "period":
-                raise ConfigError(
-                    f"engine {self.engine!r} supports amplitude noise only"
-                )
-            if self.se_probability != 0.0:
-                raise ConfigError(
-                    f"engine {self.engine!r} does not model spontaneous emission"
-                )
+        for name, low in (("kick_ratio", 0), ("kicks", 0), ("realizations", 1), ("seed", 0),
+                          ("resonance_order", 1)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.engine == "theory":  # hbar grows with the point: hi is the worst cell
             _check_bessel_argument(self.kick_ratio, self.hbar_of(self.hi), max(self.levels))
-        if self.engine != "quantum" and self.p_max is not None:
-            raise ConfigError(f"p_max: engine {self.engine!r} models no detection window")
-        if self.engine == "theory" and self.kick_spread != 0.0:
-            raise ConfigError("kick_spread: engine 'theory' models no kick spread")
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
         if self.engine != "theory":  # a theory cell is one pair of rates
             # the automatic ladder counts at its cap
@@ -229,6 +227,11 @@ class ScanSpec:
             if work > MAX_WORK:
                 raise ConfigError(f"{work:.3g} atom-kicks (x ladder sites for quantum) "
                                   f"exceed MAX_WORK = {MAX_WORK:.0e}")
+        if self.atoms > MAX_ATOMS:  # theory keeps the default counts
+            raise ConfigError(f"atoms = {self.atoms} exceeds MAX_ATOMS = {MAX_ATOMS:.0e}")
+        if self.se_probability > 0.0 and self.atoms * self.kicks > MAX_SE_SCHEDULE:
+            raise ConfigError(f"atoms * kicks = {self.atoms * self.kicks:.3g} with SE exceeds "
+                              f"MAX_SE_SCHEDULE = {MAX_SE_SCHEDULE:.0e}")
 
     def points(self) -> np.ndarray:
         """Abscissa grid lo, lo+step, .. capped at hi (inclusive up to rounding)."""
@@ -390,7 +393,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
         # no ladder to size: the automatic cutoff resolves to its cap, the |n0| limit
         config["cutoff"] = AUTO_CUTOFF_CAP
 
-    engine, columns, keys = _CELLS[spec.engine]
+    engine, columns, keys, _ = _CELLS[spec.engine]
 
     def task(cell: tuple[int, int]) -> tuple[float, float]:
         li, pi = cell
@@ -465,14 +468,17 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    scan = sub.add_parser("scan", help="energy curve over an abscissa range")
+    scan = sub.add_parser("scan", help="energy curve over an abscissa range", description=(
+        "A key that only some engines read must keep its default on the others."))
     scan.add_argument("--config", help="JSON configuration file (flags override it)")
     for key in fields(ScanSpec):  # each key is a flag; an absent flag leaves it None
         kind, _, many = _KEY_TYPES[key.name]
+        readers = [engine for engine, cell in _CELLS.items() if key.name in cell[3]]
+        note = f"(read by {', '.join(readers)})" if len(readers) < len(ENGINES) else ""
         scan.add_argument(
             "--" + key.name.replace("_", "-"), dest=key.name, type=kind,
             choices=_CHOICES.get(key.name), nargs="+" if many else None,
-            help=key.metadata.get("help"),
+            help=" ".join(filter(None, (key.metadata.get("help"), note))) or None,
         )
     scan.add_argument("--workers", type=int, default=1)
     scan.add_argument("--out", required=True, help="CSV output path ('-' for stdout)")
@@ -532,10 +538,7 @@ def _output(path: str) -> Iterator[IO[str]]:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     overrides = {key: getattr(args, key) for key in _SCAN_KEYS}
-    if args.config:
-        spec = load_config(args.config, overrides)
-    else:
-        spec = build_spec({}, overrides)
+    spec = load_config(args.config, overrides) if args.config else build_spec({}, overrides)
     if not 1 <= args.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {args.workers}")
     if args.json_path and (
@@ -596,13 +599,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help/--version or flag errors
             return int(exc.code or 0)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "portrait":
-            return _cmd_portrait(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        return _cmd_extract_k(args)
+        commands = {"scan": _cmd_scan, "portrait": _cmd_portrait, "predict": _cmd_predict,
+                    "extract-k": _cmd_extract_k}
+        return commands[args.command](args)
     except (ConfigError, ValueError) as exc:
         log.error("configuration error: %s", exc)
         return 1

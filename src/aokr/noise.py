@@ -126,9 +126,9 @@ def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> Nois
         se_events = rng.random((n_atoms, n_kicks)) < cfg.se_probability
         rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_BETA)
         se_betas = rng.random((n_atoms, n_kicks))
-    else:
-        se_events = np.zeros((n_atoms, n_kicks), dtype=bool)
-        se_betas = np.zeros((n_atoms, n_kicks))
+    else:  # read-only views of one element: no schedule is held without SE
+        se_events = np.broadcast_to(False, (n_atoms, n_kicks))
+        se_betas = np.broadcast_to(0.0, (n_atoms, n_kicks))
 
     return NoiseRealization(
         config=cfg,

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -58,7 +59,8 @@ def test_build_spec_strictness():
 
 
 def test_build_spec_overrides():
-    spec = build_spec(MINIMAL, {"kicks": 5, "atoms": None, "levels": (1.0,)})
+    quantum = dict(MINIMAL, engine="quantum")
+    spec = build_spec(quantum, {"kicks": 5, "atoms": None, "levels": (1.0,)})
     assert spec.kicks == 5
     assert spec.atoms == 1000  # None means "flag not given"
     assert spec.levels == (1.0,)
@@ -83,12 +85,12 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, engine="quantum", noise="period", levels=[1.0]))
     with pytest.raises(ConfigError, match="kick_ratio"):
         build_spec(dict(MINIMAL, kick_ratio=-1.0))
-    with pytest.raises(ConfigError, match="kicks"):
-        build_spec(dict(MINIMAL, kicks=-1))
+    with pytest.raises(ConfigError, match="kicks must be >= 0"):
+        build_spec(dict(MINIMAL, engine="quantum", kicks=-1))
     with pytest.raises(ConfigError, match="atoms"):
-        build_spec(dict(MINIMAL, atoms=0))
-    with pytest.raises(ConfigError, match="realizations"):
-        build_spec(dict(MINIMAL, realizations=0))
+        build_spec(dict(MINIMAL, engine="quantum", atoms=0))
+    with pytest.raises(ConfigError, match="realizations must be >= 1"):
+        build_spec(dict(MINIMAL, engine="quantum", realizations=0))
     with pytest.raises(ConfigError, match="seed"):
         build_spec(dict(MINIMAL, seed=-1))
     with pytest.raises(ConfigError, match="se_probability"):
@@ -96,9 +98,9 @@ def test_spec_field_validation_names_the_field():
     with pytest.raises(ConfigError, match="resonance_order"):
         build_spec(dict(MINIMAL, resonance_order=0))
     with pytest.raises(ConfigError, match="beta_mode"):
-        build_spec(dict(MINIMAL, beta_mode="warm"))
+        build_spec(dict(MINIMAL, engine="quantum", beta_mode="warm"))
     with pytest.raises(ConfigError, match="sigma_p"):
-        build_spec(dict(MINIMAL, sigma_p=-2.0))
+        build_spec(dict(MINIMAL, engine="quantum", sigma_p=-2.0))
     with pytest.raises(ConfigError, match="kick_ratio must be finite"):
         build_spec(dict(MINIMAL, kick_ratio=float("nan")))
     with pytest.raises(ConfigError, match="hi must be finite"):
@@ -127,13 +129,54 @@ def test_spec_field_validation_names_the_field():
     assert build_spec(dict(at_limit, engine="quantum", kick_ratio=1e6)).kick_ratio == 1e6
 
 
+# what each engine models: the ensemble and noise keys that it does not read.
+# The map explains amplitude noise only and has no detection window or SE;
+# theory is a closed-form rate of kick_ratio, hbar and the level.
+_ENSEMBLE_KEYS = ("noise", "kicks", "atoms", "realizations", "sigma_p", "beta_mode",
+                  "beta_fixed", "kick_spread", "p_max", "cutoff", "se_probability")
+_NOT_READ = {
+    "quantum": (),
+    "eps-classical": ("noise", "p_max", "se_probability"),
+    "theory": _ENSEMBLE_KEYS,
+}
+# a valid value other than the default, as flags
+_OFF_DEFAULT = dict(noise="period", kicks="5", atoms="7", realizations="5", sigma_p="1.5",
+                    beta_mode="uniform", beta_fixed="0.5", kick_spread="0.3", p_max="30",
+                    cutoff="32", se_probability="0.1")
+
+
+def test_engine_table_names_every_key():
+    keys = {key.name for key in fields(ScanSpec)}
+    assert set(_ENSEMBLE_KEYS) <= keys and set(_OFF_DEFAULT) == set(_ENSEMBLE_KEYS)
+    for engine, (*_, reads) in cli._CELLS.items():
+        assert reads == keys - set(_NOT_READ[engine]), engine
+
+
+@pytest.mark.parametrize(
+    "engine, key", [(engine, key) for engine, keys in _NOT_READ.items() for key in keys]
+)
+def test_engine_rejects_a_key_it_does_not_read(tmp_path, monkeypatch, caplog, capsys,
+                                               engine, key):
+    monkeypatch.setattr(cli, "run_scan", _refuse_to_scan)
+    value = _OFF_DEFAULT[key]
+    args = ["scan", "--engine", engine, "--abscissa", "hbar", "--lo", "6.1", "--hi", "6.3",
+            "--step", "0.1", "--kick-ratio", "2.0", "--" + key.replace("_", "-"), value,
+            "--out", str(tmp_path / "out.csv"), "--json", str(tmp_path / "out.json")]
+    assert main(args) == 1
+    message = caplog.records[-1].getMessage()
+    assert message.startswith(f"configuration error: {key} = ")
+    assert f"engine {engine!r} does not model it" in message
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_engine_noise_compatibility():
-    with pytest.raises(ConfigError, match="amplitude noise only"):
-        build_spec(dict(MINIMAL, engine="eps-classical", noise="period", levels=[0.1]))
-    with pytest.raises(ConfigError, match="spontaneous"):
-        build_spec(dict(MINIMAL, engine="theory", se_probability=0.1))
-    with pytest.raises(ConfigError, match="p_max"):
-        build_spec(dict(MINIMAL, engine="eps-classical", p_max=30.0))
+    # every engine accepts the keys it does not read at their defaults
+    defaults = {key.name: key.default for key in fields(ScanSpec) if key.name in _ENSEMBLE_KEYS}
+    for engine in _NOT_READ:
+        assert build_spec(dict(MINIMAL, engine=engine, **defaults)).engine == engine
+    # the scan-level seed sets the sidecar's point seeds of any engine
+    assert build_spec(dict(MINIMAL, seed=7)).seed == 7
     quantum = build_spec(
         dict(MINIMAL, engine="quantum", noise="period", levels=[0.1], se_probability=0.2)
     )
@@ -188,7 +231,7 @@ def test_ensemble_mapping():
 
 def test_load_config_round_trip(tmp_path):
     path = tmp_path / "scan.json"
-    path.write_text(json.dumps(dict(MINIMAL, levels=[0.0, 1.0])))
+    path.write_text(json.dumps(dict(MINIMAL, engine="quantum", levels=[0.0, 1.0])))
     spec = load_config(str(path))
     assert spec.levels == (0.0, 1.0)
     spec = load_config(str(path), {"kicks": 9, "seed": None})
@@ -454,13 +497,14 @@ def _refuse_to_scan(*args, **kwargs):
         (["--hi", "inf"], "hi"),
         (["--step", "1e-12"], "step"),
         (["--engine", "eps-classical", "--p-max", "30"], "p_max"),
-        (["--engine", "theory", "--kick-ratio", "1e5"], "kick_ratio"),
+        # a dict is a JSON config over MINIMAL, a theory scan, which reads no
+        # ensemble knob; it also spells values that no flag can
+        ({"kick_ratio": 1e5}, "kick_ratio"),
         (["--lo", "-0.2"], "lo"),  # hbar_eff <= 0 at the first point
         (["--abscissa", "epsilon", "--lo", "-7.0", "--hi", "0.1"], "lo"),
         (["--abscissa", "period-us", "--lo", "0.0", "--hi", "60.0"], "lo"),
-        (["--engine", "theory", "--p-max", "30"], "p_max"),
-        (["--engine", "theory", "--kick-spread", "0.3"], "kick_spread"),
-        # a dict is a JSON config, for values that no flag can spell
+        ({"p_max": 30.0}, "p_max"),
+        ({"kick_spread": 0.3}, "kick_spread"),
         ({"lo": True}, "lo must be a number, got True"),
         ({"se_probability": False}, "se_probability must be a number, got False"),
         ({"levels": [True]}, "levels[0] must be a number, got True"),
@@ -504,7 +548,7 @@ def test_main_rejects_non_integer_counts_from_a_config(tmp_path, monkeypatch, ca
 
 
 def test_spec_keeps_numpy_integer_counts_as_int():
-    spec = build_spec(dict(MINIMAL, kicks=np.int64(5), cutoff=np.int32(16)))
+    spec = build_spec(dict(MINIMAL, engine="quantum", kicks=np.int64(5), cutoff=np.int32(16)))
     assert spec.kicks == 5 and type(spec.kicks) is int
     assert spec.cutoff == 16 and type(spec.cutoff) is int
     assert build_spec(dict(MINIMAL, realizations=None, cutoff=None)).cutoff is None
@@ -601,6 +645,31 @@ def test_spec_bounds_the_work_of_a_scan():
     # the automatic ladder counts at its cap, L = 1025
     with pytest.raises(ConfigError, match="8.2e\\+12 atom-kicks"):
         build_spec(dict(grid, engine="quantum", atoms=10**4, kicks=10**5, realizations=2))
+
+
+def test_spec_bounds_what_one_realization_holds():
+    assert cli.MAX_ATOMS == 10**7 and cli.MAX_SE_SCHEDULE == 10**8
+    # 9e10 atom-kicks, within MAX_WORK, but ~65 B per atom: 6.5 GB before the first kick
+    raw = dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
+               kick_ratio=3.7, atoms=10**8, kicks=100, realizations=3)
+    with pytest.raises(ConfigError, match="atoms = 100000000 exceeds MAX_ATOMS = 1e"):
+        build_spec(raw)
+    assert build_spec(dict(raw, atoms=cli.MAX_ATOMS)).atoms == cli.MAX_ATOMS
+    for engine in ("eps-classical", "quantum"):
+        with pytest.raises(ConfigError, match="MAX_ATOMS"):
+            build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1, cutoff=8))
+    # 8.5e10 atom-kick-sites, within MAX_WORK, but an SE schedule of 9 B per
+    # atom and kick: 45 GB
+    raw = dict(engine="quantum", abscissa="hbar", lo=6.0, hi=6.05, step=0.1, kick_ratio=3.7,
+               atoms=10**6, kicks=5000, cutoff=8, se_probability=0.01, realizations=1)
+    with pytest.raises(ConfigError, match=r"atoms \* kicks = 5e\+09 with SE exceeds MAX_SE"):
+        build_spec(raw)
+    edge = dict(raw, atoms=10**4, kicks=10**4)
+    assert build_spec(edge).kicks == 10**4
+    with pytest.raises(ConfigError, match="MAX_SE_SCHEDULE"):
+        build_spec(dict(edge, kicks=10**4 + 1))
+    # without SE the schedule is a view of one element
+    assert build_spec(dict(raw, se_probability=0.0)).atoms == 10**6
 
 
 def test_main_rejects_unbounded_kicks_before_any_output(capsys, caplog):

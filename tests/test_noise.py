@@ -74,6 +74,11 @@ def test_zero_levels_give_clean_train():
     assert np.all(r.amplitude_factors == 1.0)
     assert np.all(r.period_offsets == 0.0)
     assert not r.se_events.any()
+    # without SE the (atoms, kicks) schedule holds no memory: 45 GB if filled
+    r = sample_realization(NoiseConfig(master_seed=0), 5000, n_atoms=10**6)
+    for schedule in (r.se_events, r.se_betas):
+        assert schedule.shape == (10**6, 5000) and schedule.strides == (0, 0)
+        assert not schedule.flags.writeable and not schedule[-1, -1]
 
 
 def test_streams_are_independent():
