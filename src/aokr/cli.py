@@ -18,18 +18,17 @@ import argparse
 import json
 import logging
 import math
-import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import IO, Iterator, Sequence, get_args, get_origin, get_type_hints
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .core import ScaledParams, hbar_from_period
+from .core import ScaledParams, check_fields, field_schema, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
 from .qkr import AUTO_CUTOFF_CAP, BETA_MODES, CutoffError, EnsembleSpec, ensemble_energy
@@ -129,32 +128,30 @@ _CELLS = {
     "theory": (_theory_cell, *_RATE_NAMES, _SCAN_LEVEL),
 }
 ENGINES = tuple(_CELLS)
-# the allowed values of ScanSpec's string keys, which `aokr scan` offers as choices
-_CHOICES = dict(engine=ENGINES, abscissa=ABSCISSAS, noise=NOISE_KINDS, beta_mode=BETA_MODES)
 
 
 @dataclass(frozen=True)
 class ScanSpec:
     """One scan: engine, abscissa range, noise levels, ensemble knobs.
 
-    Each field is a configuration key and the `aokr scan` flag of that name,
-    of its annotated type; the fields without a default are required.
+    Each field is a configuration key and the `aokr scan` flag of that name, of
+    its annotated type and choices; the fields without a default are required.
     """
 
-    engine: str
-    abscissa: str
+    engine: str = field(metadata={"choices": ENGINES})
+    abscissa: str = field(metadata={"choices": ABSCISSAS})
     lo: float
     hi: float
     step: float
     kick_ratio: float
     levels: tuple[float, ...] = (0.0,)
-    noise: str = "amplitude"
+    noise: str = field(default="amplitude", metadata={"choices": NOISE_KINDS})
     kicks: int = 20
     atoms: int = 1000
     realizations: int | None = None  # None: 12 per level, 3 at level 0
     seed: int = 0
     sigma_p: float = 2.5
-    beta_mode: str = "thermal"
+    beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
     beta_fixed: float = 0.0
     kick_spread: float = 0.0
     p_max: float | None = None
@@ -166,26 +163,7 @@ class ScanSpec:
     resonance_order: int = 1
 
     def __post_init__(self) -> None:
-        for name, (kind, optional, many) in _KEY_TYPES.items():
-            value = getattr(self, name)
-            if name in _CHOICES:
-                if value not in _CHOICES[name]:
-                    raise ConfigError(f"{name} = {value!r} not one of {_CHOICES[name]}")
-                continue
-            if value is None and optional:
-                continue
-            if many and not isinstance(value, (tuple, list)):
-                raise ConfigError(f"{name} must be a list, got {type(value).__name__}")
-            number, noun = _NUMBERS[kind]
-            for i, x in enumerate(value if many else (value,)):
-                if isinstance(x, bool) or not isinstance(x, number):
-                    where = f"{name}[{i}]" if many else name
-                    raise ConfigError(f"{where} must be {noun}, got {x!r}")
-                # nan, inf, and an int too large for a float
-                if kind is float and not abs(x) <= sys.float_info.max:
-                    raise ConfigError(f"{name} must be finite, got {value}")
-            if many or kind is int:  # the JSON meta line needs int, not numpy integers
-                object.__setattr__(self, name, tuple(map(kind, value)) if many else int(value))
+        check_fields(self, ConfigError)
         for key in fields(self):  # a key the engine does not read keeps its default
             value = getattr(self, key.name)
             if key.name not in _CELLS[self.engine][3] and value != key.default:
@@ -273,18 +251,6 @@ class ScanSpec:
             raise ConfigError(str(exc)) from exc
 
 
-def _key_type(hint: object) -> tuple[type, bool, bool]:
-    """(type of one value, None allowed, a tuple of values) of a ScanSpec annotation."""
-    args = get_args(hint)
-    kind = next((arg for arg in args if arg not in (type(None), Ellipsis)), hint)
-    return kind, type(None) in args, get_origin(hint) is tuple
-
-
-_NUMBERS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
-_KEY_TYPES = {name: _key_type(hint) for name, hint in get_type_hints(ScanSpec).items()}
-_SCAN_KEYS = frozenset(_KEY_TYPES)
-
-
 def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:
     seen = {}
     for key, value in pairs:
@@ -314,7 +280,7 @@ def build_spec(raw: dict, overrides: dict | None = None) -> ScanSpec:
     for key, value in (overrides or {}).items():
         if value is not None:
             merged[key] = value
-    unknown = set(merged) - _SCAN_KEYS
+    unknown = set(merged) - field_schema(ScanSpec).keys()
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
     missing = [f.name for f in fields(ScanSpec) if f.default is MISSING and f.name not in merged]
@@ -471,13 +437,13 @@ def _build_parser() -> _Parser:
     scan = sub.add_parser("scan", help="energy curve over an abscissa range", description=(
         "A key that only some engines read must keep its default on the others."))
     scan.add_argument("--config", help="JSON configuration file (flags override it)")
-    for key in fields(ScanSpec):  # each key is a flag; an absent flag leaves it None
-        kind, _, many = _KEY_TYPES[key.name]
+    # each key is a flag; an absent flag leaves it None
+    for key, (kind, _, many, choices) in zip(fields(ScanSpec), field_schema(ScanSpec).values()):
         readers = [engine for engine, cell in _CELLS.items() if key.name in cell[3]]
         note = f"(read by {', '.join(readers)})" if len(readers) < len(ENGINES) else ""
         scan.add_argument(
             "--" + key.name.replace("_", "-"), dest=key.name, type=kind,
-            choices=_CHOICES.get(key.name), nargs="+" if many else None,
+            choices=choices, nargs="+" if many else None,
             help=" ".join(filter(None, (key.metadata.get("help"), note))) or None,
         )
     scan.add_argument("--workers", type=int, default=1)
@@ -537,7 +503,7 @@ def _output(path: str) -> Iterator[IO[str]]:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    overrides = {key: getattr(args, key) for key in _SCAN_KEYS}
+    overrides = {key: getattr(args, key) for key in field_schema(ScanSpec)}
     spec = load_config(args.config, overrides) if args.config else build_spec({}, overrides)
     if not 1 <= args.workers <= MAX_WORKERS:
         raise ConfigError(f"workers must lie in [1, {MAX_WORKERS}], got {args.workers}")

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_finite, check_integer
+from .core import check_fields
 
 # fixed stream ids; never renumber, stored seeds depend on them
 STREAM_AMPLITUDE = 0
@@ -66,8 +66,7 @@ class NoiseConfig:
     realization_index: int = 0
 
     def __post_init__(self) -> None:
-        check_finite(self, "amplitude_level", "period_level", "se_probability")
-        check_integer(self, "master_seed", "realization_index")
+        check_fields(self)
         if not 0.0 <= self.amplitude_level <= AMPLITUDE_LEVEL_MAX:
             raise NoiseLevelError(
                 f"amplitude_level must lie in [0, {AMPLITUDE_LEVEL_MAX}], "
@@ -78,9 +77,7 @@ class NoiseConfig:
                 f"period_level must lie in [0, {PERIOD_LEVEL_MAX}), got {self.period_level}"
             )
         if not 0.0 <= self.se_probability <= 1.0:
-            raise NoiseLevelError(
-                f"se_probability must lie in [0, 1], got {self.se_probability}"
-            )
+            raise NoiseLevelError(f"se_probability must lie in [0, 1], got {self.se_probability}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.realization_index < 0:

@@ -63,11 +63,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ScaledParams, check_finite, check_integer
+from .core import ScaledParams, check_fields
 from .noise import (
     STREAM_ATOM_BETA,
     STREAM_ATOM_MOMENTA,
@@ -125,7 +125,7 @@ class EnsembleSpec:
 
     n_atoms: int
     sigma_p: float = 2.5
-    beta_mode: str = "thermal"
+    beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
     beta_fixed: float = 0.0
     kick_spread: float = 0.0
     p_max: float | None = None
@@ -133,12 +133,9 @@ class EnsembleSpec:
     momenta: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        check_finite(self, "sigma_p", "beta_fixed", "kick_spread", "p_max", "momenta")
-        check_integer(self, "n_atoms", *(() if self.cutoff is None else ("cutoff",)))
+        check_fields(self)
         if self.n_atoms < 1:
             raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.beta_mode not in BETA_MODES:
-            raise ValueError(f"beta_mode must be one of {BETA_MODES}, got {self.beta_mode!r}")
         if self.sigma_p <= 0.0:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         if not 0.0 <= self.beta_fixed < 1.0:

@@ -120,14 +120,18 @@ def quantum_kick_strength(kappa: float, hbar_eff: float) -> float:
     Vanishes at the quantum resonances hbar_eff = 2 pi m, where the kick-to-kick
     correlations die and only the quasilinear rate survives.
     """
-    if hbar_eff <= 0.0:
+    if not hbar_eff > 0.0:
         raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
     return 2.0 * kappa * math.sin(0.5 * hbar_eff) / hbar_eff
 
 
-def _check_regime(regime: str) -> None:
+def _check_rate_arguments(kappa: float, hbar_eff: float, regime: str) -> None:
     if regime not in ("classical", "quantum"):
         raise ValueError(f"regime must be 'classical' or 'quantum', got {regime!r}")
+    if not hbar_eff > 0.0:
+        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
 
 
 def _bessel_argument(kappa: float, hbar_eff: float, regime: str) -> float:
@@ -141,9 +145,7 @@ def diffusion_rate(kappa: float, hbar_eff: float, regime: str = "quantum") -> fl
     with K = kappa (classical) or kappa_q (quantum).  The four Bessel terms
     are the lag-1..3 kick correlations of the standard map.
     """
-    _check_regime(regime)
-    if hbar_eff <= 0.0:
-        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
+    _check_rate_arguments(kappa, hbar_eff, regime)
     K = abs(_bessel_argument(kappa, hbar_eff, regime))
     row = bessel_j_row(3, K)
     corr = 0.5 - row[2] - row[1] ** 2 + row[2] ** 2 + row[3] ** 2
@@ -207,9 +209,7 @@ def diffusion_rate_with_noise(
     returns there.  At resonance (K = 0) only the first term survives: level
     2 gives kappa^2/(3 hbar^2).
     """
-    _check_regime(regime)
-    if hbar_eff <= 0.0:
-        raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
+    _check_rate_arguments(kappa, hbar_eff, regime)
     if not 0.0 <= level <= AMPLITUDE_LEVEL_MAX:
         raise UnsupportedLevelError(
             f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"

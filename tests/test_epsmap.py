@@ -1,6 +1,7 @@
 """Near-resonance map: stepping, limits, portraits, and the standard-map oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from aokr.epsmap import (
     eps_step,
     phase_portrait,
 )
-from aokr.epsmap import _kick, _stratified_phases
+from aokr import epsmap
+from aokr.epsmap import _kick, _phase_advance, _resonant_limit_history, _stratified_phases
 from aokr.noise import (
     STREAM_MAP_PHASE,
     NoiseConfig,
@@ -220,6 +222,50 @@ def test_resonant_limit_matches_tiny_epsilon_iteration():
         EpsParams(epsilon=1e-6, kick_ratio=k), n, spec, NoiseConfig(master_seed=3)
     )[0]
     assert tiny[-1] == pytest.approx(exact[-1], rel=1e-3)
+
+
+def _one_block_resonant_limit(p, n_kicks, betas, n0s, gains, factors):
+    """The eps = 0 limit as one (atoms, kicks) block of phasor sums: the oracle."""
+    a = _phase_advance(p, betas)
+    steps = np.arange(1, n_kicks + 1)
+    partial = np.cumsum(factors[None, :] * np.exp(1j * np.outer(a, steps)), axis=1)
+    base = n0s.astype(float) ** 2 / 2.0
+    growth = (gains * p.kick_ratio) ** 2 / 4.0
+    out = np.empty(n_kicks + 1)
+    out[0] = float(np.mean(base))
+    out[1:] = np.mean(base[:, None] + growth[:, None] * np.abs(partial) ** 2, axis=0)
+    return out
+
+
+@pytest.mark.parametrize("block", [2, 3, 7, 64])
+@pytest.mark.parametrize("n_kicks", [1, 2, 3, 8, 15, 64, 65, 129])
+def test_blocked_resonant_limit_is_the_one_block_sum_bit_for_bit(monkeypatch, block, n_kicks):
+    # the last block absorbs a remainder of one kick, whose mean would sum pairwise
+    spec = EnsembleSpec(n_atoms=300, sigma_p=2.5, kick_spread=0.1)
+    cfg = NoiseConfig(amplitude_level=2.0, master_seed=5)
+    n0s, betas, gains = sample_atoms(spec, cfg)
+    factors = sample_realization(cfg, n_kicks, 1).amplitude_factors
+    monkeypatch.setattr(epsmap, "_LIMIT_BLOCK", block * spec.n_atoms)
+    for order in (1, 2):
+        p = EpsParams(epsilon=0.0, kick_ratio=3.7, resonance_order=order)
+        got = _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
+        want = _one_block_resonant_limit(p, n_kicks, betas, n0s, gains, factors)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_resonant_limit_memory_does_not_grow_with_kicks():
+    spec = EnsembleSpec(n_atoms=2000, beta_mode="uniform")
+    p, cfg = EpsParams(epsilon=0.0, kick_ratio=3.7), NoiseConfig(amplitude_level=2.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for n_kicks in (250, 1000):
+            tracemalloc.reset_peak()
+            eps_energy_history(p, n_kicks, spec, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("beta_mode", ["uniform", "fixed"])

@@ -378,6 +378,31 @@ def test_rate_rejects_bad_inputs():
         diffusion_rate_with_noise(5.0, 1.0, 2.5)
 
 
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: quantum_kick_strength(1.0, NAN), "hbar_eff must be positive",
+                     id="quantum_kick_strength-hbar"),
+        pytest.param(lambda: diffusion_rate(3.0, NAN), "hbar_eff must be positive",
+                     id="diffusion_rate-hbar"),
+        pytest.param(lambda: diffusion_rate(NAN, 3.0), "kappa must be finite",
+                     id="diffusion_rate-kappa"),
+        pytest.param(lambda: diffusion_rate_with_noise(3.0, NAN, 1.0), "hbar_eff must be positive",
+                     id="diffusion_rate_with_noise-hbar"),
+        pytest.param(lambda: diffusion_rate_with_noise(NAN, 3.0, 1.0), "kappa must be finite",
+                     id="diffusion_rate_with_noise-kappa"),
+        pytest.param(lambda: diffusion_rate_with_noise(math.inf, 3.0, 0.0), "kappa must be finite",
+                     id="diffusion_rate_with_noise-kappa-inf"),
+    ],
+)
+def test_rate_guards_reject_non_finite_arguments_by_name(call, match):
+    with pytest.raises(ValueError, match=f"^{match}, got (nan|inf)$"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # resonance peaks and inversion
 # ---------------------------------------------------------------------------
