@@ -3,8 +3,9 @@
 Layers, bottom up: `core` holds the scaled kicked-rotor parameters and maps
 a pulse period to hbar_eff; `noise` draws reproducible pulse-train noise
 realizations (amplitude, period, spontaneous emission); `qkr` evolves atom
-clouds on the momentum ladder to their mean energy after each kick; `epsmap`
-runs the classical map approximations valid near the quantum resonances;
+clouds on the momentum ladder and `epsmap` runs the classical map valid near
+the quantum resonances, each through one energy function (`ensemble_energy`,
+`eps_energy`) that returns the mean energy and its s.e.m. after every kick;
 `theory` supplies the closed-form diffusion rates and resonance peak
 heights; `cli` scans any of them over a pulse-period range to CSV and JSON.
 """
@@ -37,7 +38,6 @@ from .qkr import (
     CutoffError,
     EnsembleSpec,
     ensemble_energy,
-    ensemble_energy_history,
     sample_atoms,
 )
 from .epsmap import (
@@ -45,7 +45,6 @@ from .epsmap import (
     EpsParams,
     UnsupportedNoiseError,
     eps_energy,
-    eps_energy_history,
     eps_step,
     phase_portrait,
 )

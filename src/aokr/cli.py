@@ -73,7 +73,8 @@ def _check_bessel_argument(kick_ratio: float, hbar: float, level: float) -> None
 # engines: the two values of one (abscissa point, noise level) cell
 # ---------------------------------------------------------------------------
 # Engine entry points are called through this module's globals, where
-# bench/tracing.py wraps them.
+# bench/tracing.py wraps them.  The simulations return the energy after every
+# kick; a cell keeps the final one.
 
 def _quantum_cell(
     spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
@@ -81,7 +82,8 @@ def _quantum_cell(
     params = ScaledParams(
         hbar_eff=hbar, kick_strength=spec.kick_ratio * hbar, kick_count=spec.kicks
     )
-    return ensemble_energy(spec.ensemble(), params, cfg, n_real)
+    mean, sem = ensemble_energy(spec.ensemble(), params, cfg, n_real)
+    return float(mean[-1]), float(sem[-1])
 
 
 def _eps_cell(
@@ -92,7 +94,8 @@ def _eps_cell(
         kick_ratio=spec.kick_ratio,
         resonance_order=spec.resonance_order,
     )
-    return eps_energy(p, spec.kicks, spec.ensemble(), cfg, n_real)
+    mean, sem = eps_energy(p, spec.kicks, spec.ensemble(), cfg, n_real)
+    return float(mean[-1]), float(sem[-1])
 
 
 def _rates(kick_ratio: float, hbar: float, level: float) -> tuple[float, float]:

@@ -89,10 +89,8 @@ class ScaledParams:
             raise ValueError(f"kick_count must be >= 0, got {self.kick_count}")
 
 
-def hbar_from_period(pulse_period: float, recoil_frequency: float = OMEGA_R_CS) -> float:
+def hbar_from_period(pulse_period: float) -> float:
     """Effective Planck constant for a given pulse period, hbar_eff = 8 omega_r T."""
-    if not pulse_period > 0.0:
+    if not 0.0 < pulse_period < math.inf:
         raise ValueError(f"pulse_period must be positive, got {pulse_period}")
-    if not recoil_frequency > 0.0:
-        raise ValueError(f"recoil_frequency must be positive, got {recoil_frequency}")
-    return 8.0 * recoil_frequency * pulse_period
+    return 8.0 * OMEGA_R_CS * pulse_period

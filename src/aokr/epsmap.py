@@ -167,14 +167,14 @@ def _resonant_limit_history(
     return out
 
 
-def eps_energy_history(
+def eps_energy(
     p: EpsParams,
     n_kicks: int,
     spec: EnsembleSpec,
     cfg: NoiseConfig = NoiseConfig(),
     n_realizations: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled mean energy E_n = <rho_n^2> / (2 eps^2) after each kick.
+    """Rescaled mean energy E_n = <rho_n^2> / (2 eps^2) after kicks 0..n_kicks, with s.e.m.
 
     The ensemble (trajectory count, quasimomentum mode, momentum spread,
     per-trajectory kick factors) follows `spec` exactly as in the quantum
@@ -210,18 +210,6 @@ def eps_energy_history(
         return history
 
     return realization_mean(cfg, n_realizations, run)
-
-
-def eps_energy(
-    p: EpsParams,
-    n_kicks: int,
-    spec: EnsembleSpec,
-    cfg: NoiseConfig = NoiseConfig(),
-    n_realizations: int = 1,
-) -> tuple[float, float]:
-    """Rescaled mean energy after the final kick, with s.e.m. across realizations."""
-    mean, sem = eps_energy_history(p, n_kicks, spec, cfg, n_realizations)
-    return float(mean[-1]), float(sem[-1])
 
 
 def phase_portrait(

@@ -143,8 +143,9 @@ def realization_mean(
 
     Realization r = 0..R-1 runs with realization_index = cfg.realization_index
     + r, so it draws its own pulse train, SE schedule and cloud; `run` maps
-    that config to the realization's result (a number or an array).  The
-    s.e.m. is the spread across realization results.
+    that config to the realization's result, a number or an array (for
+    `ensemble_energy` and `eps_energy`, the energy after every kick).  The
+    s.e.m. is the spread across realization results, element by element.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")

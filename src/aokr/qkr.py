@@ -444,7 +444,7 @@ def _windowed_energy(
     return float(np.sum(np.multiply(w, p2, out=scratch))) / 2.0, total
 
 
-def ensemble_energy_history(
+def ensemble_energy(
     spec: EnsembleSpec,
     params: ScaledParams,
     cfg: NoiseConfig,
@@ -461,15 +461,3 @@ def ensemble_energy_history(
         return _cloud_energy(spec, params, realization)
 
     return realization_mean(cfg, n_realizations, run)
-
-
-def ensemble_energy(
-    spec: EnsembleSpec,
-    params: ScaledParams,
-    cfg: NoiseConfig,
-    n_realizations: int = 1,
-) -> tuple[float, float]:
-    """Mean energy after the final kick, with s.e.m. across realizations."""
-    mean, sem = ensemble_energy_history(spec, params, cfg, n_realizations)
-    return float(mean[-1]), float(sem[-1])
-

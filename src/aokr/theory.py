@@ -120,7 +120,7 @@ def quantum_kick_strength(kappa: float, hbar_eff: float) -> float:
     Vanishes at the quantum resonances hbar_eff = 2 pi m, where the kick-to-kick
     correlations die and only the quasilinear rate survives.
     """
-    if not hbar_eff > 0.0:
+    if not 0.0 < hbar_eff < math.inf:
         raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
     return 2.0 * kappa * math.sin(0.5 * hbar_eff) / hbar_eff
 
@@ -128,7 +128,7 @@ def quantum_kick_strength(kappa: float, hbar_eff: float) -> float:
 def _check_rate_arguments(kappa: float, hbar_eff: float, regime: str) -> None:
     if regime not in ("classical", "quantum"):
         raise ValueError(f"regime must be 'classical' or 'quantum', got {regime!r}")
-    if not hbar_eff > 0.0:
+    if not 0.0 < hbar_eff < math.inf:
         raise ValueError(f"hbar_eff must be positive, got {hbar_eff}")
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")

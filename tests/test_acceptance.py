@@ -18,12 +18,11 @@ import scipy.special
 
 from aokr.cli import build_spec, run_scan
 from aokr.core import ScaledParams
-from aokr.epsmap import EpsParams, eps_energy, eps_energy_history
+from aokr.epsmap import EpsParams, eps_energy
 from aokr.noise import NoiseConfig, free_evolution_intervals, sample_realization
 from aokr.qkr import (
     EnsembleSpec,
     ensemble_energy,
-    ensemble_energy_history,
     sample_atoms,
 )
 from aokr.theory import (
@@ -49,7 +48,7 @@ def test_c01_antiresonance_two_kick_identity():
     k = 3.77
     spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.0, cutoff=64)
     params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=12)
-    hist, _ = ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))
+    hist, _ = ensemble_energy(spec, params, NoiseConfig(master_seed=0))
     worst = float(np.max(np.abs(hist[2::2] - hist[0])))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 1.0
@@ -69,12 +68,12 @@ def test_c02_resonant_ballistic_law():
     steps = np.arange(1, 11)
     one_atom = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5, cutoff=96)
     params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=10)
-    hist, _ = ensemble_energy_history(one_atom, params, NoiseConfig(master_seed=0))
+    hist, _ = ensemble_energy(one_atom, params, NoiseConfig(master_seed=0))
     worst_q = float(np.max(np.abs((hist[1:] - hist[0]) / (0.25 * (k * steps) ** 2) - 1.0)))
 
     # same law pins the map's resonant limit (rho_0 = 0, fixed beta = 1/2)
     spec = EnsembleSpec(n_atoms=64, beta_mode="fixed", beta_fixed=0.5, cutoff=32)
-    hist, _ = eps_energy_history(
+    hist, _ = eps_energy(
         EpsParams(epsilon=0.0, kick_ratio=k), 10, spec, NoiseConfig(master_seed=0)
     )
     worst_m = float(np.max(np.abs(hist[1:] / (0.25 * k**2 * steps**2) - 1.0)))
@@ -96,7 +95,7 @@ def test_c03_peak_height_no_noise():
     k = 3.77
     spec = EnsembleSpec(n_atoms=10_000, beta_mode="uniform", cutoff=192)
     params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=30)
-    mean, _ = ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))
+    mean, _ = ensemble_energy(spec, params, NoiseConfig(master_seed=0))
     kicks = np.arange(10, 31)
     slope = float(np.polyfit(kicks, mean[10:31], 1)[0])
     target = 0.25 * k**2  # = 3.553
@@ -118,7 +117,7 @@ def test_c04_peak_height_max_amplitude_noise():
     k = 3.77
     spec = EnsembleSpec(n_atoms=10_000, beta_mode="uniform", cutoff=256)
     params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=20)
-    mean, sem = ensemble_energy_history(
+    mean, sem = ensemble_energy(
         spec, params, NoiseConfig(amplitude_level=2.0, master_seed=3), 12
     )
     target = k**2 * 20.0 / 3.0  # = 94.8
@@ -215,7 +214,7 @@ def test_c07_map_cross_validates_quantum_peak():
             mapped, _ = eps_energy(
                 EpsParams(epsilon=eps, kick_ratio=k), 20, espec, cfg, n_real
             )
-            dev = mapped / quantum - 1.0
+            dev = mapped[-1] / quantum[-1] - 1.0
             worst = max(worst, abs(dev))
             cells.append(dev)
     elapsed = time.perf_counter() - t0
@@ -411,7 +410,7 @@ def test_c12_unitarity_and_cutoff_convergence():
         energies[cutoff], _ = ensemble_energy(
             spec, params, NoiseConfig(amplitude_level=2.0, se_probability=0.025, master_seed=5)
         )
-    change = abs(energies[1024] / energies[512] - 1.0)
+    change = abs(energies[1024][-1] / energies[512][-1] - 1.0)
 
     elapsed = time.perf_counter() - t0
     ok = drift <= 1e-12 and change <= 1e-3
@@ -436,8 +435,8 @@ def test_c13_resonant_quantum_equals_map_limit():
         for level in (0.0, 1.0, 2.0):
             for index in range(3):
                 cfg = NoiseConfig(amplitude_level=level, master_seed=13, realization_index=index)
-                quantum, _ = ensemble_energy_history(spec, params, cfg)
-                limit, _ = eps_energy_history(EpsParams(0.0, r, resonance_order=m), 20, spec, cfg)
+                quantum, _ = ensemble_energy(spec, params, cfg)
+                limit, _ = eps_energy(EpsParams(0.0, r, resonance_order=m), 20, spec, cfg)
                 _, betas, _ = sample_atoms(spec, cfg)
                 want = limit + float(np.mean(betas**2)) / 2.0
                 dev = float(np.max(np.abs(quantum / want - 1.0)))

@@ -25,14 +25,12 @@ def test_hbar_from_period_matches_caesium_resonance():
 def test_hbar_from_period_validation():
     with pytest.raises(ValueError):
         hbar_from_period(0.0)
-    with pytest.raises(ValueError):
-        hbar_from_period(60.5e-6, recoil_frequency=-1.0)
 
 
 @pytest.mark.parametrize(
     "args, match",
     [((math.nan,), "pulse_period must be positive, got nan"),
-     ((1e-4, math.nan), "recoil_frequency must be positive, got nan")],
+     ((math.inf,), "pulse_period must be positive, got inf")],
 )
 def test_hbar_from_period_rejects_nan(args, match):
     with pytest.raises(ValueError, match=f"^{match}$"):

@@ -14,8 +14,10 @@ import aokr
 # which they now keep, `QuadratureError`, whose quadrature the closed-form
 # Bessel averages replaced, the laboratory-unit layer no command used, the
 # single-atom API and momentum histogram that only the tests ran, `bessel_j`,
-# which `noise_averaged_bessel(order, x, 0.0)` computes bit for bit, and
-# `resonance_height`, which only the tests ran
+# which `noise_averaged_bessel(order, x, 0.0)` computes bit for bit,
+# `resonance_height`, which only the tests ran, and `ensemble_energy_history`
+# and `eps_energy_history`, whose per-kick histories `ensemble_energy` and
+# `eps_energy` now return themselves
 PUBLIC_NAMES = """
     __version__ OMEGA_R_CS ScaledParams hbar_from_period AMPLITUDE_LEVEL_MAX
     PERIOD_LEVEL_MAX IntervalError
@@ -24,8 +26,8 @@ PUBLIC_NAMES = """
     bessel_j_row diffusion_rate diffusion_rate_with_noise
     kick_strength_from_energy noise_averaged_bessel quantum_kick_strength
     AUTO_CUTOFF_CAP CutoffError EnsembleSpec
-    ensemble_energy ensemble_energy_history sample_atoms EpsilonZeroError
-    EpsParams UnsupportedNoiseError eps_energy eps_energy_history
+    ensemble_energy sample_atoms EpsilonZeroError
+    EpsParams UnsupportedNoiseError eps_energy
     eps_step phase_portrait
 """.split()
 
@@ -36,7 +38,7 @@ UNREAD_IMPORTS = {
 
 
 def test_package_exports_every_public_name():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 31
     missing = [name for name in PUBLIC_NAMES if not hasattr(aokr, name)]
     assert missing == []
     for removed in ("kick", "free_evolve", "reshuffle"):
@@ -61,6 +63,10 @@ def test_package_exports_every_public_name():
     for removed in ("QuadratureError", "bessel_j", "resonance_height"):
         assert not hasattr(aokr, removed)
         assert not hasattr(aokr.theory, removed)
+    for removed in ("ensemble_energy_history", "eps_energy_history"):
+        assert not hasattr(aokr, removed)
+        assert not hasattr(aokr.qkr, removed)
+        assert not hasattr(aokr.epsmap, removed)
 
 
 def test_eps_params_carry_no_quasimomentum():

@@ -21,7 +21,6 @@ from aokr.qkr import (
     _norm_ppf,
     _tail_bound,
     ensemble_energy,
-    ensemble_energy_history,
     sample_atoms,
 )
 from aokr.theory import bessel_j_row, kick_strength_from_energy
@@ -166,7 +165,7 @@ def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
     spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=beta, cutoff=cutoff)
     params = ScaledParams(hbar_eff=hbar_eff, kick_strength=kick_ratio * hbar_eff,
                           kick_count=kick_count)
-    return ensemble_energy_history(spec, params, NoiseConfig(master_seed=0))[0]
+    return ensemble_energy(spec, params, NoiseConfig(master_seed=0))[0]
 
 
 class _StepperSpy:
@@ -615,7 +614,7 @@ def test_uniform_beta_resonance_slope():
     k = 3.77
     spec = EnsembleSpec(n_atoms=512, beta_mode="uniform", cutoff=192)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=30)
-    mean, sem = ensemble_energy_history(spec, p, NoiseConfig(master_seed=3))
+    mean, sem = ensemble_energy(spec, p, NoiseConfig(master_seed=3))
     kicks = np.arange(10, 31)
     slope = np.polyfit(kicks, mean[10:31], 1)[0]
     assert slope == pytest.approx(0.25 * k**2, rel=0.01)
@@ -626,16 +625,16 @@ def test_history_shape_reproducibility_and_seed_sensitivity():
     spec = EnsembleSpec(n_atoms=24, cutoff=48, sigma_p=1.0)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=1.5 * TWO_PI, kick_count=5)
     cfg = NoiseConfig(amplitude_level=2.0, master_seed=8)
-    mean, sem = ensemble_energy_history(spec, p, cfg, n_realizations=3)
+    mean, sem = ensemble_energy(spec, p, cfg, n_realizations=3)
     assert mean.shape == sem.shape == (6,)
     assert mean[0] == pytest.approx(0.5, rel=0.1)  # sigma_p^2 / 2
     assert np.all(sem[1:] > 0.0)
-    mean2, sem2 = ensemble_energy_history(spec, p, cfg, n_realizations=3)
+    mean2, sem2 = ensemble_energy(spec, p, cfg, n_realizations=3)
     assert np.array_equal(mean, mean2) and np.array_equal(sem, sem2)
-    mean3, _ = ensemble_energy_history(spec, p, NoiseConfig(amplitude_level=2.0, master_seed=9), 3)
+    mean3, _ = ensemble_energy(spec, p, NoiseConfig(amplitude_level=2.0, master_seed=9), 3)
     assert not np.array_equal(mean, mean3)
     with pytest.raises(ValueError):
-        ensemble_energy_history(spec, p, cfg, n_realizations=0)
+        ensemble_energy(spec, p, cfg, n_realizations=0)
 
 
 def test_detection_window_reduces_energy():
@@ -645,8 +644,8 @@ def test_detection_window_reduces_energy():
     cfg = NoiseConfig(master_seed=2)
     e_all, _ = ensemble_energy(spec, p, cfg)
     e_win, _ = ensemble_energy(seen, p, cfg)
-    assert e_win < e_all
-    assert e_win <= 0.5 * 6.0**2
+    assert e_win[-1] < e_all[-1]
+    assert e_win[-1] <= 0.5 * 6.0**2
     # every atom starts at |p| = 1/2, outside a window at 0.1
     dark = EnsembleSpec(n_atoms=2, beta_mode="fixed", beta_fixed=0.5, cutoff=16, p_max=0.1)
     with pytest.raises(ValueError, match="^detection window discarded the entire cloud$"):
@@ -688,8 +687,8 @@ def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, leve
     cfg = NoiseConfig(amplitude_level=level, se_probability=se, master_seed=21)
     auto = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, **_STARTS[start])
     explicit = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, cutoff=512, **_STARTS[start])
-    got, got_sem = ensemble_energy_history(auto, p, cfg, n_realizations=2)
-    want, want_sem = ensemble_energy_history(explicit, p, cfg, n_realizations=2)
+    got, got_sem = ensemble_energy(auto, p, cfg, n_realizations=2)
+    want, want_sem = ensemble_energy(explicit, p, cfg, n_realizations=2)
     # the antiresonance returns to E = 0 every second kick: scale by the peak
     scale = np.max(want) if start == "antiresonant" else want
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -734,8 +733,8 @@ def test_automatic_ladder_falls_back_to_the_cap(monkeypatch):
     spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=3.0, kick_strength=12.0 * 3.0, kick_count=40)
     cfg = NoiseConfig(master_seed=5)
-    auto, _ = ensemble_energy_history(EnsembleSpec(n_atoms=8), p, cfg)
-    explicit, _ = ensemble_energy_history(EnsembleSpec(n_atoms=8, cutoff=512), p, cfg)
+    auto, _ = ensemble_energy(EnsembleSpec(n_atoms=8), p, cfg)
+    explicit, _ = ensemble_energy(EnsembleSpec(n_atoms=8, cutoff=512), p, cfg)
     assert spy.lengths == [1025, 1025]
     assert np.array_equal(auto, explicit)
 
@@ -793,9 +792,9 @@ def test_chunking_does_not_change_energies(monkeypatch, p_max):
         cfg = NoiseConfig(amplitude_level=1.0, master_seed=11, realization_index=first)
         spy = _StepperSpy(monkeypatch)
         spec = EnsembleSpec(n_atoms=5, sigma_p=1.5, cutoff=cutoff, p_max=p_max)
-        whole, whole_sem = ensemble_energy_history(spec, p, cfg, n_realizations=2)
+        whole, whole_sem = ensemble_energy(spec, p, cfg, n_realizations=2)
         monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
-        chunked, _ = ensemble_energy_history(spec, p, cfg, n_realizations=2)
+        chunked, _ = ensemble_energy(spec, p, cfg, n_realizations=2)
         assert np.all(np.abs(chunked - whole) <= 1e-12 * whole)
         assert whole_sem[-1] > 0.0
         if cutoff is None:

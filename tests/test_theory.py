@@ -396,6 +396,14 @@ NAN = math.nan
                      id="diffusion_rate_with_noise-kappa"),
         pytest.param(lambda: diffusion_rate_with_noise(math.inf, 3.0, 0.0), "kappa must be finite",
                      id="diffusion_rate_with_noise-kappa-inf"),
+        pytest.param(lambda: quantum_kick_strength(1.0, math.inf), "hbar_eff must be positive",
+                     id="quantum_kick_strength-hbar-inf"),
+        pytest.param(lambda: diffusion_rate(3.0, math.inf), "hbar_eff must be positive",
+                     id="diffusion_rate-hbar-inf"),
+        pytest.param(lambda: diffusion_rate(3.0, math.inf, "classical"),
+                     "hbar_eff must be positive", id="diffusion_rate-classical-hbar-inf"),
+        pytest.param(lambda: diffusion_rate_with_noise(3.0, math.inf, 2.0, "classical"),
+                     "hbar_eff must be positive", id="diffusion_rate_with_noise-classical-hbar-inf"),
     ],
 )
 def test_rate_guards_reject_non_finite_arguments_by_name(call, match):
