@@ -22,9 +22,9 @@ Per-kick cost.  A kick is one in-place FFT pair around a multiply by the
 kick phase, which is rebuilt only when k_eff changes: without amplitude
 noise, once per batch.  The free phase of all-unit gaps is built once.
 Under period noise, exp(-i a (n + beta)^2) with a = hbar_eff tau_s / 2 is
-factored into a row exp(-i a n^2) and per-atom powers of
-z = exp(-2i a beta) from two small tables: about three complex multiplies
-per site instead of an exponential.  Phases are written as cos + i sin into
+applied in place as three complex multiplies per site: a row exp(-i a n^2),
+then per-atom blocks and powers of z = exp(-2i a beta), running products of
+three exponentials per atom.  Phases are written as cos + i sin into
 buffers, and the amplitudes, phases, |c|^2 and one scratch array are
 allocated once per batch, so no kick allocates an atoms x L array.  The one
 exponential left per site and kick is the per-atom kick phase under
@@ -94,7 +94,6 @@ _LADDER_LENGTHS = sorted(
     if 2**a * 3**b * 5**c < 2 * AUTO_CUTOFF_CAP + 1
 ) + [2 * AUTO_CUTOFF_CAP + 1]
 _CHUNK_ATOMS = 2048
-_POWER_BLOCK = 32  # the jittered free phase's power tables: z^r for r < 32, z^(32 q)
 
 
 def _ladder(l_size: int) -> np.ndarray:
@@ -246,26 +245,32 @@ def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _jittered_free_phase(
-    a: float, beta: np.ndarray, n_grid: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """exp(-i a (n + beta)^2) per atom and site, built in `out`; returns its (atoms, L) view.
+def _jittered_free_phase(a: float, beta: np.ndarray, n_grid: np.ndarray, c: np.ndarray) -> None:
+    """Multiply each atom's row of c in place by exp(-i a (n + beta)^2).
 
-    With n = n_min + B q + r (0 <= r < B) the phase factors into a row
-    exp(-i a n^2), a per-atom power z^(B q) exp(-i a beta (beta + 2 n_min))
-    and a per-atom power z^r of z = exp(-2i a beta).  Only the row and the
-    two small power tables are transcendental; each site costs two complex
-    multiplies.  `out` has shape (atoms, Q, B) with Q B >= L.
+    With n = n_min + B q + r (0 <= r < B, Q B = L, B the largest divisor of
+    L up to sqrt L) the phase factors into a row exp(-i a n^2), a per-atom
+    block exp(-i a beta (beta + 2 n_min)) z^(B q) and a per-atom power z^r
+    of z = exp(-2i a beta).  The row costs L exponentials; both per-atom
+    tables are running products of three (z, z^B and the block anchor), so
+    a site costs three complex multiplies and no exponential.
     """
-    atoms, q_len, block = out.shape
+    atoms, l_size = c.shape
+    block = max(b for b in range(1, math.isqrt(l_size) + 1) if l_size % b == 0)
     w = -2.0 * a * beta  # arg z
-    powers = _cis(w[:, None] * np.arange(block))
-    blocks = _cis((-a * beta * (beta + 2.0 * n_grid[0]))[:, None]
-                  + w[:, None] * (block * np.arange(q_len)))
-    np.multiply(blocks[:, :, None], powers[:, None, :], out=out)
-    phase = out.reshape(atoms, q_len * block)[:, : n_grid.size]
-    np.multiply(phase, _cis(-a * n_grid**2), out=phase)
-    return phase
+    powers = np.empty((atoms, block), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = _cis(w)[:, None]
+    blocks = np.empty((atoms, l_size // block), dtype=complex)
+    blocks[:, 0] = _cis(-a * beta * (beta + 2.0 * n_grid[0]))
+    blocks[:, 1:] = _cis(block * w)[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    np.multiply.accumulate(blocks, axis=1, out=blocks)
+    v = c.view()
+    v.shape = blocks.shape + (block,)  # raises where reshape would copy
+    np.multiply(c, _cis(-a * n_grid**2), out=c)
+    np.multiply(v, blocks[:, :, None], out=v)
+    np.multiply(v, powers[:, None, :], out=v)
 
 
 def _evolve(
@@ -287,9 +292,9 @@ def _evolve(
 
     Per kick: one in-place FFT pair around the kick phase, which is rebuilt
     only when k_eff changes (equal kick factors share one row); the free
-    phase is built once for all-unit gaps, and under period noise factored
-    by `_jittered_free_phase`.  Every atoms x L array is allocated before
-    the first kick.
+    phase is built once for all-unit gaps, and under period noise applied
+    in place by `_jittered_free_phase`.  Every atoms x L array is allocated
+    before the first kick.
     """
     n_kicks = params.kick_count
     atoms, l_size = c.shape
@@ -308,12 +313,8 @@ def _evolve(
     prob = np.empty((atoms, l_size))
     scratch = np.empty((atoms, l_size))
     kick_phase = np.empty(l_size if common_kick else (atoms, l_size), dtype=complex)
-    if np.all(intervals == 1.0):
-        free_unit = _cis(np.multiply(-0.5 * hbar, p2, out=scratch))
-    else:
-        free_unit = None
-        q_len = -(-l_size // _POWER_BLOCK)
-        free_buffer = np.empty((atoms, q_len, _POWER_BLOCK), dtype=complex)
+    uniform_gaps = bool(np.all(intervals == 1.0))
+    free_unit = _cis(np.multiply(-0.5 * hbar, p2, out=scratch)) if uniform_gaps else None
     sums = np.zeros((2, n_kicks + 1))
     np.square(np.abs(c, out=prob), out=prob)
     sums[:, 0] = _windowed_energy(prob, p2, window, scratch)
@@ -351,10 +352,9 @@ def _evolve(
 
         if s < n_kicks - 1:
             if free_unit is None:
-                free = _jittered_free_phase(0.5 * hbar * intervals[s], beta, n_grid, free_buffer)
+                _jittered_free_phase(0.5 * hbar * intervals[s], beta, n_grid, c)
             else:
-                free = free_unit
-            np.multiply(c, free, out=c)
+                np.multiply(c, free_unit, out=c)
     return sums
 
 

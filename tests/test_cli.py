@@ -366,8 +366,8 @@ _GOLDEN_SCANS = {
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
              noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
              kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
-        "0b89712a6d87b262565c4e1eb5832d56acb1e00a790bc9485e647ce052dd2e82",
-        "b6e659348be1e2e72766ad7332fc7b74acddae82aee0653126c448f064a44e7b",
+        "b0c6bda823a84a977f511ca7f9b679513f3dde7ca3ba9d8a3a2188e6b03ac57a",
+        "1a2d53cd11f9c0cf10eb4df06d92b6d8b7551519a0fcb15f33af3be54da8489f",
     ),
     "eps-classical": (
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
@@ -406,6 +406,31 @@ def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
         assert main(["scan", *source, "--out", str(out), "--json", str(sidecar)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+
+
+# the quantum golden scan's rows (hbar, level, energy, sem) as printed when
+# the period-noise free phase was a direct product of per-site power tables;
+# the running-product tables move its level-0.1 rows by about 1e-14 relative
+_QUANTUM_GOLDEN_ROWS = (
+    (6.2, 0.0, 7.073270944543507, 0.4293298447782674),
+    (6.25, 0.0, 8.994654919934248, 0.49211552426707245),
+    (6.3, 0.0, 7.120196924859513, 0.3511562817241151),
+    (6.2, 0.1, 7.628140628341309, 0.21908768074284876),
+    (6.25, 0.1, 6.592322689570715, 0.6502046581978397),
+    (6.3, 0.1, 7.093128713827909, 1.0874924990582377),
+)
+
+
+def test_quantum_golden_scan_values_hold_to_1e_13(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["scan", *_as_flags(_GOLDEN_SCANS["quantum"][0]), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "hbar,level,energy,sem"
+    rows = [tuple(map(float, line.split(","))) for line in lines[2:]]
+    assert len(rows) == len(_QUANTUM_GOLDEN_ROWS)
+    for got, want in zip(rows, _QUANTUM_GOLDEN_ROWS):
+        assert got[:2] == want[:2]
+        assert got[2:] == pytest.approx(want[2:], rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -380,26 +380,19 @@ def test_evolve_atom_matches_matrix_composition():
         assert np.max(np.abs(out - vec)) < 1e-9
 
 
-@pytest.mark.parametrize(
-    "noise, kick_spread, se, p_max",
-    list(itertools.product(
-        ("none", "amplitude", "period"), (0.0, 0.05), (0.0, 0.025), (None, 7.5)
-    )),
-)
-def test_stepper_matches_the_direct_exp_stepper(noise, kick_spread, se, p_max):
-    # the buffered stepper against fresh np.exp phases at every kick: bit for
-    # bit on uniform gaps (reused kick phases, cos + i sin, in-place
-    # transforms), and to 1e-12 under period noise, whose free phase is
-    # factored; amplitudes are compared relative to each atom's unit norm
+def _check_stepper_against_direct_exp(noise, kick_spread, se, p_max, cutoff):
+    """`qkr._evolve` against `_direct_exp_stepper` for 60 atoms on the
+    L = 2 cutoff + 1 ladder: bit for bit on uniform gaps, to 1e-12 under
+    period noise; amplitudes relative to each atom's unit norm."""
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=6)
-    spec = EnsembleSpec(n_atoms=60, kick_spread=kick_spread, p_max=p_max, cutoff=64)
+    spec = EnsembleSpec(n_atoms=60, kick_spread=kick_spread, p_max=p_max, cutoff=cutoff)
     levels = {"none": {}, "amplitude": {"amplitude_level": 1.0}, "period": {"period_level": 0.1}}
     cfg = NoiseConfig(se_probability=se, master_seed=5, **levels[noise])
     r = sample_realization(cfg, p.kick_count, spec.n_atoms)
     assert (r.se_events[:, :-1].sum() >= 4) == (se > 0.0)
     n0, beta, g = sample_atoms(spec, cfg)
-    start = (np.arange(129) - 64 == n0[:, None]).astype(complex)
+    start = (qkr._ladder(2 * cutoff + 1) == n0[:, None]).astype(complex)
     rows = slice(0, spec.n_atoms)
     c, new_beta = start.copy(), beta.copy()
     energy, weight = qkr._evolve(c, new_beta, g, p, r, rows, p_max)
@@ -418,27 +411,108 @@ def test_stepper_matches_the_direct_exp_stepper(noise, kick_spread, se, p_max):
         np.testing.assert_allclose(weight, want_weight, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "noise, kick_spread, se, p_max",
+    list(itertools.product(
+        ("none", "amplitude", "period"), (0.0, 0.05), (0.0, 0.025), (None, 7.5)
+    )),
+)
+def test_stepper_matches_the_direct_exp_stepper(noise, kick_spread, se, p_max):
+    # the buffered stepper against fresh np.exp phases at every kick: bit for
+    # bit on uniform gaps (reused kick phases, cos + i sin, in-place
+    # transforms), and to 1e-12 under period noise, whose free phase is
+    # factored; L = 129 is viewed as Q = 43 blocks of B = 3 sites
+    _check_stepper_against_direct_exp(noise, kick_spread, se, p_max, cutoff=64)
+
+
+@pytest.mark.parametrize(
+    "cutoff, kick_spread, se, p_max",
+    list(itertools.product((48, 192), (0.0, 0.05), (0.0, 0.025), (None, 7.5))),
+)
+def test_period_noise_stepper_matches_the_direct_exp_stepper_on_other_ladders(
+    cutoff, kick_spread, se, p_max
+):
+    # the factored free phase on a prime ladder (L = 97, blocks of B = 1
+    # site) and on the peak-jitter ladder (L = 385, Q = 35 blocks of B = 11)
+    _check_stepper_against_direct_exp("period", kick_spread, se, p_max, cutoff)
+
+
+def _exact_free_phase(a, betas, n_grid):
+    """exp(-i a (n + beta)^2) with the phase reduced mod 2 pi in 256-bit arithmetic."""
+    with mpmath.workprec(256):
+        exact = np.array([
+            [float(mpmath.fmod(-mpmath.mpf(a) * (int(n) + mpmath.mpf(b)) ** 2, 2 * mpmath.pi))
+             for n in n_grid]
+            for b in betas
+        ])
+    return np.exp(1j * exact)
+
+
+_FREE_PHASE_BETAS = np.array([0.0, 0.125, 0.3, 0.5, 0.77, 0.999, 1.0 - 2.0**-30])
+_FREE_PHASE_TAUS = (1e-3, 0.25, 0.5, 1.0, 1.5, 1.75, 1.999)
+
+
+def _free_phase_errors(l_size, tau):
+    """Largest errors of the in-place free phase applied to rows of ones and
+    of the direct np.exp, against the exact phase, on the L-site ladder."""
+    a = 0.5 * (TWO_PI + 0.2) * tau
+    n_grid = qkr._ladder(l_size)
+    got = np.ones((_FREE_PHASE_BETAS.size, l_size), dtype=complex)
+    qkr._jittered_free_phase(a, _FREE_PHASE_BETAS, n_grid, got)
+    direct = np.exp(-1j * a * (n_grid[None, :] + _FREE_PHASE_BETAS[:, None]) ** 2)
+    want = _exact_free_phase(a, _FREE_PHASE_BETAS, n_grid)
+    return np.max(np.abs(got - want)), np.max(np.abs(direct - want))
+
+
 def test_jittered_free_phase_against_mpmath():
     # the factored free phase exp(-i a (n + beta)^2) is no less accurate than
     # the direct np.exp of the full argument, for |n| <= 512 and every gap:
-    # a = hbar tau / 2 with tau up to 1 + L_P at hbar = 2 pi + 0.2; the exact
-    # phase is reduced mod 2 pi in 256-bit arithmetic
-    hbar = TWO_PI + 0.2
-    n_grid = np.arange(-512, 513)
-    betas = np.array([0.0, 0.125, 0.3, 0.5, 0.77, 0.999, 1.0 - 2.0**-30])
-    buffer = np.empty((betas.size, 33, qkr._POWER_BLOCK), dtype=complex)
-    for tau in (1e-3, 0.25, 0.5, 1.0, 1.5, 1.75, 1.999):
-        a = 0.5 * hbar * tau
-        got = qkr._jittered_free_phase(a, betas, n_grid, buffer)
-        direct = np.exp(-1j * a * (n_grid[None, :] + betas[:, None]) ** 2)
-        with mpmath.workprec(256):
-            exact = np.array([
-                [float(mpmath.fmod(-mpmath.mpf(a) * (int(n) + mpmath.mpf(b)) ** 2, 2 * mpmath.pi))
-                 for n in n_grid]
-                for b in betas
-            ])
-        want = np.exp(1j * exact)
-        assert np.max(np.abs(got - want)) <= np.max(np.abs(direct - want))
+    # a = hbar tau / 2 with tau up to 1 + L_P at hbar = 2 pi + 0.2
+    for tau in _FREE_PHASE_TAUS:
+        got, direct = _free_phase_errors(1025, tau)
+        assert got <= direct
+
+
+@pytest.mark.parametrize("l_size", [97, 240, 385])
+def test_jittered_free_phase_on_short_ladders_against_mpmath(l_size):
+    # on short ladders the direct np.exp is off by a few ulp only, while the
+    # running products of the factored phase chain up to Q + B roundings (98
+    # on the prime L = 97, where B = 1): within max(direct error, 1e-13)
+    for tau in _FREE_PHASE_TAUS:
+        got, direct = _free_phase_errors(l_size, tau)
+        assert got <= max(direct, 1e-13)
+
+
+def test_jittered_free_phase_evaluates_three_phases_per_atom(monkeypatch):
+    # one exponential per site of the row exp(-i a n^2) and three per atom
+    # for the block and power tables, none per atom and site: the phases that
+    # `_cis` evaluates inside the one free phase of a two-kick train
+    count = {"calls": 0, "inside": False, "phases": 0}
+    cis, free_phase = qkr._cis, qkr._jittered_free_phase
+
+    def cis_spy(x, out=None):
+        if count["inside"]:
+            count["phases"] += np.size(x) if out is None else out.size
+        return cis(x, out)
+
+    def free_phase_spy(*args):
+        count["calls"] += 1
+        count["inside"] = True
+        try:
+            return free_phase(*args)
+        finally:
+            count["inside"] = False
+
+    monkeypatch.setattr(qkr, "_cis", cis_spy)
+    monkeypatch.setattr(qkr, "_jittered_free_phase", free_phase_spy)
+    atoms, cutoff = 50, 192
+    p = ScaledParams(hbar_eff=TWO_PI + 0.1, kick_strength=TWO_PI, kick_count=2)
+    r = sample_realization(NoiseConfig(period_level=0.1, master_seed=5), 2, atoms)
+    c = np.zeros((atoms, 2 * cutoff + 1), dtype=complex)
+    c[:, cutoff] = 1.0
+    qkr._evolve(c, np.linspace(0.0, 0.99, atoms), np.ones(atoms), p, r, slice(0, atoms), None)
+    assert count["calls"] == 1
+    assert 0 < count["phases"] <= 2 * cutoff + 1 + 3 * atoms
 
 
 def test_evolve_atom_edge_cases():
