@@ -20,19 +20,24 @@ the tests as an independent oracle for it.
 
 Per-kick cost.  A kick is one in-place FFT pair around a multiply by the
 kick phase, which is rebuilt only when k_eff changes: without amplitude
-noise, once per batch.  The free phase of all-unit gaps is built once.
+noise, once per block.  The free phase of all-unit gaps is built once.
 Under period noise, exp(-i a (n + beta)^2) with a = hbar_eff tau_s / 2 is
 applied in place as three complex multiplies per site: a row exp(-i a n^2),
 then per-atom blocks and powers of z = exp(-2i a beta), running products of
 three exponentials per atom.  Phases are written as cos + i sin into
 buffers, and the amplitudes, phases, |c|^2 and one scratch array are
-allocated once per batch, so no kick allocates an atoms x L array.  The one
+allocated once per block, so no kick allocates an atoms x L array.  The one
 exponential left per site and kick is the per-atom kick phase under
 amplitude noise with a kick spread.
 
+Blocks.  A realization's cloud is evolved in blocks of max(1, _BLOCK_SITES
+// L) atoms, one block at a time, so every per-block array stays near the
+size of a core's L2 cache and a worker's working set does not grow with
+the atom count (see `_cloud_energy`).
+
 Ladder length.  An explicit cutoff M gives L = 2M + 1.  Without one, each
 realization gets its own L from a reach bound, chosen before its first
-chunk of atoms so that every chunk shares it.  Conjugating a kick
+block of atoms so that every block shares it.  Conjugating a kick
 U = exp(i k cos phi) by exp(t n) turns it into multiplication by
 exp(i k cos(phi - i t)), whose modulus is at most exp(|k| sinh t); free
 phases and SE beta swaps commute with n.  So for an atom started in |n0>,
@@ -93,7 +98,7 @@ _LADDER_LENGTHS = sorted(
     for a in range(11) for b in range(7) for c in range(5)
     if 2**a * 3**b * 5**c < 2 * AUTO_CUTOFF_CAP + 1
 ) + [2 * AUTO_CUTOFF_CAP + 1]
-_CHUNK_ATOMS = 2048
+_BLOCK_SITES = 2**16  # ladder sites per block of atoms: 1 MiB of amplitudes
 
 
 def _ladder(l_size: int) -> np.ndarray:
@@ -401,10 +406,17 @@ def _cloud_energy(
 ) -> np.ndarray:
     """Mean energy per kick index 0..N of the cloud in one noise realization.
 
-    The cloud is evolved in chunks of atoms, so only one chunk's amplitudes
-    exist at a time; the chunks' energy sums and weights are added before
-    the cloud-wide normalization.  The ladder is fixed before the first
-    chunk, so every chunk shares it.
+    The cloud is evolved in blocks of max(1, _BLOCK_SITES // L) atoms, so
+    only one block's amplitudes exist at a time; the blocks' energy sums and
+    weights are added in block order before the cloud-wide normalization.
+    The ladder is fixed before the first block, so every block shares it.
+
+    Per-worker working set: one block of at most _BLOCK_SITES sites (or one
+    atom's L, if longer), at 73 B per site at most: the amplitudes 16, |c|^2
+    8, scratch 8, p^2 8, the kick phase 16 (per atom under a kick spread),
+    the all-unit-gap free phase 16 and the window 1, about 4.8 MB; plus the
+    cloud's n0, beta and g at 24 B per atom, and the realization's SE
+    schedule, 9 B per atom and kick.
     """
     n0s, betas, gs = sample_atoms(spec, realization.config)
     if spec.cutoff is not None:
@@ -415,16 +427,14 @@ def _cloud_energy(
         remedy = f"automatic ladder L = {l_size} for the reach bound |n0| + D = {reach:.6g}"
         if reach > TAIL_FRACTION * AUTO_CUTOFF_CAP:
             remedy += f", beyond the cap; set an explicit cutoff above M = {AUTO_CUTOFF_CAP}"
-    n_grid = _ladder(l_size)
+    per_block = max(1, _BLOCK_SITES // l_size)
     sums = np.zeros((2, params.kick_count + 1))
-    for lo in range(0, spec.n_atoms, _CHUNK_ATOMS):
-        rows = slice(lo, min(lo + _CHUNK_ATOMS, spec.n_atoms))
+    for lo in range(0, spec.n_atoms, per_block):
+        rows = slice(lo, min(lo + per_block, spec.n_atoms))
+        c = np.zeros((rows.stop - lo, l_size), dtype=complex)
+        c[np.arange(rows.stop - lo), n0s[rows] + l_size // 2] = 1.0  # each atom starts in |n0>
         try:
-            # each atom starts in |n0>
-            sums += _evolve(
-                (n_grid == n0s[rows, None]).astype(complex), betas[rows], gs[rows],
-                params, realization, rows, spec.p_max,
-            )
+            sums += _evolve(c, betas[rows], gs[rows], params, realization, rows, spec.p_max)
         except CutoffError as exc:
             raise CutoffError(f"{exc}; {remedy}") from None
     energy, weight = sums

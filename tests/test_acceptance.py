@@ -115,7 +115,7 @@ def test_c04_peak_height_max_amplitude_noise():
     # -0.6% against the target; 12-realization scatter is about 4-6%)
     t0 = time.perf_counter()
     k = 3.77
-    spec = EnsembleSpec(n_atoms=10_000, beta_mode="uniform", cutoff=256)
+    spec = EnsembleSpec(n_atoms=10_000, beta_mode="uniform")  # the automatic ladder
     params = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=20)
     mean, sem = ensemble_energy(
         spec, params, NoiseConfig(amplitude_level=2.0, master_seed=3), 12
@@ -150,7 +150,6 @@ def _figure_scan(noise: str, level: float, seed: int):
             sigma_p=2.5,
             beta_mode="thermal",
             se_probability=0.025,
-            cutoff=192,
             seed=seed,
         )
     )
@@ -201,7 +200,7 @@ def test_c06_amplitude_noise_preserves_the_peak():
 def test_c07_map_cross_validates_quantum_peak():
     t0 = time.perf_counter()
     k = 3.7
-    qspec = EnsembleSpec(n_atoms=2048, beta_mode="uniform", cutoff=256)
+    qspec = EnsembleSpec(n_atoms=2048, beta_mode="uniform")  # the automatic ladder
     espec = EnsembleSpec(n_atoms=20_000, beta_mode="uniform", cutoff=32)
     worst = 0.0
     cells = []

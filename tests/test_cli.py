@@ -674,7 +674,7 @@ def test_spec_bounds_the_work_of_a_scan():
 
 def test_spec_bounds_what_one_realization_holds():
     assert cli.MAX_ATOMS == 10**7 and cli.MAX_SE_SCHEDULE == 10**8
-    # 9e10 atom-kicks, within MAX_WORK, but ~65 B per atom: 6.5 GB before the first kick
+    # 9e10 atom-kicks, within MAX_WORK, but the map's 64 B per atom: 6.4 GB before the first kick
     raw = dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
                kick_ratio=3.7, atoms=10**8, kicks=100, realizations=3)
     with pytest.raises(ConfigError, match="atoms = 100000000 exceeds MAX_ATOMS = 1e"):

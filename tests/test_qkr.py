@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -170,17 +171,23 @@ def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
 
 class _StepperSpy:
     """Keeps the amplitudes and beta that each `_evolve` call of the cloud
-    evolves in place, and records their ladder length L."""
+    evolves in place, one call per block of atoms, and records the ladder
+    length L once per realization: at its first block, which every later
+    block of the realization must share."""
 
     def __init__(self, monkeypatch):
         self.batches = []
         self.lengths = []
+        self.sums = []
         evolve = qkr._evolve
 
-        def spy(c, beta, *args):
+        def spy(c, beta, g, params, realization, rows, *args):
             self.batches.append((c, beta))
-            self.lengths.append(c.shape[1])
-            return evolve(c, beta, *args)
+            if rows.start == 0:
+                self.lengths.append(c.shape[1])
+            assert c.shape[1] == self.lengths[-1]
+            self.sums.append(evolve(c, beta, g, params, realization, rows, *args))
+            return self.sums[-1]
 
         monkeypatch.setattr(qkr, "_evolve", spy)
 
@@ -627,11 +634,11 @@ def test_kick_spread_draws_positive_factors():
 # ---------------------------------------------------------------------------
 
 def test_batch_engine_matches_single_atom_route(monkeypatch):
-    # same atoms, same pulse train: the stepper, in chunks of two atoms and as
+    # same atoms, same pulse train: the stepper, in blocks of two atoms and as
     # a batch of one, against a per-atom loop of oracle kicks, explicit free
     # phases and SE beta swaps; once with period noise (a free phase per gap)
     # and once with kick spread (a kick phase per atom)
-    monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
+    monkeypatch.setattr(qkr, "_BLOCK_SITES", 2 * 97)  # L = 97 at cutoff 48
     spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.2 * TWO_PI, kick_count=6)
     for period_level, kick_spread in ((0.06, 0.0), (0.0, 0.1)):
@@ -666,7 +673,8 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     # each row of a large batch is bitwise the same atom evolved alone.  With
     # the kick phase a fresh temporary, numpy's temporary elision (arrays of
     # 256 KiB and up) swapped the operands of the kick multiply, and complex
-    # multiplies with FMA are not bitwise commutative: no row matched
+    # multiplies with FMA are not bitwise commutative: no row matched.  The
+    # cloud runs in blocks of 170 atoms, each of them at least 256 KiB
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=4)
     spec = EnsembleSpec(n_atoms=600, kick_spread=0.05, cutoff=192)
@@ -674,8 +682,10 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     r = sample_realization(cfg, p.kick_count, spec.n_atoms)
     spy = _StepperSpy(monkeypatch)
     qkr._cloud_energy(spec, p, r)
-    [(c, beta)] = spy.batches
-    assert c.nbytes >= 256 * 1024
+    assert len(spy.batches) == 4
+    assert all(c.nbytes >= 256 * 1024 for c, _ in spy.batches)
+    c = np.concatenate([c for c, _ in spy.batches])
+    beta = np.concatenate([beta for _, beta in spy.batches])
     n0s, betas, gs = sample_atoms(spec, cfg)
     for a in range(0, 600, 60):
         one, one_beta, _ = _evolve_row(_plane_wave(192, int(n0s[a])), betas[a], p, r, gs[a], a)
@@ -854,8 +864,8 @@ def test_small_cutoff_raises_cutoff_error():
 
 
 @pytest.mark.parametrize("p_max", [None, 6.0])
-def test_chunking_does_not_change_energies(monkeypatch, p_max):
-    # five atoms in one chunk and in chunks of two give energies that differ
+def test_blocking_does_not_change_energies(monkeypatch, p_max):
+    # five atoms in one block and in blocks of two give energies that differ
     # only by summation order; the cloud reaches |p| ~ 49, so the window at 6
     # discards mass.  Realizations 1 and 2 of seed 11 get automatic ladders
     # of 64 and then 72 sites, and their energies are those of the explicit
@@ -867,9 +877,13 @@ def test_chunking_does_not_change_energies(monkeypatch, p_max):
         spy = _StepperSpy(monkeypatch)
         spec = EnsembleSpec(n_atoms=5, sigma_p=1.5, cutoff=cutoff, p_max=p_max)
         whole, whole_sem = ensemble_energy(spec, p, cfg, n_realizations=2)
-        monkeypatch.setattr(qkr, "_CHUNK_ATOMS", 2)
-        chunked, _ = ensemble_energy(spec, p, cfg, n_realizations=2)
-        assert np.all(np.abs(chunked - whole) <= 1e-12 * whole)
+        assert len(spy.batches) == 2
+        # two atoms per block on every ladder of the run
+        monkeypatch.setattr(qkr, "_BLOCK_SITES", 2 * max(spy.lengths))
+        spy.batches.clear()
+        blocked, _ = ensemble_energy(spec, p, cfg, n_realizations=2)
+        assert [len(c) for c, _ in spy.batches] == [2, 2, 1, 2, 2, 1]
+        assert np.all(np.abs(blocked - whole) <= 1e-12 * whole)
         assert whole_sem[-1] > 0.0
         if cutoff is None:
             assert spy.lengths[0] < spy.lengths[-1]
@@ -879,3 +893,66 @@ def test_chunking_does_not_change_energies(monkeypatch, p_max):
         histories[cutoff] = whole
     auto, explicit = histories[None], histories[512]
     assert np.all(np.abs(auto - explicit) <= 1e-12 * explicit)
+
+
+def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
+    # a 40-atom cloud in blocks of 1, 2, 7 and all 40 atoms, with period
+    # noise, kick spread, SE and a window that discards mass: every final
+    # row and beta is bitwise the same, and the per-kick energy sums and
+    # weights differ only by summation order
+    hbar = TWO_PI + 0.1
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+    spec = EnsembleSpec(n_atoms=40, kick_spread=0.05, p_max=12.0)
+    cfg = NoiseConfig(period_level=0.1, se_probability=0.05, master_seed=9)
+    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
+    assert r.se_events[:, :-1].sum() >= 20
+    runs = {}
+    for atoms in (40, 7, 2, 1):
+        spy = _StepperSpy(monkeypatch)
+        if atoms < 40:  # l_size: the automatic ladder of the whole-cloud run
+            monkeypatch.setattr(qkr, "_BLOCK_SITES", atoms * l_size)
+        energies = qkr._cloud_energy(spec, p, r)
+        [l_size] = spy.lengths
+        assert len(spy.batches[0][0]) == atoms
+        runs[atoms] = (
+            np.concatenate([c for c, _ in spy.batches]),
+            np.concatenate([beta for _, beta in spy.batches]),
+            np.sum(spy.sums, axis=0),
+            energies,
+        )
+        monkeypatch.undo()
+    c, beta, sums, energies = runs[40]
+    assert sums[1, -1] < spec.n_atoms - 10.0  # the window discards mass
+    for atoms in (7, 2, 1):
+        c_b, beta_b, sums_b, energies_b = runs[atoms]
+        assert c_b.shape == c.shape
+        assert all(row.tobytes() == row_b.tobytes() for row, row_b in zip(c, c_b))
+        assert beta.tobytes() == beta_b.tobytes()
+        assert np.all(np.abs(sums_b - sums) <= 1e-13 * sums)
+        assert np.all(np.abs(energies_b - energies) <= 1e-13 * energies)
+
+
+def test_cloud_memory_is_bounded_by_one_block():
+    # one realization of the peak-jitter physics (L = 385) at 600 and 4,800
+    # atoms: the blocks' arrays do not grow with the atom count, so the
+    # tracemalloc peak grows by at most the per-atom samples (n0, beta, g)
+    # and SE schedule of the 4,200 added atoms, and stays below one block
+    # at the 73 B per site that `qkr._cloud_energy` lists, plus those
+    hbar = TWO_PI + 0.1
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+    cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=1)
+    peaks, per_atom = {}, {}
+    for atoms in (600, 4800):
+        spec = EnsembleSpec(n_atoms=atoms, kick_spread=0.05, cutoff=192)
+        r = sample_realization(cfg, p.kick_count, atoms)
+        per_atom[atoms] = 3 * 8 + (r.se_events.nbytes + r.se_betas.nbytes) / atoms
+        tracemalloc.start()
+        try:
+            qkr._cloud_energy(spec, p, r)
+            peaks[atoms] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert per_atom[600] == per_atom[4800] == 3 * 8 + 9 * 20
+    assert peaks[4800] - peaks[600] <= 4200 * per_atom[4800]
+    for atoms, peak in peaks.items():
+        assert peak <= 73 * qkr._BLOCK_SITES + per_atom[atoms] * atoms, (atoms, peak)
