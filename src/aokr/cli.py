@@ -199,8 +199,9 @@ class ScanSpec:
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
-        if self.engine == "theory":  # hbar grows with the point: hi is the worst cell
-            _check_bessel_argument(self.kick_ratio, self.hbar_of(self.hi), max(self.levels))
+        if self.engine == "theory":  # hbar grows with the point: check hi and the last
+            last = max(self.hi, self.points()[-1])  # which may lie 1e-9 of a step past hi
+            _check_bessel_argument(self.kick_ratio, self.hbar_of(last), max(self.levels))
         self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
         if self.engine != "theory":  # a theory cell is one pair of rates
             # the automatic ladder counts at its cap

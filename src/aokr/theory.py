@@ -8,7 +8,9 @@ classical map with the rescaled K = kappa_q, which vanishes at the resonant
 hbar_eff = 2 pi m.  Uniform amplitude noise on the kick strength averages
 the Bessel arguments and adds its variance to the quasilinear term.  Each
 average has a closed form in Bessel functions of the two end arguments, so
-no quadrature is needed.
+no quadrature is needed, and one Bessel row serves every order.  There is
+one rate formula, `diffusion_rate_with_noise`; `diffusion_rate` is its
+level-0 call.
 
 All energies are in two-photon-recoil units, E = <(p / 2 hbar k_L)^2> / 2,
 and rates are per kick.
@@ -23,7 +25,7 @@ import numpy as np
 from .noise import AMPLITUDE_LEVEL_MAX
 
 # largest Bessel argument: `bessel_j_row` takes x up to it and
-# `noise_averaged_bessel` |K| (1 + level/2).  The Miller recurrence runs about
+# the averaged rows |K| (1 + level/2).  The Miller recurrence runs about
 # x steps per pass, and a 2-element row at order 1e5 takes about 0.2 s
 # (2-core Intel Xeon host, numpy 2.4.6)
 ARGUMENT_MAX = 1e5
@@ -138,92 +140,87 @@ def _bessel_argument(kappa: float, hbar_eff: float, regime: str) -> float:
     return kappa if regime == "classical" else quantum_kick_strength(kappa, hbar_eff)
 
 
-def diffusion_rate(kappa: float, hbar_eff: float, regime: str = "quantum") -> float:
-    """Noise-free early-time diffusion rate (energy per kick).
-
-    D = (kappa/hbar_eff)^2 / 2 * (1/2 - J_2(K) - J_1(K)^2 + J_2(K)^2 + J_3(K)^2)
-    with K = kappa (classical) or kappa_q (quantum).  The four Bessel terms
-    are the lag-1..3 kick correlations of the standard map.
-    """
-    _check_rate_arguments(kappa, hbar_eff, regime)
-    K = abs(_bessel_argument(kappa, hbar_eff, regime))
-    row = bessel_j_row(3, K)
-    corr = 0.5 - row[2] - row[1] ** 2 + row[2] ** 2 + row[3] ** 2
-    return float(0.5 * (kappa / hbar_eff) ** 2 * corr)
-
-
-def noise_averaged_bessel(order: int, K: float, level: float) -> float:
-    """J_order averaged over multiplicative kick noise on the argument.
+def _averaged_row(n_max: int, K: float, level: float) -> np.ndarray:
+    """<J_0> .. <J_{n_max}> over multiplicative kick noise on the argument.
 
     The noisy argument is K (1 + u) with u uniform on [-level/2, +level/2].
-    With n = |order|, x = |K| and h = x level / 2 the average is the integral
-    of J_n over [x - h, x + h] divided by 2h, which is (S(x+h) - S(x-h)) / h
-    with S(y) = sum over k >= 0 of J_{n+2k+1}(y) (DLMF 10.22.2).  One
-    `bessel_j_row` call gives both sums, up to the first order m > y = x + h
+    With x = |K| and h = x level / 2 the average of J_n is the integral of J_n
+    over [x - h, x + h] divided by 2h, which is (S_n(x+h) - S_n(x-h)) / h with
+    S_n(y) = sum over k >= 0 of J_{n+2k+1}(y) (DLMF 10.22.2).  One
+    `bessel_j_row` call gives every sum, up to the first order m > y = x + h
     where the bound |J_m(y)| <= exp(sqrt(m^2 - y^2) - m arccosh(m/y)) is
     below 1e-17 h; it falls faster than geometrically beyond.  For h < 1e-3
     the difference cancels, and J_n + (h^2/24) (J_{n-2} - 2 J_n + J_{n+2}),
-    good to O(h^4), replaces it.  At level 0 it is J_order(K) itself.  Signs
-    follow J_{-n}(x) = J_n(-x) = (-1)^n J_n(x).  |K| (1 + level/2) may not
+    good to O(h^4), replaces it.  At level 0, or K = 0, it is the plain row
+    `bessel_j_row(n_max, x)`, which checks x itself; otherwise x + h may not
     exceed ARGUMENT_MAX.
     """
-    if not math.isfinite(K):
-        raise ValueError(f"K must be finite, got {K}")
     if not 0.0 <= level <= AMPLITUDE_LEVEL_MAX:
         raise UnsupportedLevelError(
             f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"
         )
     x, h = abs(K), 0.5 * level * abs(K)
+    if level == 0.0 or x == 0.0:
+        return bessel_j_row(n_max, x)
     if x + h > ARGUMENT_MAX:
         raise ValueError(f"|K| (1 + level/2) = {x + h:g} exceeds {ARGUMENT_MAX:g}")
-    n = abs(int(order))
-    sign = -1.0 if n % 2 == 1 and (K < 0.0) != (order < 0) else 1.0
-    if level == 0.0 or K == 0.0:
-        return sign * float(bessel_j_row(n, x)[n])
     if h < _SERIES_HALF_WIDTH:
-        row = bessel_j_row(n + 2, x)
-        below = -row[1] if n == 1 else row[abs(n - 2)]  # J_{n-2}
-        return sign * float(row[n] + h * h / 24.0 * (below - 2.0 * row[n] + row[n + 2]))
+        row = bessel_j_row(n_max + 2, x)
+        j, n = row[: n_max + 1], np.arange(n_max + 1)
+        below = np.where(n == 1, -1.0, 1.0) * row[np.abs(n - 2)]  # J_{n-2}
+        return j + h * h / 24.0 * (below - 2.0 * j + row[2:])
     y = x + h
-    m = math.floor(max(n, y)) + 1
+    m = math.floor(max(n_max, y)) + 1
     log_floor = math.log(1e-17 * h)
     while math.sqrt((m - y) * (m + y)) - m * math.acosh(m / y) > log_floor:
         m += 1
-    sums = np.sum(bessel_j_row(m, np.array([y, x - h]))[:, n + 1 :: 2], axis=1)
-    return sign * float((sums[0] - sums[1]) / h)
+    rows = bessel_j_row(m, np.array([y, x - h]))
+    sums = np.array([np.sum(rows[:, n + 1 :: 2], axis=1) for n in range(n_max + 1)])
+    return (sums[:, 0] - sums[:, 1]) / h
+
+
+def noise_averaged_bessel(order: int, K: float, level: float) -> float:
+    """J_order averaged over multiplicative kick noise on the argument.
+
+    The noisy argument is K (1 + u) with u uniform on [-level/2, +level/2];
+    the average is entry |order| of `_averaged_row`, in closed form.  At level
+    0 it is J_order(K) itself.  Signs follow J_{-n}(x) = J_n(-x) = (-1)^n J_n(x).
+    |K| (1 + level/2) may not exceed ARGUMENT_MAX.
+    """
+    if not math.isfinite(K):
+        raise ValueError(f"K must be finite, got {K}")
+    n = abs(int(order))
+    sign = -1.0 if n % 2 == 1 and (K < 0.0) != (order < 0) else 1.0
+    return sign * float(_averaged_row(n, K, level)[n])
 
 
 def diffusion_rate_with_noise(
     kappa: float, hbar_eff: float, level: float, regime: str = "quantum"
 ) -> float:
-    """Early-time diffusion rate under uniform amplitude noise of width `level`.
+    """Early-time diffusion rate (energy per kick) under uniform amplitude noise.
 
+    D = (kappa/hbar_eff)^2 / 2
+        * (1/2 (1 + level^2/12) - <J_2> - <J_1>^2 + <J_2>^2 + <J_3>^2)
+    with K = kappa (classical) or kappa_q (quantum) and `level` the noise width.  The four Bessel terms
+    are the lag-1..3 kick correlations of the standard map, each averaged
+    over the noisy argument; all three orders come from one `_averaged_row`.
     The kick-strength variance kappa^2 level^2 / 12 adds to the quasilinear
-    term, and each Bessel correlation is averaged over the noisy argument in
-    closed form by `noise_averaged_bessel`, one call per order:
-
-    D = (kappa^2 + Var) / (4 hbar^2)
-        + kappa^2/(2 hbar^2) * (-<J_2> - <J_1>^2 + <J_2>^2 + <J_3>^2)
-
-    At level = 0 this reduces exactly to `diffusion_rate`, which is what it
-    returns there.  At resonance (K = 0) only the first term survives: level
-    2 gives kappa^2/(3 hbar^2).
+    term kappa^2 / (4 hbar_eff^2).  At level 0 the averages are J_n(K) and the
+    first term is exactly 1/2.  At resonance (K = 0) only the quasilinear
+    term survives: level 2 gives kappa^2/(3 hbar^2).
     """
     _check_rate_arguments(kappa, hbar_eff, regime)
-    if not 0.0 <= level <= AMPLITUDE_LEVEL_MAX:
-        raise UnsupportedLevelError(
-            f"level must lie in [0, {AMPLITUDE_LEVEL_MAX}], got {level}"
-        )
-    if level == 0.0:
-        return diffusion_rate(kappa, hbar_eff, regime)
-    K = _bessel_argument(kappa, hbar_eff, regime)
-    j1 = noise_averaged_bessel(1, K, level)
-    j2 = noise_averaged_bessel(2, K, level)
-    j3 = noise_averaged_bessel(3, K, level)
-    variance = kappa**2 * level**2 / 12.0
-    quasilinear = (kappa**2 + variance) / (4.0 * hbar_eff**2)
-    corr = -j2 - j1**2 + j2**2 + j3**2
-    return float(quasilinear + 0.5 * (kappa / hbar_eff) ** 2 * corr)
+    _, j1, j2, j3 = _averaged_row(3, _bessel_argument(kappa, hbar_eff, regime), level)
+    corr = 0.5 * (1.0 + level**2 / 12.0) - j2 - j1**2 + j2**2 + j3**2
+    return float(0.5 * (kappa / hbar_eff) ** 2 * corr)
+
+
+def diffusion_rate(kappa: float, hbar_eff: float, regime: str = "quantum") -> float:
+    """Noise-free early-time diffusion rate: `diffusion_rate_with_noise` at level 0.
+
+    D = (kappa/hbar_eff)^2 / 2 * (1/2 - J_2(K) - J_1(K)^2 + J_2(K)^2 + J_3(K)^2).
+    """
+    return diffusion_rate_with_noise(kappa, hbar_eff, 0.0, regime)
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,13 @@ def test_spec_field_validation_names_the_field():
     with pytest.raises(ConfigError, match="kick_ratio"):  # hbar(hi) = 2 pi + 0.01
         build_spec(dict(MINIMAL, abscissa="epsilon", lo=-0.01, hi=0.01, step=0.01,
                         kick_ratio=1e5 / (TWO_PI + 0.0099)))
+    # the last point lies past hi: 11 points up to 6.0 over [5, 6 - 2e-11], and
+    # the largest kick_ratio within the bound at hi exceeds it there
+    past_hi = dict(MINIMAL, lo=5.0, hi=5.0 + 1.0 * (1 - 2e-11), step=0.1,
+                   kick_ratio=16666.66666672222)
+    assert past_hi["kick_ratio"] * past_hi["hi"] <= 1e5 < past_hi["kick_ratio"] * 6.0
+    with pytest.raises(ConfigError, match=r"kick_ratio \* hbar .* exceeds 100000"):
+        build_spec(past_hi)
     assert build_spec(dict(at_limit, engine="quantum", kick_ratio=1e6)).kick_ratio == 1e6
 
 
@@ -379,8 +386,8 @@ _GOLDEN_SCANS = {
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
              levels=[0.0, 2.0]),
-        "a9350acea5be321f2e3e7af71d8280925aa0d9d20f215397047bf695a653eae9",
-        "57f3451e33a9b2e24adecc8dd59c75dd02cf7fcbd426d44dfb9bf673614a0c36",
+        "55f343d2fda823883cd49bae649a1a9fa317bfc227380665c54e10662196c822",
+        "fd889d9efaf68601d941ea25c828b672c509a71457c2c618b58d736f731a5bf4",
     ),
 }
 
@@ -774,7 +781,7 @@ _PREDICT_BYTES = [
     (("3.7", repr(TWO_PI), "2.0"),
      "6.283185307179586,2.0,4.435249545232573,4.5633333333333335"),
     (("3.63", "6.0", "0"), "6.0,0.0,2.641057205712794,1.278971188934726"),
-    (("3.63", "5.3", "1"), "5.3,1.0,3.537459578841702,2.5932012169899363"),
+    (("3.63", "5.3", "1"), "5.3,1.0,3.537459578841702,2.5932012169899354"),
 ]
 
 

@@ -362,11 +362,57 @@ def test_noisy_rate_identity_at_resonance():
     assert got == pytest.approx(kappa**2 / (3.0 * TWO_PI**2), abs=1e-12)
 
 
-def test_noisy_rate_reduces_to_clean_at_zero_level():
-    kappa, hbar = 9.5, 3.1
-    assert diffusion_rate_with_noise(kappa, hbar, 0.0, "classical") == pytest.approx(
-        diffusion_rate(kappa, hbar, "classical"), rel=1e-12
-    )
+# kappa, hbar pairs: both regimes' Bessel arguments from 0 to 2 kappa, and
+# near hbar = 2 pi the quantum one (negative beyond it) in the O(h^4) series
+_RATE_GRID = [(kappa, hbar) for kappa in (0.3, 2.0, 9.5, 23.2, 140.0)
+              for hbar in (0.7, 3.1, TWO_PI - 3e-5, TWO_PI, TWO_PI + 1e-4, 8.0, 20.0)]
+
+
+def _textbook_rate(kappa, hbar, level, regime):
+    """The rate term by term: (kappa^2 + Var)/(4 hbar^2) + (kappa/hbar)^2/2 (correlations)."""
+    big_k = kappa if regime == "classical" else quantum_kick_strength(kappa, hbar)
+    j1, j2, j3 = (noise_averaged_bessel(n, big_k, level) for n in (1, 2, 3))
+    quasilinear = (kappa**2 + kappa**2 * level**2 / 12.0) / (4.0 * hbar**2)
+    return quasilinear + 0.5 * (kappa / hbar) ** 2 * (-j2 - j1**2 + j2**2 + j3**2)
+
+
+@pytest.mark.parametrize("regime", ["classical", "quantum"])
+def test_noisy_rate_reduces_to_clean_at_zero_level(regime):
+    # one formula: level 0 is diffusion_rate bit for bit, and that is the
+    # noise-free textbook expression on bessel_j_row(3, |K|)
+    for kappa, hbar in _RATE_GRID:
+        big_k = kappa if regime == "classical" else quantum_kick_strength(kappa, hbar)
+        row = bessel_j_row(3, abs(big_k))
+        want = 0.5 * (kappa / hbar) ** 2 * (0.5 - row[2] - row[1] ** 2 + row[2] ** 2
+                                              + row[3] ** 2)
+        assert diffusion_rate_with_noise(kappa, hbar, 0.0, regime) == want
+        assert diffusion_rate(kappa, hbar, regime) == want
+
+
+@pytest.mark.parametrize("regime", ["classical", "quantum"])
+def test_noisy_rate_against_term_by_term_formula(regime):
+    for kappa, hbar in _RATE_GRID:
+        for level in (1e-5, 1e-3, 0.5, 1.0, 2.0):
+            got = diffusion_rate_with_noise(kappa, hbar, level, regime)
+            want = _textbook_rate(kappa, hbar, level, regime)
+            assert abs(got - want) <= 1e-15 * (kappa / hbar) ** 2, (kappa, hbar, level)
+
+
+@pytest.mark.parametrize("regime", ["classical", "quantum"])
+@pytest.mark.parametrize("level", [0.0, 1e-5, 1.0, 2.0])
+def test_each_rate_evaluates_one_bessel_row(monkeypatch, regime, level):
+    # J1, J2 and J3 come from one averaged row, in every branch
+    calls = []
+
+    def spy(n_max, x):
+        calls.append(n_max)
+        return bessel_j_row(n_max, x)
+
+    monkeypatch.setattr(theory, "bessel_j_row", spy)
+    for kappa, hbar in ((9.5, 3.1), (3.7 * TWO_PI, TWO_PI + 1e-4), (200.0, 20.0)):
+        calls.clear()
+        diffusion_rate_with_noise(kappa, hbar, level, regime)
+        assert len(calls) == 1, (kappa, hbar, calls)
 
 
 def test_rate_rejects_bad_inputs():
