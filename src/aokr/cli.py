@@ -49,7 +49,7 @@ MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of m
 # atoms of one realization; at peak (tracemalloc) the eps-classical map holds 64 B
 # each, 0.64 GB, and the quantum engine 50 B each plus one ~4.8 MB block of sites
 MAX_ATOMS = 10**7
-MAX_SE_SCHEDULE = 10**8  # atoms x kicks of one SE schedule, a bool and a float each: 0.9 GB
+MAX_SE_SCHEDULE = 10**8  # atoms x kicks with SE: one block's SE rows (9 B each) < 0.9 GB
 MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
 MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 

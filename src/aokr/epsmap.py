@@ -12,7 +12,8 @@ E = <rho^2> / (2 eps^2), so the model stays finite while eps shrinks; at
 eps = 0 the map itself degenerates (the kick term carries a factor |eps|)
 and the analytic resonant limit is used instead, where momentum after n
 kicks is the phasor sum rho_n / |eps| = n0 + kick_ratio * sum_s R_s
-sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta.
+sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta,
+each atom's sum carried on from kick to kick.
 
 Every iteration runs in place through `_kick`, which reduces the angle as
 phi - 2 pi floor(phi / 2 pi) in four passes: np.mod bit for bit on [0, 40).
@@ -38,7 +39,6 @@ from .qkr import EnsembleSpec, sample_atoms
 
 TWO_PI = 2.0 * math.pi
 EPS_WARN_LIMIT = 0.5
-_LIMIT_BLOCK = 2**16  # atom-kicks per block of the eps = 0 limit, 1 MB per complex array
 
 
 class EpsilonZeroError(ValueError):
@@ -145,25 +145,18 @@ def _resonant_limit_history(
     Momentum becomes the phasor sum rho_n / |eps| = n0 + g r sum_s R_s
     sin(phi_0 + s a); averaging the start angle analytically leaves
     E_n = <n0^2/2 + (g r)^2 |sum_s R_s e^(i s a)|^2 / 4> per trajectory.
-    The sums run over blocks of about _LIMIT_BLOCK atom-kicks, each carrying
-    every atom's sum on.  A block of two kicks or more keeps the atom mean a
-    column reduction, so every value is bit for bit that of one block.
+    Each atom's sum is carried on kick by kick, so memory stays a few
+    arrays of one value per atom at any kick count.
     """
     a = _phase_advance(p, betas)
-    base = n0s.astype(float)[:, None] ** 2 / 2.0
-    growth = (gains * p.kick_ratio)[:, None] ** 2 / 4.0
+    base = n0s.astype(float) ** 2 / 2.0
+    growth = (gains * p.kick_ratio) ** 2 / 4.0
+    total = np.zeros(a.size, dtype=complex)
     out = np.empty(n_kicks + 1)
     out[0] = float(np.mean(base))
-    block, start, carry = max(2, _LIMIT_BLOCK // a.size), 0, 0.0
-    while start < n_kicks:
-        stop = start + block if n_kicks - start - block >= 2 else n_kicks
-        steps = np.arange(start + 1, stop + 1)
-        partial = factors[None, start:stop] * np.exp(1j * np.outer(a, steps))
-        partial[:, 0] += carry
-        np.cumsum(partial, axis=1, out=partial)
-        carry = partial[:, -1].copy()
-        out[start + 1 : stop + 1] = np.mean(base + growth * np.abs(partial) ** 2, axis=0)
-        start = stop
+    for s in range(1, n_kicks + 1):
+        total += factors[s - 1] * np.exp(1j * (a * s))
+        out[s] = float(np.mean(base + growth * np.abs(total) ** 2))
     return out
 
 
@@ -189,7 +182,7 @@ def eps_energy(
         raise ValueError("detection windows are not modeled for map ensembles")
 
     def run(rcfg: NoiseConfig) -> np.ndarray:
-        factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
+        factors = sample_realization(rcfg, n_kicks).amplitude_factors
         n0s, betas, gains = sample_atoms(spec, rcfg)
         if p.epsilon == 0.0:
             return _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
@@ -235,7 +228,7 @@ def phase_portrait(
     if p.epsilon == 0.0:
         raise EpsilonZeroError("eps = 0 degenerates the map; no portrait exists")
 
-    factors = sample_realization(cfg, n_iters, 1).amplitude_factors
+    factors = sample_realization(cfg, n_iters).amplitude_factors
     phi = np.repeat(TWO_PI * (np.arange(n_phi) + 0.5) / n_phi, n_rho)
     rho = np.tile(TWO_PI * (np.arange(n_rho) + 0.5) / n_rho, n_phi)
     points = np.empty((n_phi * n_rho * (n_iters + 1), 2))

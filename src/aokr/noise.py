@@ -5,7 +5,9 @@ Every random draw in the package flows through `stream_rng`, a counter-based
 Philox generator keyed by (master_seed, realization_index, stream id).  Two
 realizations of the same configuration are statistically independent; the
 same triple always reproduces the same bits, on any machine and with any
-worker count.
+worker count.  A `NoiseRealization` is the pulse train alone, the numbers
+every atom shares; per-atom draws (the cloud, the SE schedule) are made by
+the engine that uses them, from their own streams.
 """
 
 from __future__ import annotations
@@ -90,23 +92,17 @@ class NoiseRealization:
 
     amplitude_factors: R_n, shape (n_kicks,)
     period_offsets:    d_n, shape (n_kicks,), d_0 = 0
-    se_events:         bool, shape (n_atoms, n_kicks); True = reshuffle after kick
-    se_betas:          replacement quasimomenta, same shape, uniform [0, 1)
     """
 
     config: NoiseConfig
     amplitude_factors: np.ndarray
     period_offsets: np.ndarray
-    se_events: np.ndarray
-    se_betas: np.ndarray
 
 
-def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> NoiseRealization:
-    """Draw one pulse train (and per-atom SE schedule) from the config's streams."""
+def sample_realization(cfg: NoiseConfig, n_kicks: int) -> NoiseRealization:
+    """Draw one pulse train from the config's amplitude and period streams."""
     if n_kicks < 0:
         raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
-    if n_atoms < 1:
-        raise ValueError(f"n_atoms must be >= 1, got {n_atoms}")
 
     half_a = 0.5 * cfg.amplitude_level
     rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_AMPLITUDE)
@@ -117,23 +113,7 @@ def sample_realization(cfg: NoiseConfig, n_kicks: int, n_atoms: int = 1) -> Nois
     offsets = rng.uniform(-half_p, half_p, n_kicks) if half_p > 0 else np.zeros(n_kicks)
     if n_kicks > 0:
         offsets[0] = 0.0
-
-    if cfg.se_probability > 0:
-        rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_EVENTS)
-        se_events = rng.random((n_atoms, n_kicks)) < cfg.se_probability
-        rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_BETA)
-        se_betas = rng.random((n_atoms, n_kicks))
-    else:  # read-only views of one element: no schedule is held without SE
-        se_events = np.broadcast_to(False, (n_atoms, n_kicks))
-        se_betas = np.broadcast_to(0.0, (n_atoms, n_kicks))
-
-    return NoiseRealization(
-        config=cfg,
-        amplitude_factors=factors,
-        period_offsets=offsets,
-        se_events=se_events,
-        se_betas=se_betas,
-    )
+    return NoiseRealization(config=cfg, amplitude_factors=factors, period_offsets=offsets)
 
 
 def realization_mean(

@@ -33,7 +33,9 @@ amplitude noise with a kick spread.
 Blocks.  A realization's cloud is evolved in blocks of max(1, _BLOCK_SITES
 // L) atoms, one block at a time, so every per-block array stays near the
 size of a core's L2 cache and a worker's working set does not grow with
-the atom count (see `_cloud_energy`).
+the atom count (see `_cloud_energy`).  The two SE streams are opened once
+per realization and each block draws its own (atoms, kicks) rows from them,
+so the blocks draw the whole cloud's SE schedule in atom order, bit for bit.
 
 Ladder length.  An explicit cutoff M gives L = 2M + 1.  Without one, each
 realization gets its own L from a reach bound, chosen before its first
@@ -77,6 +79,8 @@ from .noise import (
     STREAM_ATOM_BETA,
     STREAM_ATOM_MOMENTA,
     STREAM_KICK_SPREAD,
+    STREAM_SE_BETA,
+    STREAM_SE_EVENTS,
     NoiseConfig,
     NoiseRealization,
     free_evolution_intervals,
@@ -284,16 +288,18 @@ def _evolve(
     g: np.ndarray,
     params: ScaledParams,
     realization: NoiseRealization,
-    rows: slice,
+    se_events: np.ndarray | None,
+    se_betas: np.ndarray | None,
     p_max: float | None,
 ) -> np.ndarray:
     """The quantum stepper: drive a batch of atoms through the pulse train.
 
     c holds one amplitude row per atom (any ladder length L) and beta their
     quasimomenta; both are evolved in place.  g holds the atoms' kick
-    factors, `rows` their SE schedule's rows in the realization.  Returns
-    the batch's windowed energy sum and weight per kick index 0..N (0 =
-    before any kick) as the two rows of a (2, N + 1) array.
+    factors, se_events (True = swap beta after that kick) and se_betas (the
+    betas swapped in) their (atoms, N) SE schedule, None without SE.
+    Returns the batch's windowed energy sum and weight per kick index 0..N
+    (0 = before any kick) as the two rows of a (2, N + 1) array.
 
     Per kick: one in-place FFT pair around the kick phase, which is rebuilt
     only when k_eff changes (equal kick factors share one row); the free
@@ -337,9 +343,9 @@ def _evolve(
         np.multiply(kick_phase, c, out=c)
         np.fft.fft(c, axis=1, out=c)
 
-        hit = realization.se_events[rows, s]
-        if hit.any():
-            beta[hit] = realization.se_betas[rows, s][hit]
+        if se_events is not None and se_events[:, s].any():
+            hit = se_events[:, s]
+            beta[hit] = se_betas[hit, s]
             p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
             if window is not None:
                 window[hit] = p2[hit] <= p_max**2
@@ -415,10 +421,14 @@ def _cloud_energy(
     atom's L, if longer), at 73 B per site at most: the amplitudes 16, |c|^2
     8, scratch 8, p^2 8, the kick phase 16 (per atom under a kick spread),
     the all-unit-gap free phase 16 and the window 1, about 4.8 MB; plus the
-    cloud's n0, beta and g at 24 B per atom, and the realization's SE
-    schedule, 9 B per atom and kick.
+    block's SE rows, 9 B per atom and kick, and the cloud's n0, beta and g
+    at 24 B per atom.
     """
-    n0s, betas, gs = sample_atoms(spec, realization.config)
+    cfg = realization.config
+    n0s, betas, gs = sample_atoms(spec, cfg)
+    if cfg.se_probability > 0.0:  # each block draws its rows of the cloud's schedule
+        event_rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_EVENTS)
+        beta_rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_BETA)
     if spec.cutoff is not None:
         l_size = 2 * spec.cutoff + 1
         remedy = f"raise the cutoff above M = {spec.cutoff}"
@@ -431,10 +441,16 @@ def _cloud_energy(
     sums = np.zeros((2, params.kick_count + 1))
     for lo in range(0, spec.n_atoms, per_block):
         rows = slice(lo, min(lo + per_block, spec.n_atoms))
+        se_events = se_betas = None  # frees the last block's rows before the next draw
+        if cfg.se_probability > 0.0:
+            se_events = event_rng.random((rows.stop - lo, params.kick_count)) < cfg.se_probability
+            se_betas = beta_rng.random((rows.stop - lo, params.kick_count))
         c = np.zeros((rows.stop - lo, l_size), dtype=complex)
         c[np.arange(rows.stop - lo), n0s[rows] + l_size // 2] = 1.0  # each atom starts in |n0>
         try:
-            sums += _evolve(c, betas[rows], gs[rows], params, realization, rows, spec.p_max)
+            sums += _evolve(
+                c, betas[rows], gs[rows], params, realization, se_events, se_betas, spec.p_max
+            )
         except CutoffError as exc:
             raise CutoffError(f"{exc}; {remedy}") from None
     energy, weight = sums
@@ -467,7 +483,7 @@ def ensemble_energy(
     """
 
     def run(rcfg: NoiseConfig) -> np.ndarray:
-        realization = sample_realization(rcfg, params.kick_count, spec.n_atoms)
+        realization = sample_realization(rcfg, params.kick_count)
         return _cloud_energy(spec, params, realization)
 
     return realization_mean(cfg, n_realizations, run)

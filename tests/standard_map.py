@@ -66,7 +66,7 @@ def classical_map_energy(
     kicks = np.arange(lo, hi + 1, dtype=float)
 
     def run(rcfg: NoiseConfig) -> float:
-        factors = sample_realization(rcfg, n_kicks, 1).amplitude_factors
+        factors = sample_realization(rcfg, n_kicks).amplitude_factors
         rng_phi = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng_phi, n_traj)
         rng_rho = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_ATOM_MOMENTA)

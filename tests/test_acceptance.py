@@ -32,7 +32,7 @@ from aokr.theory import (
 )
 
 from standard_map import classical_map_energy
-from test_qkr import _evolve_row, _plane_wave
+from test_qkr import _evolve_row, _plane_wave, _se_schedule
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,13 +393,14 @@ def test_c12_unitarity_and_cutoff_convergence():
         amplitude_level=2.0, period_level=0.1, se_probability=0.025, master_seed=5
     )
     # (the state after kick n is the n-kick prefix of the train, whose gaps
-    # are the full train's first n - 1)
-    r = sample_realization(cfg, params.kick_count, 1)
+    # are the full train's first n - 1, and SE its first n columns)
+    r = sample_realization(cfg, params.kick_count)
+    se = _se_schedule(cfg, 1, params.kick_count)
     intervals = free_evolution_intervals(r.period_offsets)
     drift = 0.0
     for n in range(1, params.kick_count + 1):
         assert np.array_equal(free_evolution_intervals(r.period_offsets[:n]), intervals[: n - 1])
-        c, _, _ = _evolve_row(_plane_wave(512), 0.31, replace(params, kick_count=n), r)
+        c, _, _ = _evolve_row(_plane_wave(512), 0.31, replace(params, kick_count=n), r, 1.0, *se)
         drift = max(drift, abs(float(np.sum(np.abs(c) ** 2)) - 1.0))
 
     # cutoff doubling at the operating point of the resonance-peak scans

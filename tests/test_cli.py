@@ -380,8 +380,8 @@ _GOLDEN_SCANS = {
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
              kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
              realizations=3, seed=3),
-        "470e06ca4aff27a4d11fb5eaa5648fddcc56a9fc2263c12b06d8c3736204b26a",
-        "09cb9d2c71f3fcf7c879ce57b2cc489d053fb01f5f238a2721569684539e91fc",
+        "eb594c1022db033985c5dccdc49c90f367fd5921849d8581e4e418c12b657477",
+        "1729db5ef357824abfaaf66306dc88ba5688a10d2f5ae3e0aa6081e7418ef1aa",
     ),
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
@@ -690,8 +690,7 @@ def test_spec_bounds_what_one_realization_holds():
     for engine in ("eps-classical", "quantum"):
         with pytest.raises(ConfigError, match="MAX_ATOMS"):
             build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1, cutoff=8))
-    # 8.5e10 atom-kick-sites, within MAX_WORK, but an SE schedule of 9 B per
-    # atom and kick: 45 GB
+    # 8.5e10 atom-kick-sites, within MAX_WORK, but 5e9 atom-kicks with SE
     raw = dict(engine="quantum", abscissa="hbar", lo=6.0, hi=6.05, step=0.1, kick_ratio=3.7,
                atoms=10**6, kicks=5000, cutoff=8, se_probability=0.01, realizations=1)
     with pytest.raises(ConfigError, match=r"atoms \* kicks = 5e\+09 with SE exceeds MAX_SE"):
@@ -700,7 +699,7 @@ def test_spec_bounds_what_one_realization_holds():
     assert build_spec(edge).kicks == 10**4
     with pytest.raises(ConfigError, match="MAX_SE_SCHEDULE"):
         build_spec(dict(edge, kicks=10**4 + 1))
-    # without SE the schedule is a view of one element
+    # without SE no schedule is drawn
     assert build_spec(dict(raw, se_probability=0.0)).atoms == 10**6
 
 

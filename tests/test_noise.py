@@ -1,6 +1,6 @@
 """Pulse-train noise realizations: distributions and streams."""
 
-import math
+import dataclasses
 
 import numpy as np
 import pytest
@@ -70,15 +70,12 @@ def test_first_pulse_defines_time_origin():
 
 
 def test_zero_levels_give_clean_train():
-    r = sample_realization(NoiseConfig(master_seed=0), 32, n_atoms=4)
+    r = sample_realization(NoiseConfig(master_seed=0), 32)
     assert np.all(r.amplitude_factors == 1.0)
     assert np.all(r.period_offsets == 0.0)
-    assert not r.se_events.any()
-    # without SE the (atoms, kicks) schedule holds no memory: 45 GB if filled
-    r = sample_realization(NoiseConfig(master_seed=0), 5000, n_atoms=10**6)
-    for schedule in (r.se_events, r.se_betas):
-        assert schedule.shape == (10**6, 5000) and schedule.strides == (0, 0)
-        assert not schedule.flags.writeable and not schedule[-1, -1]
+    # the record is the pulse train alone: no per-atom (atoms, kicks) array
+    fields = [f.name for f in dataclasses.fields(r)]
+    assert fields == ["config", "amplitude_factors", "period_offsets"]
 
 
 def test_streams_are_independent():
@@ -92,18 +89,16 @@ def test_streams_are_independent():
 
 def test_determinism_and_realization_separation():
     cfg = NoiseConfig(amplitude_level=1.0, period_level=0.2, se_probability=0.1, master_seed=11)
-    r1 = sample_realization(cfg, 100, n_atoms=8)
-    r2 = sample_realization(cfg, 100, n_atoms=8)
+    r1 = sample_realization(cfg, 100)
+    r2 = sample_realization(cfg, 100)
     assert np.array_equal(r1.amplitude_factors, r2.amplitude_factors)
     assert np.array_equal(r1.period_offsets, r2.period_offsets)
-    assert np.array_equal(r1.se_events, r2.se_events)
     other = sample_realization(
         NoiseConfig(
             amplitude_level=1.0, period_level=0.2, se_probability=0.1,
             master_seed=11, realization_index=1,
         ),
         100,
-        n_atoms=8,
     )
     assert not np.array_equal(r1.amplitude_factors, other.amplitude_factors)
 
@@ -114,15 +109,6 @@ def test_stream_rng_separates_streams():
     assert not np.array_equal(a, b)
     again = stream_rng(5, 0, STREAM_AMPLITUDE).random(100)
     assert np.array_equal(a, again)
-
-
-def test_se_events_density_and_betas():
-    cfg = NoiseConfig(se_probability=0.25, master_seed=2)
-    r = sample_realization(cfg, 200, n_atoms=200)
-    rate = r.se_events.mean()
-    assert rate == pytest.approx(0.25, abs=0.01)
-    betas = r.se_betas[r.se_events]
-    assert betas.min() >= 0.0 and betas.max() < 1.0
 
 
 def test_intervals_from_offsets():

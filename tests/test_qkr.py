@@ -15,7 +15,15 @@ from aokr import qkr
 from aokr.cli import build_spec, run_scan
 from aokr.core import ScaledParams
 from aokr.epsmap import EpsParams
-from aokr.noise import NoiseConfig, NoiseRealization, free_evolution_intervals, sample_realization
+from aokr.noise import (
+    STREAM_SE_BETA,
+    STREAM_SE_EVENTS,
+    NoiseConfig,
+    NoiseRealization,
+    free_evolution_intervals,
+    sample_realization,
+    stream_rng,
+)
 from aokr.qkr import (
     CutoffError,
     EnsembleSpec,
@@ -56,27 +64,29 @@ def _oracle_kick(c, k_eff):
     return np.convolve(c, _kick_kernel(k_eff, len(c)), mode="same")
 
 
-def _oracle_atom(c, beta, g, params, realization, atom):
-    """Atom `atom` through the pulse train by oracle kicks, explicit free phases
-    and SE beta swaps; returns (c, beta, energies with index 0 = before any kick)."""
+def _oracle_atom(c, beta, g, params, realization, se_events=None, se_betas=None):
+    """One atom through the pulse train by oracle kicks, explicit free phases
+    and the SE beta swaps of its (N,) schedule rows se_events, se_betas (None
+    without SE); returns (c, beta, energies with index 0 = before any kick)."""
     n_grid = np.arange(len(c)) - len(c) // 2
     intervals = free_evolution_intervals(realization.period_offsets[: params.kick_count])
     energies = [0.5 * np.sum(np.abs(c) ** 2 * (n_grid + beta) ** 2)]
     for s in range(params.kick_count):
         k_eff = g * params.kick_strength * realization.amplitude_factors[s] / params.hbar_eff
         c = _oracle_kick(c, k_eff)
-        if realization.se_events[atom, s]:
-            beta = float(realization.se_betas[atom, s])
+        if se_events is not None and se_events[s]:
+            beta = float(se_betas[s])
         energies.append(0.5 * np.sum(np.abs(c) ** 2 * (n_grid + beta) ** 2))
         if s < params.kick_count - 1:
             c = c * np.exp(-0.5j * params.hbar_eff * intervals[s] * (n_grid + beta) ** 2)
     return c, beta, np.array(energies)
 
 
-def _direct_exp_stepper(c, beta, g, params, realization, rows, p_max):
+def _direct_exp_stepper(c, beta, g, params, realization, se_events, se_betas, p_max):
     """Reference stepper: fresh np.exp phases at every kick and a fresh array
     per pass; the kick multiply puts the kick phase first, as `qkr._evolve`
-    does.  Returns (c, beta, energy sums, weights)."""
+    does, and SE swaps beta by the (atoms, N) schedule se_events, se_betas
+    (None without SE).  Returns (c, beta, energy sums, weights)."""
     n_kicks = params.kick_count
     l_size = c.shape[1]
     n_grid = np.arange(l_size) - l_size // 2
@@ -102,9 +112,9 @@ def _direct_exp_stepper(c, beta, g, params, realization, rows, p_max):
         else:
             kick_phase = np.exp(1j * (k_eff * g)[:, None] * cos_phi[None, :])
         c = np.fft.fft(np.multiply(kick_phase, np.fft.ifft(c, axis=1)), axis=1)
-        hit = realization.se_events[rows, s]
-        if hit.any():
-            beta[hit] = realization.se_betas[rows, s][hit]
+        if se_events is not None and se_events[:, s].any():
+            hit = se_events[:, s]
+            beta[hit] = se_betas[hit, s]
             p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
             if free_unit is not None:
                 free_unit[hit] = np.exp(-0.5j * hbar * p2[hit])
@@ -118,21 +128,24 @@ def _direct_exp_stepper(c, beta, g, params, realization, rows, p_max):
     return c, beta, energy, weight
 
 
-def _train(factors, offsets=None, se=None):
-    """One-atom pulse train with the given kick factors and period offsets;
-    `se` maps a kick index to the beta its SE event swaps in."""
-    n = len(factors)
-    events = np.zeros((1, n), dtype=bool)
-    betas = np.zeros((1, n))
-    for s, b in (se or {}).items():
-        events[0, s], betas[0, s] = True, b
+def _train(factors, offsets=None):
+    """Pulse train with the given kick factors and period offsets."""
     return NoiseRealization(
         config=NoiseConfig(),
         amplitude_factors=np.asarray(factors, dtype=float),
-        period_offsets=np.zeros(n) if offsets is None else np.asarray(offsets, dtype=float),
-        se_events=events,
-        se_betas=betas,
+        period_offsets=np.zeros(len(factors)) if offsets is None else np.asarray(offsets, float),
     )
+
+
+def _se_schedule(cfg, n_atoms, n_kicks):
+    """A cloud's whole SE schedule in one (n_atoms, n_kicks) draw of each SE
+    stream: (events, betas), or (None, None) without SE."""
+    if cfg.se_probability == 0.0:
+        return None, None
+    events = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_EVENTS)
+    betas = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_BETA)
+    shape = (n_atoms, n_kicks)
+    return events.random(shape) < cfg.se_probability, betas.random(shape)
 
 
 def _plane_wave(cutoff, n0=0):
@@ -142,15 +155,15 @@ def _plane_wave(cutoff, n0=0):
     return c
 
 
-def _evolve_row(amplitudes, beta, params, realization, g=1.0, atom=0):
-    """One atom through the stepper as a (1, L) batch; atom `atom` of the
-    realization supplies its SE schedule.  Returns the amplitudes and beta
-    that `qkr._evolve` evolved in place, and the energy after each kick
-    (index 0 = before any kick)."""
+def _evolve_row(amplitudes, beta, params, realization, g=1.0, se_events=None, se_betas=None):
+    """One atom through the stepper as a (1, L) batch, with the (1, N) SE
+    schedule se_events, se_betas (None without SE).  Returns the amplitudes
+    and beta that `qkr._evolve` evolved in place, and the energy after each
+    kick (index 0 = before any kick)."""
     c = np.array(amplitudes, dtype=complex)[None, :]
     b = np.array([beta], dtype=float)
     energy, weight = qkr._evolve(
-        c, b, np.array([g], dtype=float), params, realization, slice(atom, atom + 1), None
+        c, b, np.array([g], dtype=float), params, realization, se_events, se_betas, None
     )
     return c[0], float(b[0]), energy / weight
 
@@ -171,22 +184,26 @@ def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
 
 class _StepperSpy:
     """Keeps the amplitudes and beta that each `_evolve` call of the cloud
-    evolves in place, one call per block of atoms, and records the ladder
-    length L once per realization: at its first block, which every later
-    block of the realization must share."""
+    evolves in place, one call per block of atoms, and the SE schedule rows
+    it was handed, and records the ladder length L once per realization: at
+    its first block, which every later block of the realization must share."""
 
     def __init__(self, monkeypatch):
         self.batches = []
+        self.schedules = []
         self.lengths = []
         self.sums = []
+        self._realization = None  # held, so a new realization is a new object
         evolve = qkr._evolve
 
-        def spy(c, beta, g, params, realization, rows, *args):
+        def spy(c, beta, g, params, realization, se_events, se_betas, *args):
             self.batches.append((c, beta))
-            if rows.start == 0:
+            self.schedules.append((se_events, se_betas))
+            if realization is not self._realization:
+                self._realization = realization
                 self.lengths.append(c.shape[1])
             assert c.shape[1] == self.lengths[-1]
-            self.sums.append(evolve(c, beta, g, params, realization, rows, *args))
+            self.sums.append(evolve(c, beta, g, params, realization, se_events, se_betas, *args))
             return self.sums[-1]
 
         monkeypatch.setattr(qkr, "_evolve", spy)
@@ -304,7 +321,8 @@ def test_reshuffle_swaps_beta_only():
     # an SE event right after the kick replaces beta and keeps the amplitudes
     p = ScaledParams(hbar_eff=1.0, kick_strength=2.0, kick_count=1)
     plain, plain_beta, _ = _evolve_row(_plane_wave(32), 0.1, p, _train([1.0]))
-    out, out_beta, _ = _evolve_row(_plane_wave(32), 0.1, p, _train([1.0], se={0: 0.9}))
+    swap = np.array([[True]]), np.array([[0.9]])
+    out, out_beta, _ = _evolve_row(_plane_wave(32), 0.1, p, _train([1.0]), 1.0, *swap)
     assert plain_beta == 0.1 and out_beta == 0.9
     assert np.array_equal(out, plain)
 
@@ -346,7 +364,7 @@ def test_ladder_translation_symmetry_at_resonance():
     # global sign, so P(n | start s) = P(n - s | start 0)
     for hbar in (TWO_PI, 2 * TWO_PI):
         p = ScaledParams(hbar_eff=hbar, kick_strength=3.77 * hbar, kick_count=4)
-        r = sample_realization(NoiseConfig(amplitude_level=1.0, master_seed=2), 4, 1)
+        r = sample_realization(NoiseConfig(amplitude_level=1.0, master_seed=2), 4)
         base, _, _ = _evolve_row(_plane_wave(96, n0=0), 0.0, p, r)
         moved, _, _ = _evolve_row(_plane_wave(96, n0=5), 0.0, p, r)
         assert np.max(np.abs(np.roll(np.abs(base) ** 2, 5) - np.abs(moved) ** 2)) < 1e-12
@@ -369,7 +387,7 @@ def test_evolve_atom_matches_matrix_composition():
     hbar = 1.8
     p = ScaledParams(hbar_eff=hbar, kick_strength=1.3 * hbar, kick_count=4)
     cfg = NoiseConfig(amplitude_level=1.5, period_level=0.08, master_seed=5)
-    r = sample_realization(cfg, p.kick_count, 1)
+    r = sample_realization(cfg, p.kick_count)
     intervals = free_evolution_intervals(r.period_offsets)
 
     vec = np.zeros(2 * m + 1, dtype=complex)
@@ -382,7 +400,7 @@ def test_evolve_atom_matches_matrix_composition():
             vec = vec * np.exp(-0.5j * hbar * intervals[s] * (n_grid + beta) ** 2)
 
     stepper, _, _ = _evolve_row(start, beta, p, r)
-    oracle, _, _ = _oracle_atom(start, beta, 1.0, p, r, 0)
+    oracle, _, _ = _oracle_atom(start, beta, 1.0, p, r)
     for out in (stepper, oracle):
         assert np.max(np.abs(out - vec)) < 1e-9
 
@@ -396,15 +414,15 @@ def _check_stepper_against_direct_exp(noise, kick_spread, se, p_max, cutoff):
     spec = EnsembleSpec(n_atoms=60, kick_spread=kick_spread, p_max=p_max, cutoff=cutoff)
     levels = {"none": {}, "amplitude": {"amplitude_level": 1.0}, "period": {"period_level": 0.1}}
     cfg = NoiseConfig(se_probability=se, master_seed=5, **levels[noise])
-    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
-    assert (r.se_events[:, :-1].sum() >= 4) == (se > 0.0)
+    r = sample_realization(cfg, p.kick_count)
+    events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
+    assert (events is not None and events[:, :-1].sum() >= 4) == (se > 0.0)
     n0, beta, g = sample_atoms(spec, cfg)
     start = (qkr._ladder(2 * cutoff + 1) == n0[:, None]).astype(complex)
-    rows = slice(0, spec.n_atoms)
     c, new_beta = start.copy(), beta.copy()
-    energy, weight = qkr._evolve(c, new_beta, g, p, r, rows, p_max)
+    energy, weight = qkr._evolve(c, new_beta, g, p, r, events, se_betas, p_max)
     want_c, want_beta, want_energy, want_weight = _direct_exp_stepper(
-        start, beta, g, p, r, rows, p_max
+        start, beta, g, p, r, events, se_betas, p_max
     )
     assert np.array_equal(new_beta, want_beta)
     if p_max is not None:
@@ -514,10 +532,10 @@ def test_jittered_free_phase_evaluates_three_phases_per_atom(monkeypatch):
     monkeypatch.setattr(qkr, "_jittered_free_phase", free_phase_spy)
     atoms, cutoff = 50, 192
     p = ScaledParams(hbar_eff=TWO_PI + 0.1, kick_strength=TWO_PI, kick_count=2)
-    r = sample_realization(NoiseConfig(period_level=0.1, master_seed=5), 2, atoms)
+    r = sample_realization(NoiseConfig(period_level=0.1, master_seed=5), 2)
     c = np.zeros((atoms, 2 * cutoff + 1), dtype=complex)
     c[:, cutoff] = 1.0
-    qkr._evolve(c, np.linspace(0.0, 0.99, atoms), np.ones(atoms), p, r, slice(0, atoms), None)
+    qkr._evolve(c, np.linspace(0.0, 0.99, atoms), np.ones(atoms), p, r, None, None, None)
     assert count["calls"] == 1
     assert 0 < count["phases"] <= 2 * cutoff + 1 + 3 * atoms
 
@@ -525,7 +543,7 @@ def test_jittered_free_phase_evaluates_three_phases_per_atom(monkeypatch):
 def test_evolve_atom_edge_cases():
     # a train of no kicks leaves the amplitudes and beta as they were
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=1.0, kick_count=0)
-    r = sample_realization(NoiseConfig(master_seed=1), 3, 1)
+    r = sample_realization(NoiseConfig(master_seed=1), 3)
     c, beta, energies = _evolve_row(_plane_wave(8), 0.1, p, r)
     assert np.array_equal(c, _plane_wave(8)) and beta == 0.1
     assert energies.tolist() == [0.5 * 0.1**2]
@@ -536,8 +554,8 @@ def test_norm_survives_noisy_train():
     cfg = NoiseConfig(
         amplitude_level=1.5, period_level=0.08, se_probability=0.3, master_seed=9
     )
-    r = sample_realization(cfg, p.kick_count, 1)
-    out, _, _ = _evolve_row(_plane_wave(128), 0.33, p, r)
+    r = sample_realization(cfg, p.kick_count)
+    out, _, _ = _evolve_row(_plane_wave(128), 0.33, p, r, 1.0, *_se_schedule(cfg, 1, 20))
     assert abs(np.sum(np.abs(out) ** 2) - 1.0) < 1e-12
 
 
@@ -648,8 +666,9 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
         cfg = NoiseConfig(
             amplitude_level=1.2, period_level=period_level, se_probability=0.4, master_seed=14
         )
-        r = sample_realization(cfg, p.kick_count, spec.n_atoms)
-        assert r.se_events[:, :-1].sum() >= 4
+        r = sample_realization(cfg, p.kick_count)
+        events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
+        assert events[:, :-1].sum() >= 4
         spy.batches.clear()
         energies = qkr._cloud_energy(spec, p, r)
         assert len(spy.batches) == 2
@@ -660,9 +679,13 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
         histories = []
         for a in range(3):
             start = _plane_wave(48, int(n0s[a]))
-            c, beta, history = _oracle_atom(start, float(betas[a]), gs[a], p, r, a)
+            c, beta, history = _oracle_atom(
+                start, float(betas[a]), gs[a], p, r, events[a], se_betas[a]
+            )
             histories.append(history)
-            one, one_beta, _ = _evolve_row(start, betas[a], p, r, g=gs[a], atom=a)
+            one, one_beta, _ = _evolve_row(
+                start, betas[a], p, r, gs[a], events[a : a + 1], se_betas[a : a + 1]
+            )
             assert np.max(np.abs(final_c[a] - c)) < 1e-12
             assert np.max(np.abs(one - c)) < 1e-12
             assert final_beta[a] == one_beta == beta
@@ -679,7 +702,8 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=4)
     spec = EnsembleSpec(n_atoms=600, kick_spread=0.05, cutoff=192)
     cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=4)
-    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
+    r = sample_realization(cfg, p.kick_count)
+    events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
     spy = _StepperSpy(monkeypatch)
     qkr._cloud_energy(spec, p, r)
     assert len(spy.batches) == 4
@@ -688,7 +712,10 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     beta = np.concatenate([beta for _, beta in spy.batches])
     n0s, betas, gs = sample_atoms(spec, cfg)
     for a in range(0, 600, 60):
-        one, one_beta, _ = _evolve_row(_plane_wave(192, int(n0s[a])), betas[a], p, r, gs[a], a)
+        one, one_beta, _ = _evolve_row(
+            _plane_wave(192, int(n0s[a])), betas[a], p, r, gs[a],
+            events[a : a + 1], se_betas[a : a + 1],
+        )
         assert one.tobytes() == c[a].tobytes()
         assert one_beta == beta[a]
 
@@ -799,7 +826,7 @@ def test_reach_bound_holds_on_the_exact_resonant_populations(monkeypatch):
 
     spec = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=k * TWO_PI, kick_count=n_kicks)
-    r = sample_realization(NoiseConfig(), n_kicks, 1)
+    r = sample_realization(NoiseConfig(), n_kicks)
     spy = _StepperSpy(monkeypatch)
     qkr._cloud_energy(spec, p, r)
     [(c, _)] = spy.batches
@@ -897,15 +924,16 @@ def test_blocking_does_not_change_energies(monkeypatch, p_max):
 
 def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
     # a 40-atom cloud in blocks of 1, 2, 7 and all 40 atoms, with period
-    # noise, kick spread, SE and a window that discards mass: every final
-    # row and beta is bitwise the same, and the per-kick energy sums and
-    # weights differ only by summation order
+    # noise, kick spread, SE and a window that discards mass: the blocks'
+    # SE rows, joined, are one whole-cloud draw of the two SE streams, every
+    # final row and beta is bitwise the same, and the per-kick energy sums
+    # and weights differ only by summation order
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
     spec = EnsembleSpec(n_atoms=40, kick_spread=0.05, p_max=12.0)
     cfg = NoiseConfig(period_level=0.1, se_probability=0.05, master_seed=9)
-    r = sample_realization(cfg, p.kick_count, spec.n_atoms)
-    assert r.se_events[:, :-1].sum() >= 20
+    r = sample_realization(cfg, p.kick_count)
+    events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
     runs = {}
     for atoms in (40, 7, 2, 1):
         spy = _StepperSpy(monkeypatch)
@@ -914,6 +942,8 @@ def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
         energies = qkr._cloud_energy(spec, p, r)
         [l_size] = spy.lengths
         assert len(spy.batches[0][0]) == atoms
+        for drawn, whole in zip(zip(*spy.schedules), (events, se_betas)):
+            assert np.concatenate(drawn).tobytes() == whole.tobytes()
         runs[atoms] = (
             np.concatenate([c for c, _ in spy.batches]),
             np.concatenate([beta for _, beta in spy.batches]),
@@ -923,6 +953,12 @@ def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
         monkeypatch.undo()
     c, beta, sums, energies = runs[40]
     assert sums[1, -1] < spec.n_atoms - 10.0  # the window discards mass
+    # the schedule: events at the SE rate, within 4 binomial s.d., and
+    # replacement betas uniform on [0, 1)
+    assert events[:, :-1].sum() >= 20
+    assert abs(events.mean() - 0.05) <= 4.0 * math.sqrt(0.05 * 0.95 / events.size)
+    assert se_betas.min() >= 0.0 and se_betas.max() < 1.0
+    assert scipy.stats.kstest(se_betas.ravel(), "uniform").pvalue > 1e-3
     for atoms in (7, 2, 1):
         c_b, beta_b, sums_b, energies_b = runs[atoms]
         assert c_b.shape == c.shape
@@ -934,25 +970,27 @@ def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
 
 def test_cloud_memory_is_bounded_by_one_block():
     # one realization of the peak-jitter physics (L = 385) at 600 and 4,800
-    # atoms: the blocks' arrays do not grow with the atom count, so the
-    # tracemalloc peak grows by at most the per-atom samples (n0, beta, g)
-    # and SE schedule of the 4,200 added atoms, and stays below one block
-    # at the 73 B per site that `qkr._cloud_energy` lists, plus those
+    # atoms: the blocks' arrays, their SE rows included, do not grow with
+    # the atom count, so the tracemalloc peak grows by at most the per-atom
+    # samples (n0, beta, g) of the 4,200 added atoms, and stays below one
+    # block at the 73 B per site that `qkr._cloud_energy` lists, plus the
+    # block's SE rows (a bool and a float per atom and kick) and those samples
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
     cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=1)
-    peaks, per_atom = {}, {}
+    block_se = 9 * (qkr._BLOCK_SITES // 385) * p.kick_count
+    peaks = {}
     for atoms in (600, 4800):
         spec = EnsembleSpec(n_atoms=atoms, kick_spread=0.05, cutoff=192)
-        r = sample_realization(cfg, p.kick_count, atoms)
-        per_atom[atoms] = 3 * 8 + (r.se_events.nbytes + r.se_betas.nbytes) / atoms
+        r = sample_realization(cfg, p.kick_count)
         tracemalloc.start()
         try:
             qkr._cloud_energy(spec, p, r)
             peaks[atoms] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert per_atom[600] == per_atom[4800] == 3 * 8 + 9 * 20
-    assert peaks[4800] - peaks[600] <= 4200 * per_atom[4800]
+    # 1 KiB for the interpreter's own small objects: whether a float or a
+    # tuple comes from a free list moves a traced peak by tens of bytes
+    assert peaks[4800] - peaks[600] <= 4200 * 3 * 8 + 1024
     for atoms, peak in peaks.items():
-        assert peak <= 73 * qkr._BLOCK_SITES + per_atom[atoms] * atoms, (atoms, peak)
+        assert peak <= 73 * qkr._BLOCK_SITES + block_se + 3 * 8 * atoms, (atoms, peak)
