@@ -235,20 +235,41 @@ def _one_block_resonant_limit(p, n_kicks, betas, n0s, gains, factors):
     return out
 
 
-@pytest.mark.parametrize("n_kicks", [1, 2, 3, 8, 15, 64, 65, 129, 1000])
-def test_resonant_limit_matches_the_one_block_sum(n_kicks):
-    # each atom's sum carried kick by kick against the oracle's cumsum over
-    # one (atoms, kicks) block: they differ only in rounding (the atom mean
-    # is pairwise here and a column sum there)
+_LIMIT_KICKS = [1, 2, 3, 8, 15, 64, 65, 129, 1000]
+
+
+def _limit_case(n_kicks):
     spec = EnsembleSpec(n_atoms=300, sigma_p=2.5, kick_spread=0.1)
     cfg = NoiseConfig(amplitude_level=2.0, master_seed=5)
     n0s, betas, gains = sample_atoms(spec, cfg)
     factors = sample_realization(cfg, n_kicks).amplitude_factors
-    for order in (1, 2):
-        p = EpsParams(epsilon=0.0, kick_ratio=3.7, resonance_order=order)
-        got = _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
-        want = _one_block_resonant_limit(p, n_kicks, betas, n0s, gains, factors)
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    return betas, n0s, gains, factors
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_kicks", _LIMIT_KICKS)
+def test_resonant_limit_matches_the_one_block_sum(n_kicks, order):
+    # each atom's sum carried kick by kick against the oracle's cumsum over
+    # one (atoms, kicks) block: they differ only in rounding (the atom mean
+    # is pairwise here and a column sum there)
+    betas, n0s, gains, factors = _limit_case(n_kicks)
+    p = EpsParams(epsilon=0.0, kick_ratio=3.7, resonance_order=order)
+    got = _resonant_limit_history(p, n_kicks, betas, n0s, gains, factors)
+    want = _one_block_resonant_limit(p, n_kicks, betas, n0s, gains, factors)
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("n_kicks", _LIMIT_KICKS)
+def test_resonant_limit_per_atom_is_the_one_block_sum_bit_for_bit(n_kicks, order):
+    # one atom at a time the atom mean is exact, so the running sum must be
+    # the oracle's sequential cumsum bit for bit at every kick
+    betas, n0s, gains, factors = _limit_case(n_kicks)
+    p = EpsParams(epsilon=0.0, kick_ratio=3.7, resonance_order=order)
+    for i in range(0, betas.size, 37):
+        one = slice(i, i + 1)
+        args = (p, n_kicks, betas[one], n0s[one], gains[one], factors)
+        assert _resonant_limit_history(*args).tobytes() == _one_block_resonant_limit(*args).tobytes()
 
 
 def test_resonant_limit_memory_does_not_grow_with_kicks():
