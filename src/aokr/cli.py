@@ -46,10 +46,12 @@ DEFAULT_REALIZATIONS = 12
 DEFAULT_REALIZATIONS_NOISELESS = 3
 MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
 MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of map on one core
-# atoms of one realization; at peak (tracemalloc) the eps-classical map holds 64 B
-# each, 0.64 GB, and the quantum engine 50 B each plus one ~4.8 MB block of sites
+# atoms of one realization; at peak (tracemalloc) the eps-classical map holds 80 B
+# each, 0.8 GB, and the quantum engine 50 B each plus one ~4.8 MB block of sites
 MAX_ATOMS = 10**7
-MAX_SE_SCHEDULE = 10**8  # atoms x kicks with SE: one block's SE rows (9 B each) < 0.9 GB
+# atoms x kicks of one realization with SE, the whole cloud's schedule (9 B each);
+# a worker holds only one block's rows of it at a time
+MAX_SE_SCHEDULE = 10**8
 MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
 MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 

@@ -16,7 +16,14 @@ sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta,
 each atom's sum carried on from kick to kick.
 
 Every iteration runs in place through `_kick`, which reduces the angle as
-phi - 2 pi floor(phi / 2 pi) in four passes: np.mod bit for bit on [0, 40).
+phi - 2 pi floor(phi / 2 pi) in four passes (np.mod bit for bit on [0, 40))
+and takes sin(phi) from `_sin`: a fold onto [-pi/2, pi/2], then Horner
+passes of the odd Taylor polynomial to z^21.  Both work in three scratch
+rows of one float per trajectory, allocated once per run.  Every pass is an
+add, multiply, divide, floor, abs, minimum or copysign, each fixed to the
+bit by IEEE 754, so a kick gives the same bytes whichever SIMD loops numpy
+dispatches, as it did with np.sin (a scalar libm loop; numpy's vectorized
+transcendentals such as np.exp differ in the last bits between loops).
 """
 
 from __future__ import annotations
@@ -86,18 +93,57 @@ def _phase_advance(p: EpsParams, beta) -> np.ndarray | float:
     return math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
 
 
-def _kick(phi, rho, epsilon: float, advance, kick, buf: np.ndarray) -> None:
+# Taylor coefficients of sin z at z^1, z^3, ..., z^21: (-1)^k / (2k + 1)!
+_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(11))
+
+
+def _sin(phi, out: np.ndarray, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """sin(phi) into out, by adds, multiplies, abs, minimum and copysign alone.
+
+    phi may be anywhere in [-pi/2, 5pi/2], where the result is within 2 ulp(1)
+    of np.sin and |result| <= 1.  That holds every angle `_kick`'s reduction
+    returns: [0, 2pi] up to a few ulps of the unreduced angle on either side.
+    The fold y = pi - phi, z = sign(y) min(|y|, pi - |y|) puts z on
+    [-pi/2, pi/2] with sin z = sin phi (the min is negative just outside
+    [0, 2pi], so the sign multiplies rather than being copied onto it).  Then
+    in-place Horner passes in z^2 evaluate the odd Taylor polynomial to z^21,
+    whose truncation error is below 1.3e-18.  Every pass is one IEEE
+    operation per element, so the bytes do not depend on which SIMD loops
+    numpy dispatches.  w and z2 are scratch shaped like phi, and out must not
+    be phi.  Returns out.
+    """
+    np.subtract(math.pi, phi, out=out)  # y
+    np.abs(out, out=w)
+    np.minimum(w, np.subtract(math.pi, w, out=z2), out=w)
+    np.multiply(w, np.copysign(1.0, out, out=out), out=w)  # z
+    np.multiply(w, w, out=z2)
+    np.multiply(z2, _SIN_TAYLOR[-1], out=out)
+    for c in _SIN_TAYLOR[-2:0:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, z2, out=out)
+    np.add(out, _SIN_TAYLOR[0], out=out)
+    return np.multiply(out, w, out=out)
+
+
+def _scratch(like) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three scratch rows `_kick` takes, shaped like `like`."""
+    return np.empty_like(like), np.empty_like(like), np.empty_like(like)
+
+
+def _kick(phi, rho, epsilon: float, advance, kick, scratch) -> None:
     """In place: phi += sign(eps) rho + advance (mod 2 pi), then rho += kick sin(phi).
 
     advance = pi m + hbar_eff beta and kick = |eps| kick_ratio R g, scalar or
-    per trajectory; buf is scratch shaped like phi.
+    per trajectory; scratch is three rows shaped like phi (`_scratch`).  The
+    reduction uses the first, `_sin` all three, so no kick allocates.
     """
+    buf, w, z2 = scratch
     if epsilon:  # at eps = 0, rho = eps n turns nothing
         (np.add if epsilon > 0.0 else np.subtract)(phi, rho, out=phi)
     np.add(phi, advance, out=phi)
     np.floor(np.divide(phi, TWO_PI, out=buf), out=buf)
     np.subtract(phi, np.multiply(buf, TWO_PI, out=buf), out=phi)
-    np.add(rho, np.multiply(kick, np.sin(phi, out=buf), out=buf), out=rho)
+    np.add(rho, np.multiply(kick, _sin(phi, buf, w, z2), out=buf), out=rho)
 
 
 def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
@@ -110,7 +156,7 @@ def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
     arrays = np.broadcast_arrays(phi, rho, kick_factor, beta)
     phi, rho, factor, beta = (np.array(x, dtype=float) for x in arrays)
     kick = abs(p.epsilon) * p.kick_ratio * factor
-    _kick(phi, rho, p.epsilon, _phase_advance(p, beta), kick, np.empty_like(phi))
+    _kick(phi, rho, p.epsilon, _phase_advance(p, beta), kick, _scratch(phi))
     return phi[()], rho[()]
 
 
@@ -191,14 +237,15 @@ def eps_energy(
         phi = _stratified_phases(rng, spec.n_atoms)
         rho = abs(p.epsilon) * n0s.astype(float)
         advance, strength = _phase_advance(p, betas), abs(p.epsilon) * p.kick_ratio
-        kick, buf = np.empty_like(rho), np.empty_like(rho)
+        kick, scratch = np.empty_like(rho), _scratch(rho)
+        buf = scratch[0]
         scale = 0.5 / p.epsilon**2
         history = np.empty(n_kicks + 1)
         history[0] = float(np.mean(np.square(rho, out=buf))) * scale
         for n in range(n_kicks):
             np.multiply(gains, factors[n], out=kick)
             np.multiply(kick, strength, out=kick)  # (|eps| k) (R g), the order eps_step uses
-            _kick(phi, rho, p.epsilon, advance, kick, buf)
+            _kick(phi, rho, p.epsilon, advance, kick, scratch)
             history[n + 1] = float(np.mean(np.square(rho, out=buf))) * scale
         return history
 
@@ -235,9 +282,9 @@ def phase_portrait(
     points[: phi.size, 0] = phi
     points[: phi.size, 1] = rho
     advance, strength = _phase_advance(p, 0.0), abs(p.epsilon) * p.kick_ratio
-    buf = np.empty_like(phi)
+    scratch = _scratch(phi)
     for n in range(n_iters):
-        _kick(phi, rho, p.epsilon, advance, strength * factors[n], buf)
+        _kick(phi, rho, p.epsilon, advance, strength * factors[n], scratch)
         block = slice((n + 1) * phi.size, (n + 2) * phi.size)
         points[block, 0] = phi
         points[block, 1] = np.mod(rho, TWO_PI)

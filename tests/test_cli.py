@@ -4,7 +4,11 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -367,7 +371,9 @@ def test_eps_scan_matches_direct_call():
 
 # sha256 of the CSV and the JSON sidecar of three tiny seeded scans, one per
 # engine (numpy 2.4.6, x86-64).  Any change to a byte of the output, the
-# version in its meta line included, changes them.
+# version in its meta line included, changes them.  They hold whether or not
+# numpy dispatches its AVX-512 loops, and the eps-classical and theory pins
+# also on baseline loops alone (test_seeded_scan_bytes_hold_under_every_simd_dispatch).
 _GOLDEN_SCANS = {
     "quantum": (
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
@@ -380,8 +386,8 @@ _GOLDEN_SCANS = {
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
              kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
              realizations=3, seed=3),
-        "eb594c1022db033985c5dccdc49c90f367fd5921849d8581e4e418c12b657477",
-        "1729db5ef357824abfaaf66306dc88ba5688a10d2f5ae3e0aa6081e7418ef1aa",
+        "6500458be5dc8b418bafe8f5fd2d7aa0285335b33101bbcbd979e70466afc4cf",
+        "c8b78ffe7308f01d7b01885c503ab87e0b540b393a288a763841bad55846a473",
     ),
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
@@ -413,6 +419,46 @@ def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
         assert main(["scan", *source, "--out", str(out), "--json", str(sidecar)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+
+
+# NPY_DISABLE_CPU_FEATURES values: no AVX-512 loops, then baseline loops
+# only (names numpy does not dispatch on are ignored, with a warning).  On
+# baseline loops the quantum golden scan's s.e.m. moves by a few ulps, so
+# that level checks the two engines whose arithmetic is dispatch-free.
+_NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+_BASELINE_ONLY = _NO_AVX512 + " AVX F16C FMA3 AVX2 X86_V3"
+
+_GOLDEN_CHILD = """\
+import hashlib, json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from aokr.cli import main
+on = [f for f in sys.argv[1].split() if f in __cpu_dispatch__ and __cpu_features__[f]]
+assert not on, on
+hashes = {}
+for engine, flags in json.loads(sys.argv[2]).items():
+    assert main(["scan", *flags, "--out", "out.csv", "--json", "out.json"]) == 0
+    hashes[engine] = [hashlib.sha256(open(f, "rb").read()).hexdigest()
+                      for f in ("out.csv", "out.json")]
+print(json.dumps(hashes))
+"""
+
+
+@pytest.mark.parametrize(
+    "disabled, engines",
+    [(_NO_AVX512, sorted(_GOLDEN_SCANS)), (_BASELINE_ONLY, ["eps-classical", "theory"])],
+)
+def test_seeded_scan_bytes_hold_under_every_simd_dispatch(tmp_path, disabled, engines):
+    # the pins hold whichever SIMD loops numpy picks on the host, so a
+    # machine without AVX-512 checks the same bytes
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join(filter(None, path)))
+    flags = {engine: _as_flags(_GOLDEN_SCANS[engine][0]) for engine in engines}
+    run = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, disabled, json.dumps(flags)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout.splitlines()[-1])
+    assert got == {engine: list(_GOLDEN_SCANS[engine][1:]) for engine in engines}
 
 
 # the quantum golden scan's rows (hbar, level, energy, sem) as printed when
@@ -681,7 +727,7 @@ def test_spec_bounds_the_work_of_a_scan():
 
 def test_spec_bounds_what_one_realization_holds():
     assert cli.MAX_ATOMS == 10**7 and cli.MAX_SE_SCHEDULE == 10**8
-    # 9e10 atom-kicks, within MAX_WORK, but the map's 64 B per atom: 6.4 GB before the first kick
+    # 9e10 atom-kicks, within MAX_WORK, but the map's 80 B per atom: 8 GB before the first kick
     raw = dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
                kick_ratio=3.7, atoms=10**8, kicks=100, realizations=3)
     with pytest.raises(ConfigError, match="atoms = 100000000 exceeds MAX_ATOMS = 1e"):

@@ -16,7 +16,14 @@ from aokr.epsmap import (
     eps_step,
     phase_portrait,
 )
-from aokr.epsmap import _kick, _phase_advance, _resonant_limit_history, _stratified_phases
+from aokr.epsmap import (
+    _kick,
+    _phase_advance,
+    _resonant_limit_history,
+    _scratch,
+    _sin,
+    _stratified_phases,
+)
 from aokr.noise import (
     STREAM_MAP_PHASE,
     NoiseConfig,
@@ -40,15 +47,20 @@ def _eps_step_inverse(phi, rho, p, kick_factor=1.0, beta=0.0):
     return phi, rho
 
 
-def _fresh_array_step(phi, rho, p, kick_factor=1.0, beta=0.0):
+def _fresh_sin(phi):
+    """The kernel's sine on fresh arrays."""
+    return _sin(phi, *_scratch(phi))
+
+
+def _fresh_array_step(phi, rho, p, kick_factor=1.0, beta=0.0, sin=_fresh_sin):
     """The map step written as one expression: np.mod and fresh arrays every kick."""
     advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
     phi = np.mod(phi + np.sign(p.epsilon) * np.asarray(rho) + advance, TWO_PI)
-    rho = rho + abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * np.sin(phi)
+    rho = rho + abs(p.epsilon) * p.kick_ratio * np.asarray(kick_factor) * sin(phi)
     return phi, rho
 
 
-def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations):
+def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations, sin=_fresh_sin):
     """Oracle for `eps_energy` at eps != 0, iterating `_fresh_array_step`."""
 
     def run(rcfg):
@@ -60,7 +72,7 @@ def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations):
         history = [float(np.mean(rho**2))]
         for n in range(n_kicks):
             kick_factor = factors[n] * gains
-            phi, rho = _fresh_array_step(phi, rho, p, kick_factor=kick_factor, beta=betas)
+            phi, rho = _fresh_array_step(phi, rho, p, kick_factor, betas, sin)
             history.append(float(np.mean(rho**2)))
         return np.array(history) * (0.5 / p.epsilon**2)
 
@@ -172,7 +184,7 @@ def test_step_jacobian_is_area_preserving():
 def _reduced(x):
     """The kernel's angle reduction alone: no turn, no advance, no kick."""
     phi, rho = x.copy(), np.zeros_like(x)
-    _kick(phi, rho, 0.0, 0.0, 0.0, np.empty_like(x))
+    _kick(phi, rho, 0.0, 0.0, 0.0, _scratch(x))
     assert not np.any(rho)
     return phi
 
@@ -192,6 +204,29 @@ def test_reduction_stays_within_ulps_of_np_mod_on_negative_angles():
     got = _reduced(x)
     assert np.max(np.abs(got - np.mod(x, TWO_PI))) <= 9 * np.spacing(TWO_PI)
     assert np.all((got >= 0.0) & (got < TWO_PI))
+
+
+def test_sine_is_np_sin_within_two_ulps_of_one():
+    # near phi = 0 and 2pi the fold's y = pi - phi rounds, to half an ulp of
+    # pi, and pi itself is 1.2e-16 short: 1.5 ulp(1) at worst on [0, 2pi)
+    grid = np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False)
+    marks = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi, np.nextafter(TWO_PI, 0.0)])
+    # every angle the reduction returns: uniform x in [-100, 100], and the 64
+    # floats on each side of every multiple of 2pi up to 1000 (an angle the
+    # kernel meets once |rho| grows), where it lands on 2pi or just below 0,
+    # by up to 1.1e-13, and a copied rather than multiplied sign would fail
+    rng = np.random.default_rng(14)
+    lo = hi = TWO_PI * np.arange(-160.0, 161.0)
+    edges = [lo]
+    for _ in range(64):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        edges += [lo, hi]
+    reduced = _reduced(np.concatenate([rng.uniform(-100.0, 100.0, 400_000), *edges]))
+    assert reduced.min() < -1e-14 and reduced.max() == TWO_PI
+    for phi in (grid, marks, reduced):
+        got = _fresh_sin(phi)
+        assert np.max(np.abs(got - np.sin(phi))) <= 2 * np.spacing(1.0)
+        assert np.max(np.abs(got)) <= 1.0
 
 
 def test_step_leaves_its_inputs_unchanged():
@@ -302,6 +337,22 @@ def test_history_is_the_fresh_array_step_bit_for_bit(epsilon, order, level, beta
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("epsilon", [-0.2, -0.05, 0.05, 0.2])
+def test_history_tracks_the_np_sin_step(epsilon, order):
+    # the kernel's sine is within 1.5 ulp(1) of np.sin; over the 32 cases of
+    # the bit-for-bit test above, 30 kicks apart the energies drifted by at
+    # most 2.2e-12 relative and the s.e.m. by 2.2e-12 of the energy (chaos
+    # grows the difference most at |eps| = 0.2, least at 0.05: 6e-15)
+    spec = EnsembleSpec(n_atoms=1000, beta_mode="uniform", kick_spread=0.05)
+    p = EpsParams(epsilon=epsilon, kick_ratio=3.7, resonance_order=order)
+    cfg = NoiseConfig(amplitude_level=2.0, master_seed=5)
+    got = eps_energy(p, 30, spec, cfg, n_realizations=2)
+    want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2, sin=np.sin)
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-11, atol=0.0)
+    np.testing.assert_allclose(got[1], want[1], rtol=0.0, atol=1e-11 * np.max(want[0]))
+
+
 def test_zero_kick_ratio_keeps_energy():
     spec = EnsembleSpec(n_atoms=256, sigma_p=2.5, cutoff=64)
     for eps in (0.02, 0.0):
@@ -383,6 +434,22 @@ def test_portrait_is_the_fresh_array_step_bit_for_bit():
         phi, rho = _fresh_array_step(phi, rho, p, kick_factor=factors[n])
         assert np.array_equal(pts[20 * (n + 1):20 * (n + 2), 0], phi)
         assert np.array_equal(pts[20 * (n + 1):20 * (n + 2), 1], np.mod(rho, TWO_PI))
+
+
+def test_portrait_tracks_the_np_sin_step():
+    # 50 iterations apart, every point stayed within 3.3e-13 of the np.sin
+    # step on the circle (the same grid, parameters and noise as above)
+    p = EpsParams(epsilon=-0.03, kick_ratio=3.7, resonance_order=2)
+    cfg = NoiseConfig(amplitude_level=2.0, master_seed=2)
+    pts = phase_portrait(p, n_phi=5, n_rho=4, n_iters=50, cfg=cfg)
+    factors = sample_realization(cfg, 50).amplitude_factors
+    phi, rho = pts[:20, 0], pts[:20, 1]
+    for n in range(50):
+        phi, rho = _fresh_array_step(phi, rho, p, kick_factor=factors[n], sin=np.sin)
+        got = pts[20 * (n + 1):20 * (n + 2)]
+        for col, want in ((0, phi), (1, rho)):
+            gap = np.mod(got[:, col] - want + math.pi, TWO_PI) - math.pi
+            assert np.max(np.abs(gap)) < 1e-12
 
 
 def test_portrait_unkicked_rotor_keeps_momentum_lines():
