@@ -47,7 +47,8 @@ DEFAULT_REALIZATIONS_NOISELESS = 3
 MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exists
 MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of map on one core
 # atoms of one realization; at peak (tracemalloc) the eps-classical map holds 80 B
-# each, 0.8 GB, and the quantum engine 50 B each plus one ~4.8 MB block of sites
+# each with a kick spread (72 B without), 0.8 GB, and the quantum engine 50 B
+# each plus one ~4.8 MB block of sites
 MAX_ATOMS = 10**7
 # atoms x kicks of one realization with SE, the whole cloud's schedule (9 B each);
 # a worker holds only one block's rows of it at a time

@@ -17,13 +17,15 @@ each atom's sum carried on from kick to kick.
 
 Every iteration runs in place through `_kick`, which reduces the angle as
 phi - 2 pi floor(phi / 2 pi) in four passes (np.mod bit for bit on [0, 40))
-and takes sin(phi) from `_sin`: a fold onto [-pi/2, pi/2], then Horner
-passes of the odd Taylor polynomial to z^21.  Both work in three scratch
-rows of one float per trajectory, allocated once per run.  Every pass is an
-add, multiply, divide, floor, abs, minimum or copysign, each fixed to the
-bit by IEEE 754, so a kick gives the same bytes whichever SIMD loops numpy
-dispatches, as it did with np.sin (a scalar libm loop; numpy's vectorized
-transcendentals such as np.exp differ in the last bits between loops).
+and takes sin(phi) from `_sin`: a fold onto [-pi/2, pi/2] in four passes,
+then Horner passes of a 9-term odd polynomial to z^17, 22 passes in all.
+With the turn, the kick and the energy, an `eps_energy` kick is 32 passes
+over a row of one float per trajectory, 34 with a kick spread.  They work
+in three scratch rows allocated once per run.  Every pass is an add,
+multiply, divide, floor or clip, each fixed to the bit by IEEE 754, so a
+kick gives the same bytes whichever SIMD loops numpy dispatches, as it did
+with np.sin (a scalar libm loop; numpy's vectorized transcendentals such as
+np.exp differ in the last bits between loops).
 """
 
 from __future__ import annotations
@@ -93,35 +95,49 @@ def _phase_advance(p: EpsParams, beta) -> np.ndarray | float:
     return math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
 
 
-# Taylor coefficients of sin z at z^1, z^3, ..., z^21: (-1)^k / (2k + 1)!
-_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(11))
+# sin z = z P(z^2) on [-pi/2, pi/2], P(t) = sum_k _SIN_POLY[k] t^k: the
+# coefficients are mpmath.chebyfit(lambda t: sin(sqrt(t)) / sqrt(t),
+# [0, (pi/2)^2], 9) at mp.dps = 50, each rounded to float64.  The fit is
+# within 2.1e-19 of sin z; rounding the z^3 coefficient to a float brings
+# that to 2.2e-17, and float64 evaluation to 1.5 ulp(1) of np.sin.
+_SIN_POLY = (
+    1.0,
+    -0.16666666666666666,
+    0.008333333333333186,
+    -0.00019841269841208676,
+    2.7557319211229606e-06,
+    -2.505210689056952e-08,
+    1.605894087848656e-10,
+    -7.643026557971632e-13,
+    2.7215749422983443e-15,
+)
 
 
 def _sin(phi, out: np.ndarray, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """sin(phi) into out, by adds, multiplies, abs, minimum and copysign alone.
+    """sin(phi) into out, by adds, multiplies and a clip alone.
 
     phi may be anywhere in [-pi/2, 5pi/2], where the result is within 2 ulp(1)
     of np.sin and |result| <= 1.  That holds every angle `_kick`'s reduction
     returns: [0, 2pi] up to a few ulps of the unreduced angle on either side.
-    The fold y = pi - phi, z = sign(y) min(|y|, pi - |y|) puts z on
-    [-pi/2, pi/2] with sin z = sin phi (the min is negative just outside
-    [0, 2pi], so the sign multiplies rather than being copied onto it).  Then
-    in-place Horner passes in z^2 evaluate the odd Taylor polynomial to z^21,
-    whose truncation error is below 1.3e-18.  Every pass is one IEEE
-    operation per element, so the bytes do not depend on which SIMD loops
-    numpy dispatches.  w and z2 are scratch shaped like phi, and out must not
-    be phi.  Returns out.
+    The fold y = pi - phi, z = 2 clip(y, -pi/2, pi/2) - y puts z on
+    [-pi/2, pi/2] with sin z = sin phi in four passes: z is y itself where
+    |y| <= pi/2 and +-pi - y beyond, which is sign(y) (pi - |y|) to the bit
+    (at phi = 2pi exactly z is +0.0 where that form gives -0.0).  Then
+    in-place Horner passes in z^2 evaluate the 9-term odd polynomial
+    `_SIN_POLY` to z^17, 18 passes.  Every pass is one IEEE operation per
+    element, so the bytes do not depend on which SIMD loops numpy
+    dispatches.  w and z2 are scratch shaped like phi, and out must not be
+    phi.  Returns out.
     """
     np.subtract(math.pi, phi, out=out)  # y
-    np.abs(out, out=w)
-    np.minimum(w, np.subtract(math.pi, w, out=z2), out=w)
-    np.multiply(w, np.copysign(1.0, out, out=out), out=w)  # z
+    np.clip(out, -0.5 * math.pi, 0.5 * math.pi, out=w)
+    np.subtract(np.add(w, w, out=w), out, out=w)  # z
     np.multiply(w, w, out=z2)
-    np.multiply(z2, _SIN_TAYLOR[-1], out=out)
-    for c in _SIN_TAYLOR[-2:0:-1]:
+    np.multiply(z2, _SIN_POLY[-1], out=out)
+    for c in _SIN_POLY[-2:0:-1]:
         np.add(out, c, out=out)
         np.multiply(out, z2, out=out)
-    np.add(out, _SIN_TAYLOR[0], out=out)
+    np.add(out, _SIN_POLY[0], out=out)
     return np.multiply(out, w, out=out)
 
 
@@ -237,14 +253,21 @@ def eps_energy(
         phi = _stratified_phases(rng, spec.n_atoms)
         rho = abs(p.epsilon) * n0s.astype(float)
         advance, strength = _phase_advance(p, betas), abs(p.epsilon) * p.kick_ratio
-        kick, scratch = np.empty_like(rho), _scratch(rho)
+        # without a kick spread every gain is 1.0, and (|eps| k) R is the same
+        # product as (|eps| k) (R g), the order eps_step uses
+        spread = spec.kick_spread > 0.0
+        kick = np.empty_like(rho) if spread else None
+        scratch = _scratch(rho)
         buf = scratch[0]
         scale = 0.5 / p.epsilon**2
         history = np.empty(n_kicks + 1)
         history[0] = float(np.mean(np.square(rho, out=buf))) * scale
         for n in range(n_kicks):
-            np.multiply(gains, factors[n], out=kick)
-            np.multiply(kick, strength, out=kick)  # (|eps| k) (R g), the order eps_step uses
+            if spread:
+                np.multiply(gains, factors[n], out=kick)
+                np.multiply(kick, strength, out=kick)
+            else:
+                kick = strength * factors[n]
             _kick(phi, rho, p.epsilon, advance, kick, scratch)
             history[n + 1] = float(np.mean(np.square(rho, out=buf))) * scale
         return history

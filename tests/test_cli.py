@@ -386,8 +386,8 @@ _GOLDEN_SCANS = {
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
              kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
              realizations=3, seed=3),
-        "6500458be5dc8b418bafe8f5fd2d7aa0285335b33101bbcbd979e70466afc4cf",
-        "c8b78ffe7308f01d7b01885c503ab87e0b540b393a288a763841bad55846a473",
+        "883ad693c4b91cb797f447d0d8fd4c3ec8c762b88a3effc79fb463828ae3c05a",
+        "512b1e57e7aaae93c1cd16a81b73be36fe05b20cd88885681fb6ac43824dbb48",
     ),
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,

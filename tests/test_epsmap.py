@@ -3,10 +3,12 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aokr import epsmap
 from aokr.core import ScaledParams
 from aokr.epsmap import (
     EpsilonZeroError,
@@ -17,6 +19,7 @@ from aokr.epsmap import (
     phase_portrait,
 )
 from aokr.epsmap import (
+    _SIN_POLY,
     _kick,
     _phase_advance,
     _resonant_limit_history,
@@ -206,15 +209,13 @@ def test_reduction_stays_within_ulps_of_np_mod_on_negative_angles():
     assert np.all((got >= 0.0) & (got < TWO_PI))
 
 
-def test_sine_is_np_sin_within_two_ulps_of_one():
-    # near phi = 0 and 2pi the fold's y = pi - phi rounds, to half an ulp of
-    # pi, and pi itself is 1.2e-16 short: 1.5 ulp(1) at worst on [0, 2pi)
-    grid = np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False)
-    marks = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi, np.nextafter(TWO_PI, 0.0)])
-    # every angle the reduction returns: uniform x in [-100, 100], and the 64
-    # floats on each side of every multiple of 2pi up to 1000 (an angle the
-    # kernel meets once |rho| grows), where it lands on 2pi or just below 0,
-    # by up to 1.1e-13, and a copied rather than multiplied sign would fail
+def _kernel_angles():
+    """Angles the reduction returns: from uniform x in [-100, 100] and edges.
+
+    The edges are the 64 floats on each side of every multiple of 2pi up to
+    1000 (an angle the kernel meets once |rho| grows), where the reduction
+    lands on 2pi exactly or just below 0, by up to 1.1e-13.
+    """
     rng = np.random.default_rng(14)
     lo = hi = TWO_PI * np.arange(-160.0, 161.0)
     edges = [lo]
@@ -223,10 +224,77 @@ def test_sine_is_np_sin_within_two_ulps_of_one():
         edges += [lo, hi]
     reduced = _reduced(np.concatenate([rng.uniform(-100.0, 100.0, 400_000), *edges]))
     assert reduced.min() < -1e-14 and reduced.max() == TWO_PI
-    for phi in (grid, marks, reduced):
+    return reduced
+
+
+def test_sine_is_np_sin_within_two_ulps_of_one():
+    # near phi = 0 and 2pi the fold's y = pi - phi rounds, to half an ulp of
+    # pi, and pi itself is 1.2e-16 short: 1.5 ulp(1) at worst on [0, 2pi);
+    # just below 0 the fold's z = pi - y must come out negative
+    grid = np.linspace(0.0, TWO_PI, 1_000_000, endpoint=False)
+    marks = np.array([0.0, math.pi / 2, math.pi, 1.5 * math.pi, np.nextafter(TWO_PI, 0.0)])
+    for phi in (grid, marks, _kernel_angles()):
         got = _fresh_sin(phi)
         assert np.max(np.abs(got - np.sin(phi))) <= 2 * np.spacing(1.0)
         assert np.max(np.abs(got)) <= 1.0
+
+
+def _abs_min_copysign_fold(phi):
+    """The fold as z = sign(y) min(|y|, pi - |y|), y = pi - phi: the clip form's oracle."""
+    y = math.pi - phi
+    return np.minimum(np.abs(y), math.pi - np.abs(y)) * np.copysign(1.0, y)
+
+
+def _fold(phi):
+    """The fold `_sin` computes, read from the scratch row that holds z."""
+    out, w, z2 = _scratch(phi)
+    _sin(phi, out, w, z2)
+    return w
+
+
+def test_fold_is_the_abs_min_copysign_fold_bit_for_bit():
+    # z = 2 clip(y, -pi/2, pi/2) - y is y itself on the middle half and
+    # +-pi - y beyond, the same roundings as sign(y) (pi - |y|); the one
+    # difference is the sign of the zero at phi = 2pi exactly (y = -pi),
+    # where pi - |y| = +0.0 takes y's sign and -pi - y gives +0.0
+    rng = np.random.default_rng(15)
+    marks = [0.0, math.pi / 2, math.pi, 1.5 * math.pi, TWO_PI,
+             np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, np.inf), 2.5 * math.pi]
+    below = -np.array([5e-324, 1e-300, 1e-16, 1e-14, 1.1e-13, 1e-3, math.pi / 2])
+    phi = np.concatenate([rng.uniform(-math.pi / 2, 2.5 * math.pi, 1_000_000),
+                          marks, below, _kernel_angles()])
+    got, want = _fold(phi), _abs_min_copysign_fold(phi)
+    differ = got.view(np.int64) != want.view(np.int64)
+    assert np.all(phi[differ] == TWO_PI) and np.any(differ)
+    assert np.all(got[differ] == 0.0) and not np.any(np.signbit(got[differ]))
+    assert np.all(np.signbit(want[differ]))
+    assert np.max(np.abs(got)) <= math.pi / 2
+
+
+def _odd_poly_error(coefficients, n_points=2001):
+    """max |z P(z^2) - sin z| over z in [0, pi/2], evaluated at 50 digits."""
+    with mpmath.workdps(50):
+        worst = mpmath.mpf(0)
+        for z in mpmath.linspace(0, mpmath.pi / 2, n_points):
+            value = mpmath.mpf(0)
+            for c in coefficients[::-1]:
+                value = value * z * z + mpmath.mpf(c)
+            worst = max(worst, abs(value * z - mpmath.sin(z)))
+        return float(worst)
+
+
+def test_sine_coefficients_are_the_documented_chebyfit():
+    # the literals are the fit rounded to float64, and the fit is within
+    # 2.1e-19 of sin z (odd, so [0, pi/2] covers [-pi/2, pi/2]).  Rounding
+    # costs more: it moves the z^3 coefficient by 4.3e-18 and the z^5 one by
+    # 6.2e-19, 2.2e-17 in all at z = 1.57, so the literals are held to 3e-17
+    # (0.14 ulp(1)) and the fit to 1e-18
+    with mpmath.workdps(50):
+        fit = mpmath.chebyfit(lambda t: mpmath.sin(mpmath.sqrt(t)) / mpmath.sqrt(t),
+                              [0, (mpmath.pi / 2) ** 2], 9)[::-1]  # lowest power first
+    assert list(_SIN_POLY) == [float(c) for c in fit]
+    assert _odd_poly_error(fit) <= 1e-18
+    assert _odd_poly_error(_SIN_POLY) <= 3e-17
 
 
 def test_step_leaves_its_inputs_unchanged():
@@ -326,24 +394,39 @@ def test_resonant_limit_memory_does_not_grow_with_kicks():
 @pytest.mark.parametrize("level", [0.0, 2.0])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon", [-0.2, -0.05, 0.05, 0.2])
-def test_history_is_the_fresh_array_step_bit_for_bit(epsilon, order, level, beta_mode):
+def test_history_is_the_fresh_array_step_bit_for_bit(
+    monkeypatch, epsilon, order, level, beta_mode
+):
     # here the angle before reduction stays in [0, 40), where the in-place
-    # reduction is np.mod exactly; a kick spread checks the (|eps| k) (R g) order
-    spec = EnsembleSpec(n_atoms=1000, beta_mode=beta_mode, beta_fixed=0.3, kick_spread=0.05)
+    # reduction is np.mod exactly.  A kick spread hands the kernel the row
+    # (|eps| k) (R g) in the order the oracle uses; without one every gain is
+    # 1.0 and the kernel gets the scalar (|eps| k) R, the same product
+    shapes = []
+
+    def spy(*args):  # records the shape of each kick the kernel gets
+        shapes.append(np.shape(args[4]))
+        _kick(*args)
+
+    monkeypatch.setattr(epsmap, "_kick", spy)
     p = EpsParams(epsilon=epsilon, kick_ratio=3.7, resonance_order=order)
     cfg = NoiseConfig(amplitude_level=level, master_seed=5)
-    got = eps_energy(p, 30, spec, cfg, n_realizations=2)
-    want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    for spread, shape in ((0.0, ()), (0.05, (1000,))):
+        spec = EnsembleSpec(n_atoms=1000, beta_mode=beta_mode, beta_fixed=0.3, kick_spread=spread)
+        shapes.clear()
+        got = eps_energy(p, 30, spec, cfg, n_realizations=2)
+        want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert shapes == [shape] * 60
 
 
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon", [-0.2, -0.05, 0.05, 0.2])
 def test_history_tracks_the_np_sin_step(epsilon, order):
     # the kernel's sine is within 1.5 ulp(1) of np.sin; over the 32 cases of
-    # the bit-for-bit test above, 30 kicks apart the energies drifted by at
-    # most 2.2e-12 relative and the s.e.m. by 2.2e-12 of the energy (chaos
-    # grows the difference most at |eps| = 0.2, least at 0.05: 6e-15)
+    # the bit-for-bit test above, with and without a kick spread, 30 kicks
+    # apart the energies drifted by at most 2.2e-12 relative and the s.e.m.
+    # by 1.4e-12 of the energy (chaos grows the difference most at
+    # |eps| = 0.2, least at 0.05: 9e-15)
     spec = EnsembleSpec(n_atoms=1000, beta_mode="uniform", kick_spread=0.05)
     p = EpsParams(epsilon=epsilon, kick_ratio=3.7, resonance_order=order)
     cfg = NoiseConfig(amplitude_level=2.0, master_seed=5)
