@@ -1,26 +1,24 @@
 """Classical map approximations near a quantum resonance.
 
 Close to hbar_eff = 2 pi m the ladder dynamics of one quasimomentum class
-reduces to an area-preserving map in the detuning-rescaled momentum
-rho = epsilon * (ladder index):
+reduces to an area-preserving map in the ladder index n (Wimberger,
+Guarneri & Fishman, Nonlinearity 16:1381, 2003):
 
-    phi' = phi + sign(eps) rho + pi m + hbar_eff beta   (mod 2 pi)
-    rho' = rho + |eps| * kick_ratio * R * sin(phi')
+    phi' = phi + eps n + pi m + hbar_eff beta   (mod 2 pi)
+    n'   = n + kick_ratio * R * sin(phi')
 
-with R the per-kick amplitude factor.  Kinetic energies come back through
-E = <rho^2> / (2 eps^2), so the model stays finite while eps shrinks; at
-eps = 0 the map itself degenerates (the kick term carries a factor |eps|)
-and the analytic resonant limit is used instead, where momentum after n
-kicks is the phasor sum rho_n / |eps| = n0 + kick_ratio * sum_s R_s
-sin(phi_0 + s a) with per-kick phase advance a = pi m + hbar_eff beta,
-each atom's sum carried on from kick to kick.
+with R the per-kick amplitude factor and E = <n^2> / 2.  At eps = 0
+`eps_energy` averages the start angle analytically over the phasor sum
+n = n0 + kick_ratio * sum_s R_s sin(phi_0 + s a), a = pi m + hbar_eff beta,
+carried on kick by kick.  `eps_step` and the phase portrait use
+rho = |eps| n: the same kernel with eps -> sign(eps), kick |eps| kick_ratio R.
 
 Every iteration runs in place through `_kick`, which reduces the angle as
 phi - 2 pi floor(phi / 2 pi) in four passes (np.mod bit for bit on [0, 40))
 and takes sin(phi) from `_sin`: a fold onto [-pi/2, pi/2] in four passes,
 then Horner passes of a 9-term odd polynomial to z^17, 22 passes in all.
-With the turn, the kick and the energy, an `eps_energy` kick is 32 passes
-over a row of one float per trajectory, 34 with a kick spread.  They work
+With the turn, the kick and the energy, an `eps_energy` kick is 33 passes
+over a row of one float per trajectory, 35 with a kick spread.  They work
 in three scratch rows allocated once per run.  Every pass is an add,
 multiply, divide, floor or clip, each fixed to the bit by IEEE 754, so a
 kick gives the same bytes whichever SIMD loops numpy dispatches, as it did
@@ -83,7 +81,7 @@ class EpsParams:
         if abs(self.epsilon) > EPS_WARN_LIMIT:
             warnings.warn(
                 f"|epsilon| = {abs(self.epsilon)} is large for a near-resonance model",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property
@@ -146,33 +144,34 @@ def _scratch(like) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.empty_like(like), np.empty_like(like), np.empty_like(like)
 
 
-def _kick(phi, rho, epsilon: float, advance, kick, scratch) -> None:
-    """In place: phi += sign(eps) rho + advance (mod 2 pi), then rho += kick sin(phi).
+def _kick(phi, n, epsilon: float, advance, kick, scratch) -> None:
+    """In place: phi += eps n + advance (mod 2 pi), then n += kick sin(phi).
 
-    advance = pi m + hbar_eff beta and kick = |eps| kick_ratio R g, scalar or
-    per trajectory; scratch is three rows shaped like phi (`_scratch`).  The
-    reduction uses the first, `_sin` all three, so no kick allocates.
+    advance = pi m + hbar_eff beta and kick = kick_ratio R g, scalar or per
+    trajectory; epsilon is a scalar and may be 0.  scratch is three rows
+    shaped like phi (`_scratch`).  The reduction uses the first, `_sin` all
+    three, so no kick allocates.
     """
     buf, w, z2 = scratch
-    if epsilon:  # at eps = 0, rho = eps n turns nothing
-        (np.add if epsilon > 0.0 else np.subtract)(phi, rho, out=phi)
+    np.add(phi, np.multiply(n, epsilon, out=buf), out=phi)
     np.add(phi, advance, out=phi)
     np.floor(np.divide(phi, TWO_PI, out=buf), out=buf)
     np.subtract(phi, np.multiply(buf, TWO_PI, out=buf), out=phi)
-    np.add(rho, np.multiply(kick, _sin(phi, buf, w, z2), out=buf), out=rho)
+    np.add(n, np.multiply(kick, _sin(phi, buf, w, z2), out=buf), out=n)
 
 
 def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
-    """One map iteration; phi updates first and feeds the kick.
+    """One map iteration in rho = |eps| n; phi updates first and feeds the kick.
 
     phi, rho may be scalars or arrays (broadcast together).  kick_factor is
     the per-kick amplitude factor; beta is the quasimomentum, scalar or per
-    trajectory.  The inputs are copied, never changed.
+    trajectory.  The inputs are copied, never changed.  The kernel's eps is
+    sign(eps): a turn by +-rho, exact, and none at eps = 0.
     """
     arrays = np.broadcast_arrays(phi, rho, kick_factor, beta)
     phi, rho, factor, beta = (np.array(x, dtype=float) for x in arrays)
     kick = abs(p.epsilon) * p.kick_ratio * factor
-    _kick(phi, rho, p.epsilon, _phase_advance(p, beta), kick, _scratch(phi))
+    _kick(phi, rho, np.sign(p.epsilon), _phase_advance(p, beta), kick, _scratch(phi))
     return phi[()], rho[()]
 
 
@@ -202,9 +201,9 @@ def _resonant_limit_history(
     gains: np.ndarray,
     factors: np.ndarray,
 ) -> np.ndarray:
-    """eps -> 0 limit of the rescaled energies after kicks 0..n_kicks.
+    """eps = 0 limit of the energies after kicks 0..n_kicks.
 
-    Momentum becomes the phasor sum rho_n / |eps| = n0 + g r sum_s R_s
+    The ladder index becomes the phasor sum n = n0 + g r sum_s R_s
     sin(phi_0 + s a); averaging the start angle analytically leaves
     E_n = <n0^2/2 + (g r)^2 |sum_s R_s e^(i s a)|^2 / 4> per trajectory.
     Each atom's sum is carried on kick by kick, so memory stays a few
@@ -229,11 +228,11 @@ def eps_energy(
     cfg: NoiseConfig = NoiseConfig(),
     n_realizations: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled mean energy E_n = <rho_n^2> / (2 eps^2) after kicks 0..n_kicks, with s.e.m.
+    """Mean energy E_n = <n^2> / 2 after kicks 0..n_kicks, with s.e.m.
 
     The ensemble (trajectory count, quasimomentum mode, momentum spread,
     per-trajectory kick factors) follows `spec` exactly as in the quantum
-    engine, with rho_0 = |eps| * n0, so the two models share initial
+    engine, with the map started at n = n0, so the two models share initial
     conditions and noise streams realization by realization.  At eps = 0
     the analytic resonant limit is evaluated instead of iterating.
     """
@@ -251,25 +250,23 @@ def eps_energy(
 
         rng = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng, spec.n_atoms)
-        rho = abs(p.epsilon) * n0s.astype(float)
-        advance, strength = _phase_advance(p, betas), abs(p.epsilon) * p.kick_ratio
-        # without a kick spread every gain is 1.0, and (|eps| k) R is the same
-        # product as (|eps| k) (R g), the order eps_step uses
+        n = n0s.astype(float)
+        advance = _phase_advance(p, betas)
+        # without a kick spread every gain is 1.0: k R is the product k (R g)
         spread = spec.kick_spread > 0.0
-        kick = np.empty_like(rho) if spread else None
-        scratch = _scratch(rho)
+        kick = np.empty_like(n) if spread else None
+        scratch = _scratch(n)
         buf = scratch[0]
-        scale = 0.5 / p.epsilon**2
         history = np.empty(n_kicks + 1)
-        history[0] = float(np.mean(np.square(rho, out=buf))) * scale
-        for n in range(n_kicks):
+        history[0] = 0.5 * float(np.mean(np.square(n, out=buf)))
+        for s in range(n_kicks):
             if spread:
-                np.multiply(gains, factors[n], out=kick)
-                np.multiply(kick, strength, out=kick)
+                np.multiply(gains, factors[s], out=kick)
+                np.multiply(kick, p.kick_ratio, out=kick)
             else:
-                kick = strength * factors[n]
-            _kick(phi, rho, p.epsilon, advance, kick, scratch)
-            history[n + 1] = float(np.mean(np.square(rho, out=buf))) * scale
+                kick = p.kick_ratio * factors[s]
+            _kick(phi, n, p.epsilon, advance, kick, scratch)
+            history[s + 1] = 0.5 * float(np.mean(np.square(n, out=buf)))
         return history
 
     return realization_mean(cfg, n_realizations, run)
@@ -307,7 +304,7 @@ def phase_portrait(
     advance, strength = _phase_advance(p, 0.0), abs(p.epsilon) * p.kick_ratio
     scratch = _scratch(phi)
     for n in range(n_iters):
-        _kick(phi, rho, p.epsilon, advance, strength * factors[n], scratch)
+        _kick(phi, rho, np.sign(p.epsilon), advance, strength * factors[n], scratch)
         block = slice((n + 1) * phi.size, (n + 2) * phi.size)
         points[block, 0] = phi
         points[block, 1] = np.mod(rho, TWO_PI)

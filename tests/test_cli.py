@@ -386,8 +386,8 @@ _GOLDEN_SCANS = {
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
              kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
              realizations=3, seed=3),
-        "883ad693c4b91cb797f447d0d8fd4c3ec8c762b88a3effc79fb463828ae3c05a",
-        "512b1e57e7aaae93c1cd16a81b73be36fe05b20cd88885681fb6ac43824dbb48",
+        "150a8ff9e8b08ce55f8a6a49879fd3b15cd7615133f918326f17e6107cc37389",
+        "920e6c8f12f9b0750d0ffdc4350c938e2bca9fddefa8c4c6c792125d088e3ae9",
     ),
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
@@ -421,6 +421,27 @@ def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
         assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
 
 
+# sha256 of two tiny seeded phase portraits with amplitude noise, one at each
+# sign of eps (the map kernel turns phi by sign(eps) rho).  They also hold at
+# both dispatch levels of the test below.
+_GOLDEN_PORTRAITS = {
+    eps: (["--epsilon", eps, "--kick-ratio", "3.7", "--level", "2.0", "--grid", "8x8",
+           "--iters", "64", "--seed", "3"], sha)
+    for eps, sha in (
+        ("0.02", "f58e36b54fc58456f6e51784ee63ea8331cd21f3ec897f1a8b0ad9503f3a7709"),
+        ("-0.05", "5a7562ed89408096c460931fc1dcf6b093874fe7c581d2ca5d53f15e9912ebb0"),
+    )
+}
+
+
+@pytest.mark.parametrize("epsilon", sorted(_GOLDEN_PORTRAITS))
+def test_seeded_portrait_bytes_are_pinned(tmp_path, epsilon):
+    flags, sha = _GOLDEN_PORTRAITS[epsilon]
+    out = tmp_path / "out.csv"
+    assert main(["portrait", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
+
+
 # NPY_DISABLE_CPU_FEATURES values: no AVX-512 loops, then baseline loops
 # only (names numpy does not dispatch on are ignored, with a warning).  On
 # baseline loops the quantum golden scan's s.e.m. moves by a few ulps, so
@@ -435,10 +456,10 @@ from aokr.cli import main
 on = [f for f in sys.argv[1].split() if f in __cpu_dispatch__ and __cpu_features__[f]]
 assert not on, on
 hashes = {}
-for engine, flags in json.loads(sys.argv[2]).items():
-    assert main(["scan", *flags, "--out", "out.csv", "--json", "out.json"]) == 0
-    hashes[engine] = [hashlib.sha256(open(f, "rb").read()).hexdigest()
-                      for f in ("out.csv", "out.json")]
+for name, argv in json.loads(sys.argv[2]).items():
+    assert main(argv) == 0
+    hashes[name] = [hashlib.sha256(open(argv[argv.index(flag) + 1], "rb").read()).hexdigest()
+                    for flag in ("--out", "--json") if flag in argv]
 print(json.dumps(hashes))
 """
 
@@ -453,12 +474,16 @@ def test_seeded_scan_bytes_hold_under_every_simd_dispatch(tmp_path, disabled, en
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join(filter(None, path)))
-    flags = {engine: _as_flags(_GOLDEN_SCANS[engine][0]) for engine in engines}
-    run = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, disabled, json.dumps(flags)],
+    runs = {engine: ["scan", *_as_flags(_GOLDEN_SCANS[engine][0]),
+                     "--out", "out.csv", "--json", "out.json"] for engine in engines}
+    want = {engine: list(_GOLDEN_SCANS[engine][1:]) for engine in engines}
+    for epsilon, (flags, sha) in _GOLDEN_PORTRAITS.items():
+        runs["portrait " + epsilon] = ["portrait", *flags, "--out", "out.csv"]
+        want["portrait " + epsilon] = [sha]
+    run = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, disabled, json.dumps(runs)],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    got = json.loads(run.stdout.splitlines()[-1])
-    assert got == {engine: list(_GOLDEN_SCANS[engine][1:]) for engine in engines}
+    assert json.loads(run.stdout.splitlines()[-1]) == want
 
 
 # the quantum golden scan's rows (hbar, level, energy, sem) as printed when

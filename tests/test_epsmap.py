@@ -1,5 +1,6 @@
 """Near-resonance map: stepping, limits, portraits, and the standard-map oracle."""
 
+import functools
 import math
 import tracemalloc
 
@@ -63,21 +64,37 @@ def _fresh_array_step(phi, rho, p, kick_factor=1.0, beta=0.0, sin=_fresh_sin):
     return phi, rho
 
 
-def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations, sin=_fresh_sin):
-    """Oracle for `eps_energy` at eps != 0, iterating `_fresh_array_step`."""
+def _fresh_ladder_step(phi, n, p, kick_factor=1.0, beta=0.0):
+    """The map step in ladder units as one expression, on fresh arrays."""
+    advance = math.pi * p.resonance_order + p.hbar_eff * np.asarray(beta, dtype=float)
+    phi = np.mod(phi + p.epsilon * np.asarray(n) + advance, TWO_PI)
+    n = n + p.kick_ratio * np.asarray(kick_factor) * _fresh_sin(phi)
+    return phi, n
+
+
+def _fresh_array_history(p, n_kicks, spec, cfg, n_realizations, rho_form_sin=None):
+    """Oracle for `eps_energy` at eps != 0: `_fresh_ladder_step` from n0, E = <n^2> / 2.
+
+    Given rho_form_sin, it iterates `_fresh_array_step` on that sine
+    instead, from rho = |eps| n0, with E = <rho^2> / (2 eps^2).
+    """
 
     def run(rcfg):
         factors = sample_realization(rcfg, n_kicks).amplitude_factors
         n0s, betas, gains = sample_atoms(spec, rcfg)
         rng = stream_rng(rcfg.master_seed, rcfg.realization_index, STREAM_MAP_PHASE)
         phi = _stratified_phases(rng, spec.n_atoms)
-        rho = abs(p.epsilon) * n0s.astype(float)
-        history = [float(np.mean(rho**2))]
+        if rho_form_sin is None:
+            x, step, scale = n0s.astype(float), _fresh_ladder_step, 0.5
+        else:
+            x, scale = abs(p.epsilon) * n0s.astype(float), 0.5 / p.epsilon**2
+            step = functools.partial(_fresh_array_step, sin=rho_form_sin)
+        history = [float(np.mean(x**2))]
         for n in range(n_kicks):
             kick_factor = factors[n] * gains
-            phi, rho = _fresh_array_step(phi, rho, p, kick_factor, betas, sin)
-            history.append(float(np.mean(rho**2)))
-        return np.array(history) * (0.5 / p.epsilon**2)
+            phi, x = step(phi, x, p, kick_factor, betas)
+            history.append(float(np.mean(x**2)))
+        return np.array(history) * scale
 
     return realization_mean(cfg, n_realizations, run)
 
@@ -93,8 +110,9 @@ def test_params_validation_and_hbar():
         EpsParams(epsilon=0.02, kick_ratio=-1.0)
     with pytest.raises(ValueError):
         EpsParams(epsilon=0.02, kick_ratio=1.0, resonance_order=0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         EpsParams(epsilon=0.6, kick_ratio=1.0)
+    assert caught[0].filename == __file__  # the caller, not the dataclass __init__
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +324,23 @@ def test_step_leaves_its_inputs_unchanged():
     assert np.array_equal(phi, want[0]) and np.array_equal(rho, want[1])
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_step_at_zero_epsilon_turns_nothing(order):
+    # the kernel turns by sign(0) rho = 0 and kicks by |0| k R = 0: phi is
+    # the reduction of phi + advance and every nonzero rho comes back to the
+    # bit.  -0.0 comes back as a zero (+0.0 wherever sin phi' >= 0, since
+    # -0.0 + 0 sin phi' is +0.0 there, as it is at any eps)
+    p = EpsParams(epsilon=0.0, kick_ratio=3.7, resonance_order=order)
+    rng = np.random.default_rng(16)
+    phi0, beta = TWO_PI * rng.random(300), rng.random(300)
+    rho0 = np.concatenate([-rng.uniform(0.0, 50.0, 100), np.full(100, -0.0),
+                           rng.uniform(0.0, 50.0, 100)])
+    phi, rho = eps_step(phi0, rho0, p, kick_factor=1.5, beta=beta)
+    assert phi.tobytes() == _reduced(phi0 + _phase_advance(p, beta)).tobytes()
+    assert rho[rho0 != 0.0].tobytes() == rho0[rho0 != 0.0].tobytes()
+    assert np.all(rho[rho0 == 0.0] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # ensemble energies
 # ---------------------------------------------------------------------------
@@ -399,8 +434,8 @@ def test_history_is_the_fresh_array_step_bit_for_bit(
 ):
     # here the angle before reduction stays in [0, 40), where the in-place
     # reduction is np.mod exactly.  A kick spread hands the kernel the row
-    # (|eps| k) (R g) in the order the oracle uses; without one every gain is
-    # 1.0 and the kernel gets the scalar (|eps| k) R, the same product
+    # k (R g) in the order the oracle uses; without one every gain is 1.0
+    # and the kernel gets the scalar k R, the same product
     shapes = []
 
     def spy(*args):  # records the shape of each kick the kernel gets
@@ -422,16 +457,17 @@ def test_history_is_the_fresh_array_step_bit_for_bit(
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("epsilon", [-0.2, -0.05, 0.05, 0.2])
 def test_history_tracks_the_np_sin_step(epsilon, order):
-    # the kernel's sine is within 1.5 ulp(1) of np.sin; over the 32 cases of
-    # the bit-for-bit test above, with and without a kick spread, 30 kicks
-    # apart the energies drifted by at most 2.2e-12 relative and the s.e.m.
-    # by 1.4e-12 of the energy (chaos grows the difference most at
-    # |eps| = 0.2, least at 0.05: 9e-15)
+    # the rho-form step on np.sin, with E = <rho^2> / (2 eps^2): a second
+    # form and a second sine.  The kernel's sine is within 1.5 ulp(1) of
+    # np.sin; over the 32 cases of the bit-for-bit test above, with and
+    # without a kick spread, 30 kicks apart the energies drifted by at most
+    # 1.1e-12 relative and the s.e.m. by 1.1e-12 of the energy (chaos grows
+    # the difference most at |eps| = 0.2)
     spec = EnsembleSpec(n_atoms=1000, beta_mode="uniform", kick_spread=0.05)
     p = EpsParams(epsilon=epsilon, kick_ratio=3.7, resonance_order=order)
     cfg = NoiseConfig(amplitude_level=2.0, master_seed=5)
     got = eps_energy(p, 30, spec, cfg, n_realizations=2)
-    want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2, sin=np.sin)
+    want = _fresh_array_history(p, 30, spec, cfg, n_realizations=2, rho_form_sin=np.sin)
     np.testing.assert_allclose(got[0], want[0], rtol=1e-11, atol=0.0)
     np.testing.assert_allclose(got[1], want[1], rtol=0.0, atol=1e-11 * np.max(want[0]))
 
