@@ -150,14 +150,14 @@ class ScanSpec:
     abscissa: str = field(metadata={"choices": ABSCISSAS})
     lo: float
     hi: float
-    step: float
-    kick_ratio: float
+    step: float = field(metadata={"above": 0})
+    kick_ratio: float = field(metadata={"min": 0})
     levels: tuple[float, ...] = (0.0,)
     noise: str = field(default="amplitude", metadata={"choices": NOISE_KINDS})
-    kicks: int = 20
+    kicks: int = field(default=20, metadata={"min": 0})
     atoms: int = 1000
-    realizations: int | None = None  # None: 12 per level, 3 at level 0
-    seed: int = 0
+    realizations: int | None = field(default=None, metadata={"min": 1})  # None: 12 (3 at level 0)
+    seed: int = field(default=0, metadata={"min": 0})
     sigma_p: float = 2.5
     beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
     beta_fixed: float = 0.0
@@ -168,7 +168,7 @@ class ScanSpec:
         "from a reach bound, at most 1025 sites)"
     })
     se_probability: float = 0.0
-    resonance_order: int = 1
+    resonance_order: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -179,8 +179,6 @@ class ScanSpec:
                                   f"model it; leave it at {key.default!r}")
         if not self.lo < self.hi:
             raise ConfigError(f"range requires lo < hi, got lo = {self.lo}, hi = {self.hi}")
-        if self.step <= 0.0:
-            raise ConfigError(f"step must be positive, got {self.step}")
         # `points` makes floor(this) + 1 points; inf when the quotient overflows
         if not (self.hi - self.lo) / self.step + 1e-9 < MAX_POINTS:
             raise ConfigError(
@@ -197,11 +195,6 @@ class ScanSpec:
                 self.noise_config(level)
             except ValueError as exc:
                 raise ConfigError(f"levels[{i}] = {level}: {exc}") from exc
-        for name, low in (("kick_ratio", 0), ("kicks", 0), ("realizations", 1), ("seed", 0),
-                          ("resonance_order", 1)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ConfigError(f"{name} must be >= {low}, got {value}")
         if self.engine == "theory":  # hbar grows with the point: check hi and the last
             last = max(self.hi, self.points()[-1])  # which may lie 1e-9 of a step past hi
             _check_bessel_argument(self.kick_ratio, self.hbar_of(last), max(self.levels))
@@ -447,7 +440,7 @@ def _build_parser() -> _Parser:
         "A key that only some engines read must keep its default on the others."))
     scan.add_argument("--config", help="JSON configuration file (flags override it)")
     # each key is a flag; an absent flag leaves it None
-    for key, (kind, _, many, choices) in zip(fields(ScanSpec), field_schema(ScanSpec).values()):
+    for key, (kind, _, many, choices, _) in zip(fields(ScanSpec), field_schema(ScanSpec).values()):
         readers = [engine for engine, cell in _CELLS.items() if key.name in cell[3]]
         note = f"(read by {', '.join(readers)})" if len(readers) < len(ENGINES) else ""
         scan.add_argument(

@@ -6,7 +6,8 @@ constant is hbar_eff = 8 omega_r T, so the pulse period sets the position
 along the quantum-resonance axis (hbar_eff = 2 pi at the half-Talbot time).
 
 Every parameter record starts its `__post_init__` with `check_fields`, which
-reads what each field accepts from its annotation and metadata.
+reads what each field accepts from its annotation and metadata (choices, range);
+a check that spans fields or names a limit stays in the record's code.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 # Caesium D2-line two-photon recoil frequency, fixed so that a 60.5 us pulse
@@ -25,10 +27,22 @@ OMEGA_R_CS = 2.0 * math.pi / (8.0 * 60.5e-6)
 
 _KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
+# a bound's metadata key -> (test of a value against it, the bound alone, in an interval)
+_BOUNDS = {"min": (operator.ge, "be >= {}", "[{}"), "above": (operator.gt, "be > {}", "({}"),
+           "max": (operator.le, "be <= {}", "{}]"), "below": (operator.lt, "be < {}", "{})")}
+
+
+def _words(bounds: tuple[tuple[str, float], ...]) -> str:
+    """The range that (metadata key, bound) pairs make, as an error message states it."""
+    if len(bounds) == 2:  # a lower and an upper bound
+        return "lie in " + ", ".join(_BOUNDS[key][2].format(bound) for key, bound in bounds)
+    key, bound = bounds[0]
+    return "be positive" if (key, bound) == ("above", 0) else _BOUNDS[key][1].format(bound)
+
 
 @functools.cache
-def field_schema(cls: type) -> dict[str, tuple[type, bool, bool, tuple | None]]:
-    """Field name -> (type of one value, None allowed, a tuple of values, its choices)."""
+def field_schema(cls: type) -> dict[str, tuple[type, bool, bool, tuple | None, tuple]]:
+    """Field name -> (type of one value, None allowed, a tuple of values, choices, bounds)."""
     schema, hints = {}, get_type_hints(cls)
     for key in fields(cls):
         hint = hints[key.name]
@@ -36,16 +50,18 @@ def field_schema(cls: type) -> dict[str, tuple[type, bool, bool, tuple | None]]:
         hint = get_args(hint)[0] if optional else hint  # X | None: X
         many = get_origin(hint) is tuple
         schema[key.name] = (get_args(hint)[0] if many else hint, optional, many,
-                            key.metadata.get("choices"))
+                            key.metadata.get("choices"),
+                            tuple((b, key.metadata[b]) for b in _BOUNDS if b in key.metadata))
     return schema
 
 
 def check_fields(record: object, error: type[ValueError] = ValueError) -> None:
     """Check every field of a dataclass record against its annotation, raising `error`.
 
-    Choices come from the field metadata; ints are stored as int, tuples as tuples.
+    Choices and ranges (`min`/`max` inclusive, `above`/`below` exclusive) come
+    from the field metadata.  Numbers are stored as their field's kind, tuples as tuples.
     """
-    for name, (kind, optional, many, choices) in field_schema(type(record)).items():
+    for name, (kind, optional, many, choices, bounds) in field_schema(type(record)).items():
         value = getattr(record, name)
         if choices is not None and value not in choices:
             raise error(f"{name} = {value!r} not one of {choices}")
@@ -54,15 +70,17 @@ def check_fields(record: object, error: type[ValueError] = ValueError) -> None:
         if many and not isinstance(value, (tuple, list)):
             raise error(f"{name} must be a list, got {type(value).__name__}")
         number, noun = _KINDS[kind]
+        where = f"{name}[{{}}]" if many else name  # where.format(i) names value i
         for i, x in enumerate(value if many else (value,)):
             if isinstance(x, bool) or not isinstance(x, number):
-                where = f"{name}[{i}]" if many else name
-                raise error(f"{where} must be {noun}, got {x!r}")
+                raise error(f"{where.format(i)} must be {noun}, got {x!r}")
             # nan, inf, and an int too large for a float
             if kind is float and not abs(x) <= sys.float_info.max:
                 raise error(f"{name} must be finite, got {value}")
-        if many or kind is int:  # frozen records too; the JSON meta line needs int
-            object.__setattr__(record, name, tuple(map(kind, value)) if many else int(value))
+            if bounds and not all(_BOUNDS[b][0](x, bound) for b, bound in bounds):
+                raise error(f"{where.format(i)} must {_words(bounds)}, got {x}")
+        # frozen records too; 2 and 2.0 for a float field make the same JSON meta line
+        object.__setattr__(record, name, tuple(map(kind, value)) if many else kind(value))
 
 
 @dataclass(frozen=True)
@@ -75,18 +93,12 @@ class ScaledParams:
     kick_count:    number of kicks N
     """
 
-    hbar_eff: float
-    kick_strength: float
-    kick_count: int = 20
+    hbar_eff: float = field(metadata={"above": 0})
+    kick_strength: float = field(metadata={"min": 0})
+    kick_count: int = field(default=20, metadata={"min": 0})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.hbar_eff <= 0.0:
-            raise ValueError(f"hbar_eff must be positive, got {self.hbar_eff}")
-        if self.kick_strength < 0.0:
-            raise ValueError(f"kick_strength must be >= 0, got {self.kick_strength}")
-        if self.kick_count < 0:
-            raise ValueError(f"kick_count must be >= 0, got {self.kick_count}")
 
 
 def hbar_from_period(pulse_period: float) -> float:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,17 +67,11 @@ class EpsParams:
     """
 
     epsilon: float
-    kick_ratio: float
-    resonance_order: int = 1
+    kick_ratio: float = field(metadata={"min": 0})
+    resonance_order: int = field(default=1, metadata={"min": 1})
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.kick_ratio < 0.0:
-            raise ValueError(f"kick_ratio must be >= 0, got {self.kick_ratio}")
-        if self.resonance_order < 1:
-            raise ValueError(
-                f"resonance_order must be a positive integer, got {self.resonance_order}"
-            )
         if abs(self.epsilon) > EPS_WARN_LIMIT:
             warnings.warn(
                 f"|epsilon| = {abs(self.epsilon)} is large for a near-resonance model",
@@ -236,8 +230,6 @@ def eps_energy(
     conditions and noise streams realization by realization.  At eps = 0
     the analytic resonant limit is evaluated instead of iterating.
     """
-    if n_kicks < 0:
-        raise ValueError(f"n_kicks must be >= 0, got {n_kicks}")
     _require_amplitude_only(cfg)
     if spec.p_max is not None:
         raise ValueError("detection windows are not modeled for map ensembles")

@@ -13,7 +13,7 @@ the engine that uses them, from their own streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -35,7 +35,7 @@ PERIOD_LEVEL_MAX = 1.0  # exclusive
 
 
 class NoiseLevelError(ValueError):
-    """A noise level lies outside its admissible range."""
+    """A noise level (or another `NoiseConfig` field) lies outside its admissible range."""
 
 
 class IntervalError(ValueError):
@@ -61,29 +61,14 @@ class NoiseConfig:
     se_probability:  spontaneous-emission probability per atom per pulse
     """
 
-    amplitude_level: float = 0.0
-    period_level: float = 0.0
-    se_probability: float = 0.0
-    master_seed: int = 0
-    realization_index: int = 0
+    amplitude_level: float = field(default=0.0, metadata={"min": 0, "max": AMPLITUDE_LEVEL_MAX})
+    period_level: float = field(default=0.0, metadata={"min": 0, "below": PERIOD_LEVEL_MAX})
+    se_probability: float = field(default=0.0, metadata={"min": 0, "max": 1})
+    master_seed: int = field(default=0, metadata={"min": 0})
+    realization_index: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if not 0.0 <= self.amplitude_level <= AMPLITUDE_LEVEL_MAX:
-            raise NoiseLevelError(
-                f"amplitude_level must lie in [0, {AMPLITUDE_LEVEL_MAX}], "
-                f"got {self.amplitude_level}"
-            )
-        if not 0.0 <= self.period_level < PERIOD_LEVEL_MAX:
-            raise NoiseLevelError(
-                f"period_level must lie in [0, {PERIOD_LEVEL_MAX}), got {self.period_level}"
-            )
-        if not 0.0 <= self.se_probability <= 1.0:
-            raise NoiseLevelError(f"se_probability must lie in [0, 1], got {self.se_probability}")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if self.realization_index < 0:
-            raise ValueError(f"realization_index must be >= 0, got {self.realization_index}")
+        check_fields(self, NoiseLevelError)
 
 
 @dataclass(frozen=True)

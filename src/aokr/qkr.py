@@ -131,29 +131,17 @@ class EnsembleSpec:
     realization's ladder is sized from the reach bound (module docstring).
     """
 
-    n_atoms: int
-    sigma_p: float = 2.5
+    n_atoms: int = field(metadata={"min": 1})
+    sigma_p: float = field(default=2.5, metadata={"above": 0})
     beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
-    beta_fixed: float = 0.0
-    kick_spread: float = 0.0
-    p_max: float | None = None
-    cutoff: int | None = None
+    beta_fixed: float = field(default=0.0, metadata={"min": 0, "below": 1})
+    kick_spread: float = field(default=0.0, metadata={"min": 0})
+    p_max: float | None = field(default=None, metadata={"above": 0})
+    cutoff: int | None = field(default=None, metadata={"min": _MIN_CUTOFF})
     momenta: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_atoms < 1:
-            raise ValueError(f"n_atoms must be >= 1, got {self.n_atoms}")
-        if self.sigma_p <= 0.0:
-            raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
-        if not 0.0 <= self.beta_fixed < 1.0:
-            raise ValueError(f"beta_fixed must lie in [0, 1), got {self.beta_fixed}")
-        if self.kick_spread < 0.0:
-            raise ValueError(f"kick_spread must be >= 0, got {self.kick_spread}")
-        if self.p_max is not None and self.p_max <= 0.0:
-            raise ValueError(f"p_max must be positive, got {self.p_max}")
-        if self.cutoff is not None and self.cutoff < _MIN_CUTOFF:
-            raise ValueError(f"cutoff must be >= {_MIN_CUTOFF}, got {self.cutoff}")
         if self.momenta is not None and len(self.momenta) != self.n_atoms:
             raise ValueError(
                 f"momenta holds {len(self.momenta)} entries but n_atoms = {self.n_atoms}"

@@ -19,6 +19,7 @@ and rates are per kick.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -34,6 +35,15 @@ _SERIES_HALF_WIDTH = 1e-3  # below it the closed form's endpoint difference canc
 
 class UnsupportedLevelError(ValueError):
     """The noise level lies outside [0, AMPLITUDE_LEVEL_MAX], where the closed forms hold."""
+
+
+def _integer(name: str, value, low: float = -math.inf) -> int:
+    """`value` as an int of at least `low`; a bool or non-integer (even 2.0) is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +63,7 @@ def bessel_j_row(n_max: int, x: float | np.ndarray) -> np.ndarray:
     until two runs agree to 1e-14, which keeps every returned entry good to
     about 1e-13 absolute.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _integer("n_max", n_max, 0)
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
         raise ValueError(f"bessel_j_row takes a scalar or 1-D x, got shape {xs.shape}")
@@ -187,9 +196,10 @@ def noise_averaged_bessel(order: int, K: float, level: float) -> float:
     0 it is J_order(K) itself.  Signs follow J_{-n}(x) = J_n(-x) = (-1)^n J_n(x).
     |K| (1 + level/2) may not exceed ARGUMENT_MAX.
     """
+    order = _integer("order", order)
     if not math.isfinite(K):
         raise ValueError(f"K must be finite, got {K}")
-    n = abs(int(order))
+    n = abs(order)
     sign = -1.0 if n % 2 == 1 and (K < 0.0) != (order < 0) else 1.0
     return sign * float(_averaged_row(n, K, level)[n])
 
@@ -238,8 +248,7 @@ def kick_strength_from_energy(energy: float, n_kicks: int, mode: str = "quasilin
     computed as 2 sqrt(q E / n) with q = 1 or 3/4, a quarter of 4 or 3: bit
     for bit the same numbers for normal E, and finite up to the float maximum.
     """
-    if n_kicks <= 0:
-        raise ValueError(f"n_kicks must be positive, got {n_kicks}")
+    n_kicks = _integer("n_kicks", n_kicks, 1)
     if not math.isfinite(energy):
         raise ValueError(f"energy must be finite, got {energy!r}")
     if energy < 0.0:

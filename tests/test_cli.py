@@ -421,6 +421,17 @@ def test_seeded_scan_bytes_are_pinned(tmp_path, engine):
         assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
 
 
+def test_integer_values_of_real_keys_give_the_pinned_bytes(tmp_path):
+    # 5 and 5.0 are the same scan; the meta line and sidecar once wrote "lo": 5
+    raw, csv_sha, json_sha = _GOLDEN_SCANS["theory"]
+    config = tmp_path / "scan.json"
+    config.write_text(json.dumps(dict(raw, lo=5, kick_ratio=2, levels=[0, 2])))
+    out, sidecar = tmp_path / "out.csv", tmp_path / "out.json"
+    assert main(["scan", "--config", str(config), "--out", str(out), "--json", str(sidecar)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == json_sha
+
+
 # sha256 of two tiny seeded phase portraits with amplitude noise, one at each
 # sign of eps (the map kernel turns phi by sign(eps) rho).  They also hold at
 # both dispatch levels of the test below.

@@ -64,26 +64,43 @@ RECORDS = {
 
 
 def _bad_values(key):
-    """(label, value) pairs a field must reject, read from its annotation and metadata."""
+    """(label, value, bound) triples read from a field's annotation and metadata.
+
+    `value` must be rejected: a wrong type, or the first value past a bound
+    (`math.nextafter` for floats, one step for ints).  `bound` is the
+    inclusive bound it lies next to, which must construct, or None.
+    """
     if "choices" in key.metadata:
-        return [("choice", "bogus")]
+        return [("choice", "bogus", None)]
     many, kind = re.match(r"(tuple\[)?(\w+)", key.type).groups()
-    bad = {"int": [("bool", True), ("2.5", 2.5)],
-           "float": [("bool", True), ("str", "1.0"), ("nan", math.nan)]}.get(kind, [])
-    return [(label, [value] if many else value) for label, value in bad]  # tuples: one element
+    types = {"int": [("bool", True), ("2.5", 2.5)],
+             "float": [("bool", True), ("str", "1.0"), ("nan", math.nan)]}
+    bad = [(label, value, None) for label, value in types.get(kind, [])]
+    for name, outward in (("min", -1), ("max", 1)):  # inclusive
+        if name in key.metadata:
+            bound = key.metadata[name]
+            past = bound + outward if kind == "int" else math.nextafter(bound, outward * math.inf)
+            bad.append((name, past, bound))
+    for name in ("above", "below"):  # exclusive: the bound itself is the first value past it
+        if name in key.metadata:
+            bad.append((name, key.metadata[name], None))
+    wrap = (lambda v: v if v is None else [v]) if many else (lambda v: v)  # tuples: one element
+    return [(label, wrap(value), wrap(bound)) for label, value, bound in bad]
 
 
 @pytest.mark.parametrize(
-    "record, name, value",
+    "record, name, value, bound",
     [
-        pytest.param(record, key.name, value, id=f"{record.__name__}.{key.name}-{label}")
+        pytest.param(record, key.name, value, bound, id=f"{record.__name__}.{key.name}-{label}")
         for record in RECORDS
         for key in fields(record)
-        for label, value in _bad_values(key)
+        for label, value, bound in _bad_values(key)
     ],
 )
-def test_every_record_field_rejects_a_bad_value_by_name(record, name, value):
+def test_every_record_field_rejects_a_bad_value_by_name(record, name, value, bound):
     # a field added to any record is covered here without an edit
     error = ConfigError if record is ScanSpec else ValueError
+    if bound is not None:  # an inclusive bound is in range
+        assert getattr(record(**dict(RECORDS[record], **{name: bound})), name) == bound
     with pytest.raises(error, match=rf"^{name}\b"):
         record(**dict(RECORDS[record], **{name: value}))

@@ -457,6 +457,30 @@ def test_rate_guards_reject_non_finite_arguments_by_name(call, match):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(lambda v: bessel_j_row(v, 1.0), "n_max", id="bessel_j_row"),
+        pytest.param(lambda v: noise_averaged_bessel(v, 5.0, 1.0), "order",
+                     id="noise_averaged_bessel"),
+        pytest.param(lambda v: kick_strength_from_energy(10.0, v), "n_kicks",
+                     id="kick_strength_from_energy"),
+    ],
+)
+def test_integer_arguments_reject_non_integers_by_name(monkeypatch, call, name):
+    # 2.5 was once order 2 and -2.7 order -2, and True one kick
+    for numpy_int, same in ((np.int64(2), 2), (np.int32(3), 3)):  # the same bytes as an int
+        assert np.array_equal(call(numpy_int), call(same))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the recurrence started before the argument was checked")
+
+    monkeypatch.setattr(theory, "_scalar_row", forbidden)
+    for value in (2.5, -2.7, 2.0, True, np.float64(3.0), "2"):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(value)
+
+
 # ---------------------------------------------------------------------------
 # resonance peaks and inversion
 # ---------------------------------------------------------------------------
