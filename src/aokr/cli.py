@@ -28,10 +28,10 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ScaledParams, check_fields, field_schema, hbar_from_period
+from .core import ScaledParams, check_fields, declared_as, field_schema, hbar_from_period
 from .epsmap import EpsParams, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
-from .qkr import AUTO_CUTOFF_CAP, BETA_MODES, CutoffError, EnsembleSpec, ensemble_energy
+from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
 from .theory import ARGUMENT_MAX, diffusion_rate_with_noise, kick_strength_from_energy
 
@@ -144,6 +144,9 @@ class ScanSpec:
 
     Each field is a configuration key and the `aokr scan` flag of that name, of
     its annotated type and choices; the fields without a default are required.
+    An engine key is declared as the record field it feeds (`declared_as`), with
+    that field's default, choices and range, so `check_fields` checks every
+    single-key range before the cross-key checks below.
     """
 
     engine: str = field(metadata={"choices": ENGINES})
@@ -151,24 +154,23 @@ class ScanSpec:
     lo: float
     hi: float
     step: float = field(metadata={"above": 0})
-    kick_ratio: float = field(metadata={"min": 0})
+    kick_ratio: float = declared_as(EpsParams, "kick_ratio")
     levels: tuple[float, ...] = (0.0,)
     noise: str = field(default="amplitude", metadata={"choices": NOISE_KINDS})
-    kicks: int = field(default=20, metadata={"min": 0})
-    atoms: int = 1000
+    kicks: int = declared_as(ScaledParams, "kick_count")
+    atoms: int = declared_as(EnsembleSpec, "n_atoms")
     realizations: int | None = field(default=None, metadata={"min": 1})  # None: 12 (3 at level 0)
-    seed: int = field(default=0, metadata={"min": 0})
-    sigma_p: float = 2.5
-    beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
-    beta_fixed: float = 0.0
-    kick_spread: float = 0.0
-    p_max: float | None = None
-    cutoff: int | None = field(default=None, metadata={
-        "help": "ladder half-width M, L = 2M+1 sites (default: sized per realization "
-        "from a reach bound, at most 1025 sites)"
-    })
-    se_probability: float = 0.0
-    resonance_order: int = field(default=1, metadata={"min": 1})
+    seed: int = declared_as(NoiseConfig, "master_seed")
+    sigma_p: float = declared_as(EnsembleSpec, "sigma_p")
+    beta_mode: str = declared_as(EnsembleSpec, "beta_mode")
+    beta_fixed: float = declared_as(EnsembleSpec, "beta_fixed")
+    kick_spread: float = declared_as(EnsembleSpec, "kick_spread")
+    p_max: float | None = declared_as(EnsembleSpec, "p_max")
+    cutoff: int | None = declared_as(EnsembleSpec, "cutoff", help=(
+        "ladder half-width M, L = 2M+1 sites (default: sized per realization "
+        "from a reach bound, at most 1025 sites)"))
+    se_probability: float = declared_as(NoiseConfig, "se_probability")
+    resonance_order: int = declared_as(EpsParams, "resonance_order")
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -198,7 +200,6 @@ class ScanSpec:
         if self.engine == "theory":  # hbar grows with the point: check hi and the last
             last = max(self.hi, self.points()[-1])  # which may lie 1e-9 of a step past hi
             _check_bessel_argument(self.kick_ratio, self.hbar_of(last), max(self.levels))
-        self.ensemble()  # fail on bad ensemble knobs now, not mid-scan
         if self.engine != "theory":  # a theory cell is one pair of rates
             # the automatic ladder counts at its cap
             sites = 2 * (AUTO_CUTOFF_CAP if self.cutoff is None else self.cutoff) + 1
@@ -239,18 +240,9 @@ class ScanSpec:
         )
 
     def ensemble(self) -> EnsembleSpec:
-        try:
-            return EnsembleSpec(
-                n_atoms=self.atoms,
-                sigma_p=self.sigma_p,
-                beta_mode=self.beta_mode,
-                beta_fixed=self.beta_fixed,
-                kick_spread=self.kick_spread,
-                p_max=self.p_max,
-                cutoff=self.cutoff,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return EnsembleSpec(n_atoms=self.atoms, sigma_p=self.sigma_p, beta_mode=self.beta_mode,
+                            beta_fixed=self.beta_fixed, kick_spread=self.kick_spread,
+                            p_max=self.p_max, cutoff=self.cutoff)
 
 
 def _reject_duplicates(pairs: list[tuple[str, object]]) -> dict:

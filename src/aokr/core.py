@@ -7,7 +7,9 @@ along the quantum-resonance axis (hbar_eff = 2 pi at the half-Talbot time).
 
 Every parameter record starts its `__post_init__` with `check_fields`, which
 reads what each field accepts from its annotation and metadata (choices, range);
-a check that spans fields or names a limit stays in the record's code.
+a check that spans fields or names a limit stays in the record's code.  A
+record that restates another record's field declares it with `declared_as`,
+which copies that field's default and metadata.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
 # Caesium D2-line two-photon recoil frequency, fixed so that a 60.5 us pulse
@@ -76,11 +78,17 @@ def check_fields(record: object, error: type[ValueError] = ValueError) -> None:
                 raise error(f"{where.format(i)} must be {noun}, got {x!r}")
             # nan, inf, and an int too large for a float
             if kind is float and not abs(x) <= sys.float_info.max:
-                raise error(f"{name} must be finite, got {value}")
+                raise error(f"{where.format(i)} must be finite, got {x}")
             if bounds and not all(_BOUNDS[b][0](x, bound) for b, bound in bounds):
                 raise error(f"{where.format(i)} must {_words(bounds)}, got {x}")
         # frozen records too; 2 and 2.0 for a float field make the same JSON meta line
         object.__setattr__(record, name, tuple(map(kind, value)) if many else kind(value))
+
+
+def declared_as(cls: type, name: str, **metadata) -> Field:
+    """A field with the default and metadata of `cls`'s field `name`, plus `metadata`."""
+    source = cls.__dataclass_fields__[name]
+    return field(default=source.default, metadata={**source.metadata, **metadata})
 
 
 @dataclass(frozen=True)

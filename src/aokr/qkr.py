@@ -131,7 +131,7 @@ class EnsembleSpec:
     realization's ladder is sized from the reach bound (module docstring).
     """
 
-    n_atoms: int = field(metadata={"min": 1})
+    n_atoms: int = field(default=1000, metadata={"min": 1})
     sigma_p: float = field(default=2.5, metadata={"above": 0})
     beta_mode: str = field(default="thermal", metadata={"choices": BETA_MODES})
     beta_fixed: float = field(default=0.0, metadata={"min": 0, "below": 1})

@@ -24,8 +24,10 @@ from aokr.cli import (
     main,
     run_scan,
 )
+from aokr.core import ScaledParams, field_schema
 from aokr.epsmap import EpsParams, eps_energy
 from aokr.noise import NoiseConfig
+from aokr.qkr import EnsembleSpec
 from aokr.theory import diffusion_rate, diffusion_rate_with_noise, kick_strength_from_energy
 
 TWO_PI = 2.0 * math.pi
@@ -91,13 +93,13 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, kick_ratio=-1.0))
     with pytest.raises(ConfigError, match="kicks must be >= 0"):
         build_spec(dict(MINIMAL, engine="quantum", kicks=-1))
-    with pytest.raises(ConfigError, match="atoms"):
+    with pytest.raises(ConfigError, match=r"^atoms must be >= 1, got 0$"):
         build_spec(dict(MINIMAL, engine="quantum", atoms=0))
     with pytest.raises(ConfigError, match="realizations must be >= 1"):
         build_spec(dict(MINIMAL, engine="quantum", realizations=0))
     with pytest.raises(ConfigError, match="seed"):
         build_spec(dict(MINIMAL, seed=-1))
-    with pytest.raises(ConfigError, match="se_probability"):
+    with pytest.raises(ConfigError, match=r"^se_probability must lie in \[0, 1\], got 1\.5$"):
         build_spec(dict(MINIMAL, engine="quantum", se_probability=1.5))
     with pytest.raises(ConfigError, match="resonance_order"):
         build_spec(dict(MINIMAL, resonance_order=0))
@@ -105,11 +107,14 @@ def test_spec_field_validation_names_the_field():
         build_spec(dict(MINIMAL, engine="quantum", beta_mode="warm"))
     with pytest.raises(ConfigError, match="sigma_p"):
         build_spec(dict(MINIMAL, engine="quantum", sigma_p=-2.0))
+    # a single-key range is checked before the cross-key lo < hi
+    with pytest.raises(ConfigError, match=r"^sigma_p must be positive, got -1\.0$"):
+        build_spec(dict(MINIMAL, engine="quantum", sigma_p=-1.0, lo=7.0))
     with pytest.raises(ConfigError, match="kick_ratio must be finite"):
         build_spec(dict(MINIMAL, kick_ratio=float("nan")))
     with pytest.raises(ConfigError, match="hi must be finite"):
         build_spec(dict(MINIMAL, hi=float("inf")))
-    with pytest.raises(ConfigError, match="levels must be finite"):
+    with pytest.raises(ConfigError, match=r"levels\[1\] must be finite, got nan"):
         build_spec(dict(MINIMAL, levels=[0.0, float("nan")]))
     with pytest.raises(ConfigError, match="p_max must be finite"):
         build_spec(dict(MINIMAL, engine="quantum", p_max=float("inf")))
@@ -234,6 +239,20 @@ def test_ensemble_mapping():
     ens = spec.ensemble()
     assert ens.n_atoms == 42 and ens.sigma_p == 1.5
     assert ens.cutoff == 64 and ens.p_max == 30.0
+
+
+@pytest.mark.parametrize("key, record, name", [
+    ("kick_ratio", EpsParams, "kick_ratio"), ("resonance_order", EpsParams, "resonance_order"),
+    ("kicks", ScaledParams, "kick_count"), ("atoms", EnsembleSpec, "n_atoms"),
+    ("sigma_p", EnsembleSpec, "sigma_p"), ("beta_mode", EnsembleSpec, "beta_mode"),
+    ("beta_fixed", EnsembleSpec, "beta_fixed"), ("kick_spread", EnsembleSpec, "kick_spread"),
+    ("p_max", EnsembleSpec, "p_max"), ("cutoff", EnsembleSpec, "cutoff"),
+    ("seed", NoiseConfig, "master_seed"), ("se_probability", NoiseConfig, "se_probability"),
+])
+def test_engine_keys_are_declared_as_their_record_fields(key, record, name):
+    # type, choices and range, then the default; the annotations are written twice
+    assert field_schema(ScanSpec)[key] == field_schema(record)[name]
+    assert ScanSpec.__dataclass_fields__[key].default == record.__dataclass_fields__[name].default
 
 
 # ---------------------------------------------------------------------------
