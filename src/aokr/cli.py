@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .core import ScaledParams, check_fields, declared_as, field_schema, hbar_from_period
-from .epsmap import EpsParams, eps_energy, phase_portrait
+from .epsmap import EpsParams, check_portrait, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
 from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
@@ -112,12 +112,6 @@ def _rates(kick_ratio: float, hbar: float, level: float) -> tuple[float, float]:
     )
 
 
-def _theory_cell(
-    spec: ScanSpec, hbar: float, level: float, cfg: NoiseConfig, n_real: int
-) -> tuple[float, float]:
-    return _rates(spec.kick_ratio, hbar, level)
-
-
 # the ScanSpec keys every engine reads (the seed also sets the sidecar's point
 # seeds), and those of the noisy ensemble, which only the simulations read
 _SCAN_LEVEL = frozenset(("engine", "abscissa", "lo", "hi", "step", "kick_ratio", "levels",
@@ -133,7 +127,8 @@ _CELLS = {
     "quantum": (_quantum_cell, *_ENERGY_NAMES, _SCAN_LEVEL | _ENSEMBLE),
     "eps-classical": (_eps_cell, *_ENERGY_NAMES,
                       _SCAN_LEVEL | (_ENSEMBLE - {"noise", "p_max", "se_probability"})),
-    "theory": (_theory_cell, *_RATE_NAMES, _SCAN_LEVEL),
+    "theory": (lambda spec, hbar, level, cfg, n_real: _rates(spec.kick_ratio, hbar, level),
+               *_RATE_NAMES, _SCAN_LEVEL),
 }
 ENGINES = tuple(_CELLS)
 
@@ -339,7 +334,7 @@ def _point_seed(master_seed: int, point_index: int, level_index: int) -> int:
 
 
 def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
-    """Execute the scan; deterministic for a given spec regardless of workers."""
+    """Run every cell on a pool of `workers` threads; the result does not depend on it."""
     points = spec.points()
     hbars = np.array([spec.hbar_of(p) for p in points])
     levels = spec.levels
@@ -348,7 +343,6 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
         for li in range(len(levels))
     ]
     config = dict(asdict(spec), version=__version__)
-    config["levels"] = list(spec.levels)
     if spec.cutoff is None and spec.engine != "quantum":
         # no ladder to size: the automatic cutoff resolves to its cap, the |n0| limit
         config["cutoff"] = AUTO_CUTOFF_CAP
@@ -365,11 +359,8 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
         "scan: engine=%s, %d points x %d levels, %d workers",
         spec.engine, len(points), len(levels), workers,
     )
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, tasks))
-    else:
-        results = [task(cell) for cell in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(task, tasks))
     values = np.array(results).reshape(len(levels), len(points), 2).transpose(2, 0, 1)
     return EnergyCurve(
         abscissa_name=spec.abscissa,
@@ -384,26 +375,17 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
 
 
 def run_portrait(
-    epsilon: float,
-    kick_ratio: float,
-    level: float,
-    n_phi: int,
-    n_rho: int,
-    n_iters: int,
-    seed: int,
-    out: IO[str],
+    p: EpsParams, cfg: NoiseConfig, n_phi: int, n_rho: int, n_iters: int, out: IO[str]
 ) -> None:
     """Write a phase-portrait point cloud as two-column CSV."""
-    p = EpsParams(epsilon=epsilon, kick_ratio=kick_ratio)
-    cfg = NoiseConfig(amplitude_level=level, master_seed=seed)
     points = phase_portrait(p, n_phi=n_phi, n_rho=n_rho, n_iters=n_iters, cfg=cfg)
     meta = {
-        "epsilon": epsilon,
-        "kick_ratio": kick_ratio,
-        "amplitude_level": level,
+        "epsilon": p.epsilon,
+        "kick_ratio": p.kick_ratio,
+        "amplitude_level": cfg.amplitude_level,
         "grid": [n_phi, n_rho],
         "iters": n_iters,
-        "seed": seed,
+        "seed": cfg.master_seed,
         "version": __version__,
     }
     out.write(f"# meta: {json.dumps(meta, sort_keys=True)}\n")
@@ -524,10 +506,11 @@ def _cmd_portrait(args: argparse.Namespace) -> int:
     if n_phi * n_rho * (args.iters + 1) > MAX_PORTRAIT_POINTS:
         raise ConfigError(f"grid {n_phi}x{n_rho} over {args.iters} iterations makes "
                           f"more than {MAX_PORTRAIT_POINTS} points")
+    p = EpsParams(epsilon=args.epsilon, kick_ratio=args.kick_ratio)
+    cfg = NoiseConfig(amplitude_level=args.level, master_seed=args.seed)
+    check_portrait(p, n_phi, n_rho, args.iters, cfg)
     with _output(args.out) as out:
-        run_portrait(
-            args.epsilon, args.kick_ratio, args.level, n_phi, n_rho, args.iters, args.seed, out
-        )
+        run_portrait(p, cfg, n_phi, n_rho, args.iters, out)
     return 0
 
 

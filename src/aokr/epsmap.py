@@ -24,6 +24,12 @@ multiply, divide, floor or clip, each fixed to the bit by IEEE 754, so a
 kick gives the same bytes whichever SIMD loops numpy dispatches, as it did
 with np.sin (a scalar libm loop; numpy's vectorized transcendentals such as
 np.exp differ in the last bits between loops).
+
+The reduction is off by up to about ulp(phi), so `eps_energy` and
+`phase_portrait` (`check_portrait`) reject, before the first kick, a run
+whose unreduced angle could pass ANGLE_LIMIT = 2**50.  Up to there the error
+stays below a quarter radian, well inside `_sin`'s domain; beyond about 1e16
+the reduced angle can leave that domain, and |sin| then grows without bound.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .qkr import EnsembleSpec, sample_atoms
 
 TWO_PI = 2.0 * math.pi
 EPS_WARN_LIMIT = 0.5
+ANGLE_LIMIT = 2.0**50  # largest unreduced angle a run may reach (module docstring)
 
 
 class EpsilonZeroError(ValueError):
@@ -109,8 +116,10 @@ def _sin(phi, out: np.ndarray, w: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """sin(phi) into out, by adds, multiplies and a clip alone.
 
     phi may be anywhere in [-pi/2, 5pi/2], where the result is within 2 ulp(1)
-    of np.sin and |result| <= 1.  That holds every angle `_kick`'s reduction
-    returns: [0, 2pi] up to a few ulps of the unreduced angle on either side.
+    of np.sin and |result| <= 1.  `_kick`'s reduction returns [0, 2pi] up to
+    about ulp of the unreduced angle on either side, so that holds while the
+    unreduced angle stays within ANGLE_LIMIT (`_check_angle`); beyond about
+    1e16 it can fail.
     The fold y = pi - phi, z = 2 clip(y, -pi/2, pi/2) - y puts z on
     [-pi/2, pi/2] with sin z = sin phi in four passes: z is y itself where
     |y| <= pi/2 and +-pi - y beyond, which is sign(y) (pi - |y|) to the bit
@@ -144,7 +153,8 @@ def _kick(phi, n, epsilon: float, advance, kick, scratch) -> None:
     advance = pi m + hbar_eff beta and kick = kick_ratio R g, scalar or per
     trajectory; epsilon is a scalar and may be 0.  scratch is three rows
     shaped like phi (`_scratch`).  The reduction uses the first, `_sin` all
-    three, so no kick allocates.
+    three, so no kick allocates.  The reduced angle is in `_sin`'s domain only
+    while |phi + eps n + advance| <= ANGLE_LIMIT, which the caller checks.
     """
     buf, w, z2 = scratch
     np.add(phi, np.multiply(n, epsilon, out=buf), out=phi)
@@ -167,6 +177,17 @@ def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
     kick = abs(p.epsilon) * p.kick_ratio * factor
     _kick(phi, rho, np.sign(p.epsilon), _phase_advance(p, beta), kick, _scratch(phi))
     return phi[()], rho[()]
+
+
+def _check_angle(reach: float, advance) -> None:
+    """Reject a run whose unreduced angle may pass ANGLE_LIMIT.
+
+    The angle is phi + eps n + advance with phi in [0, 2pi) and |eps n| <= reach.
+    """
+    bound = TWO_PI + reach + float(np.max(np.abs(advance)))
+    if not bound <= ANGLE_LIMIT:
+        raise ValueError(f"the map angle may reach {bound:.3g}, past ANGLE_LIMIT = 2**50, "
+                         "where the angle reduction leaves the sine's domain")
 
 
 def _require_amplitude_only(cfg: NoiseConfig) -> None:
@@ -228,7 +249,8 @@ def eps_energy(
     per-trajectory kick factors) follows `spec` exactly as in the quantum
     engine, with the map started at n = n0, so the two models share initial
     conditions and noise streams realization by realization.  At eps = 0
-    the analytic resonant limit is evaluated instead of iterating.
+    the analytic resonant limit is evaluated instead of iterating; otherwise
+    a realization whose angle may pass ANGLE_LIMIT raises ValueError.
     """
     _require_amplitude_only(cfg)
     if spec.p_max is not None:
@@ -244,6 +266,8 @@ def eps_energy(
         phi = _stratified_phases(rng, spec.n_atoms)
         n = n0s.astype(float)
         advance = _phase_advance(p, betas)
+        kicks = float(np.sum(np.abs(factors)) * np.max(gains))  # sum_s |R_s| max g
+        _check_angle(abs(p.epsilon) * (float(np.max(np.abs(n0s))) + p.kick_ratio * kicks), advance)
         # without a kick spread every gain is 1.0: k R is the product k (R g)
         spread = spec.kick_spread > 0.0
         kick = np.empty_like(n) if spread else None
@@ -264,6 +288,23 @@ def eps_energy(
     return realization_mean(cfg, n_realizations, run)
 
 
+def check_portrait(p: EpsParams, n_phi: int, n_rho: int, n_iters: int, cfg: NoiseConfig) -> None:
+    """Raise ValueError for a `phase_portrait` call that cannot run, before any work.
+
+    In rho units the angle turns by rho, which starts in (0, 2pi) and moves by at
+    most |eps| kick_ratio (1 + level/2) per iteration, the largest kick factor.
+    """
+    if n_phi < 1 or n_rho < 1:
+        raise ValueError(f"grid must be at least 1x1, got {n_phi}x{n_rho}")
+    if n_iters < 0:
+        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
+    _require_amplitude_only(cfg)
+    if p.epsilon == 0.0:
+        raise EpsilonZeroError("eps = 0 degenerates the map; no portrait exists")
+    largest = abs(p.epsilon) * p.kick_ratio * (1.0 + 0.5 * cfg.amplitude_level)
+    _check_angle(TWO_PI + largest * n_iters, _phase_advance(p, 0.0))
+
+
 def phase_portrait(
     p: EpsParams,
     n_phi: int = 16,
@@ -277,16 +318,10 @@ def phase_portrait(
     (phi, rho mod 2pi) rows: the initial grid plus one row set per
     iteration.  rho is folded into [0, 2pi) because the map commutes with
     2pi shifts of rho.  Amplitude noise draws one realization for the whole
-    grid; n_iters = 0 returns exactly the initial grid.
+    grid; n_iters = 0 returns exactly the initial grid.  Arguments that
+    `check_portrait` rejects raise ValueError.
     """
-    if n_phi < 1 or n_rho < 1:
-        raise ValueError(f"grid must be at least 1x1, got {n_phi}x{n_rho}")
-    if n_iters < 0:
-        raise ValueError(f"n_iters must be >= 0, got {n_iters}")
-    _require_amplitude_only(cfg)
-    if p.epsilon == 0.0:
-        raise EpsilonZeroError("eps = 0 degenerates the map; no portrait exists")
-
+    check_portrait(p, n_phi, n_rho, n_iters, cfg)
     factors = sample_realization(cfg, n_iters).amplitude_factors
     phi = np.repeat(TWO_PI * (np.arange(n_phi) + 0.5) / n_phi, n_rho)
     rho = np.tile(TWO_PI * (np.arange(n_rho) + 0.5) / n_rho, n_phi)

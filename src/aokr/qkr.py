@@ -149,7 +149,10 @@ class EnsembleSpec:
 
 
 def _norm_ppf(u: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF (Acklam's rational fit, |rel err| < 1.2e-9)."""
+    """Inverse standard-normal CDF (Acklam's rational fit, |rel err| < 1.2e-9).
+
+    Both tails take one branch: the upper is the lower mirrored, x(u) = -x(1 - u).
+    """
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
     b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -161,25 +164,19 @@ def _norm_ppf(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     x = np.empty_like(u)
     lo, hi = 0.02425, 1.0 - 0.02425
-    low = u < lo
     high = u > hi
-    mid = ~(low | high)
-    if np.any(mid):
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    if np.any(low):
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        x[low] = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if np.any(high):
-        q = np.sqrt(-2.0 * np.log(1.0 - u[high]))
-        x[high] = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
+    tail = (u < lo) | high
+    q = u[~tail] - 0.5
+    r = q * q
+    x[~tail] = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
+        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    )
+    t, up = u[tail], high[tail]  # the temporaries span the tail rows only
+    q = np.sqrt(-2.0 * np.log(np.where(up, 1.0 - t, t)))
+    x[tail] = np.where(up, -1.0, 1.0) * (
+        ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
+        (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    )
     return x
 
 

@@ -145,10 +145,6 @@ def _check_rate_arguments(kappa: float, hbar_eff: float, regime: str) -> None:
         raise ValueError(f"kappa must be finite, got {kappa}")
 
 
-def _bessel_argument(kappa: float, hbar_eff: float, regime: str) -> float:
-    return kappa if regime == "classical" else quantum_kick_strength(kappa, hbar_eff)
-
-
 def _averaged_row(n_max: int, K: float, level: float) -> np.ndarray:
     """<J_0> .. <J_{n_max}> over multiplicative kick noise on the argument.
 
@@ -220,7 +216,8 @@ def diffusion_rate_with_noise(
     term survives: level 2 gives kappa^2/(3 hbar^2).
     """
     _check_rate_arguments(kappa, hbar_eff, regime)
-    _, j1, j2, j3 = _averaged_row(3, _bessel_argument(kappa, hbar_eff, regime), level)
+    K = kappa if regime == "classical" else quantum_kick_strength(kappa, hbar_eff)
+    _, j1, j2, j3 = _averaged_row(3, K, level)
     corr = 0.5 * (1.0 + level**2 / 12.0) - j2 - j1**2 + j2**2 + j3**2
     return float(0.5 * (kappa / hbar_eff) ** 2 * corr)
 

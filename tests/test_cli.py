@@ -600,6 +600,18 @@ def test_main_validation_failures_exit_one_without_output(tmp_path, capsys):
     capsys.readouterr()
     assert main(["portrait", "--epsilon", "nan", "--kick-ratio", "1.0", "--out", "-"]) == 1
     assert main(["portrait", "--epsilon", "0.02", "--kick-ratio", "nan", "--out", "-"]) == 1
+    # an angle that may pass the map's ANGLE_LIMIT, where its sine is no longer bounded
+    assert main(["scan", "--engine", "eps-classical", "--abscissa", "epsilon", "--lo", "0.01",
+                 "--hi", "0.02", "--step", "0.01", "--kick-ratio", "1e20", "--kicks", "5",
+                 "--atoms", "100", "--beta-mode", "uniform", "--realizations", "1",
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert main(["portrait", "--epsilon", "0.5", "--kick-ratio", "1e20", "--grid", "4x4",
+                 "--iters", "5", "--out", "-"]) == 1
+    # a portrait's values are checked before its output is opened
+    for flags in (["--seed", "-1"], ["--epsilon", "0.0"]):
+        assert main(["portrait", "--epsilon", "0.02", "--kick-ratio", "3.7", *flags,
+                     "--out", str(tmp_path / "missing" / "x.csv")]) == 1
     for energy in ("nan", "inf"):
         assert main(["extract-k", "--energy", energy, "--kicks", "20"]) == 1
     assert capsys.readouterr().out == ""

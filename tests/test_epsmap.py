@@ -1,6 +1,7 @@
 """Near-resonance map: stepping, limits, portraits, and the standard-map oracle."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from aokr import epsmap
 from aokr.core import ScaledParams
 from aokr.epsmap import (
+    ANGLE_LIMIT,
     EpsilonZeroError,
     EpsParams,
     UnsupportedNoiseError,
@@ -225,6 +227,49 @@ def test_reduction_stays_within_ulps_of_np_mod_on_negative_angles():
     got = _reduced(x)
     assert np.max(np.abs(got - np.mod(x, TWO_PI))) <= 9 * np.spacing(TWO_PI)
     assert np.all((got >= 0.0) & (got < TWO_PI))
+
+
+def test_reduction_stays_in_the_sine_domain_up_to_the_angle_limit():
+    # rounding phi / 2pi and q * 2pi at |phi| <= 2**50 moves the reduced angle
+    # by under a quarter radian, well inside _sin's [-pi/2, 5pi/2], so every
+    # kick is at most the kick strength; far past the limit it is not
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, 400_000)
+    x[:2] = -ANGLE_LIMIT, ANGLE_LIMIT
+    got = _reduced(x)
+    assert -0.25 < got.min() and got.max() < TWO_PI + 0.25
+    for angles, bounded in ((x, True), (rng.uniform(0.0, 1e18, 400_000), False)):
+        phi, n = angles.copy(), np.zeros_like(angles)
+        _kick(phi, n, 0.0, 0.0, 1.0, _scratch(phi))
+        assert (np.max(np.abs(n)) <= 1.0) == bounded
+
+
+def test_angle_limit_is_checked_before_the_first_kick(monkeypatch):
+    # fixed beta = 0, n0 = 0: the angle is at most 2pi + pi + |eps| k (kick factor sum),
+    # and the portrait's rho starts below 2pi and counts the largest factor, 1 + level/2
+    def refuse(*args):
+        raise AssertionError("the map kicked")
+
+    monkeypatch.setattr(epsmap, "_kick", refuse)
+    spec = EnsembleSpec(n_atoms=4, beta_mode="fixed", cutoff=32)
+    for eps, kicks in itertools.product((2.0**-10, -(2.0**-10)), (1, 4)):
+        at_limit = ANGLE_LIMIT / (abs(eps) * kicks)  # |eps| k kicks = 2**50
+        for ratio, cfg, rejected in (
+            (at_limit, NoiseConfig(), True),
+            (at_limit / 2, NoiseConfig(), False),
+            (at_limit / 2, NoiseConfig(amplitude_level=2.0), True),  # portrait only
+        ):
+            p = EpsParams(epsilon=eps, kick_ratio=ratio)
+            runs = [lambda: phase_portrait(p, n_phi=2, n_rho=2, n_iters=kicks, cfg=cfg)]
+            if cfg.amplitude_level == 0.0:
+                runs.append(lambda: eps_energy(p, kicks, spec, cfg))
+            for run in runs:
+                if rejected:
+                    with pytest.raises(ValueError, match=r"past ANGLE_LIMIT = 2\*\*50"):
+                        run()
+                else:
+                    with pytest.raises(AssertionError, match="the map kicked"):
+                        run()
 
 
 def _kernel_angles():

@@ -1,5 +1,6 @@
 """Quantum ladder dynamics: single atoms, operator composition, ensembles."""
 
+import hashlib
 import itertools
 import math
 import re
@@ -590,6 +591,22 @@ def test_norm_ppf_against_scipy():
     got = _norm_ppf(u)
     want = scipy.stats.norm.ppf(u)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-8
+
+
+def test_norm_ppf_bytes_are_pinned():
+    # the central region, both tails down to 1e-300 and up to 1 - 1e-16, and
+    # each region boundary and its neighbouring floats on either side
+    lo, hi = 0.02425, 1.0 - 0.02425
+    u = np.concatenate([
+        np.linspace(1e-6, 1.0 - 1e-6, 4001),
+        np.geomspace(1e-300, lo, 300),
+        1.0 - np.geomspace(1e-16, lo, 300),
+        [np.nextafter(edge, to) for edge in (lo, hi) for to in (0.0, edge, 1.0)],
+        [5e-324, 1.0 - 2.0**-53],
+    ])
+    assert (np.sum(u < lo), np.sum(u > hi)) == (398, 398)
+    digest = hashlib.sha256(_norm_ppf(u).astype("<f8").tobytes()).hexdigest()
+    assert digest == "1fd456cd0f0447909f18a98e52e6a8ddb46cb277be01fcee29ef5e302afdfa75"
 
 
 def test_thermal_sampling_energy_and_determinism():
