@@ -344,7 +344,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
     ]
     config = dict(asdict(spec), version=__version__)
     if spec.cutoff is None and spec.engine != "quantum":
-        # no ladder to size: the automatic cutoff resolves to its cap, the |n0| limit
+        # no ladder to size: the automatic cutoff is recorded as its cap, which neither reads
         config["cutoff"] = AUTO_CUTOFF_CAP
 
     engine, columns, keys, _ = _CELLS[spec.engine]

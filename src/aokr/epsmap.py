@@ -25,11 +25,12 @@ kick gives the same bytes whichever SIMD loops numpy dispatches, as it did
 with np.sin (a scalar libm loop; numpy's vectorized transcendentals such as
 np.exp differ in the last bits between loops).
 
-The reduction is off by up to about ulp(phi), so `eps_energy` and
-`phase_portrait` (`check_portrait`) reject, before the first kick, a run
-whose unreduced angle could pass ANGLE_LIMIT = 2**50.  Up to there the error
-stays below a quarter radian, well inside `_sin`'s domain; beyond about 1e16
-the reduced angle can leave that domain, and |sin| then grows without bound.
+The reduction is off by up to about ulp(phi), so `eps_energy`,
+`phase_portrait` (`check_portrait`) and `eps_step` reject, before the first
+kick, a run whose unreduced angle could pass ANGLE_LIMIT = 2**50.  Up to
+there the error stays below a quarter radian, well inside `_sin`'s domain;
+beyond about 1e16 the reduced angle can leave that domain, and |sin| then
+grows without bound.
 """
 
 from __future__ import annotations
@@ -170,12 +171,17 @@ def eps_step(phi, rho, p: EpsParams, kick_factor=1.0, beta=0.0):
     phi, rho may be scalars or arrays (broadcast together).  kick_factor is
     the per-kick amplitude factor; beta is the quasimomentum, scalar or per
     trajectory.  The inputs are copied, never changed.  The kernel's eps is
-    sign(eps): a turn by +-rho, exact, and none at eps = 0.
+    sign(eps): a turn by +-rho, exact, and none at eps = 0.  Inputs whose
+    unreduced angle phi + sign(eps) rho + advance may pass ANGLE_LIMIT raise
+    ValueError (`_check_angle`), as do non-finite phi and rho.
     """
     arrays = np.broadcast_arrays(phi, rho, kick_factor, beta)
     phi, rho, factor, beta = (np.array(x, dtype=float) for x in arrays)
     kick = abs(p.epsilon) * p.kick_ratio * factor
-    _kick(phi, rho, np.sign(p.epsilon), _phase_advance(p, beta), kick, _scratch(phi))
+    advance = _phase_advance(p, beta)
+    turned = float(np.max(np.abs(phi), initial=0.0)) + float(np.max(np.abs(rho), initial=0.0))
+    _check_angle(turned, advance)  # phi, unreduced, counts in full
+    _kick(phi, rho, np.sign(p.epsilon), advance, kick, _scratch(phi))
     return phi[()], rho[()]
 
 
@@ -184,7 +190,7 @@ def _check_angle(reach: float, advance) -> None:
 
     The angle is phi + eps n + advance with phi in [0, 2pi) and |eps n| <= reach.
     """
-    bound = TWO_PI + reach + float(np.max(np.abs(advance)))
+    bound = TWO_PI + reach + float(np.max(np.abs(advance), initial=0.0))
     if not bound <= ANGLE_LIMIT:
         raise ValueError(f"the map angle may reach {bound:.3g}, past ANGLE_LIMIT = 2**50, "
                          "where the angle reduction leaves the sine's domain")

@@ -388,6 +388,21 @@ def test_eps_scan_matches_direct_call():
     assert buf.getvalue().splitlines()[1] == "epsilon,hbar,level,energy,sem"
 
 
+def test_map_scan_takes_a_hot_cloud(tmp_path):
+    # the map has no ladder, and no ladder bounds the atoms' |n0|: a sigma_p
+    # = 120 cloud (|n0| up to 459) once exited 2, "too close to the
+    # automatic ladder's cap M = 512"
+    out = tmp_path / "out.csv"
+    assert main(["scan", "--engine", "eps-classical", "--abscissa", "epsilon", "--lo", "0.01",
+                 "--hi", "0.02", "--step", "0.01", "--kick-ratio", "3.63", "--kicks", "5",
+                 "--atoms", "1000", "--realizations", "2", "--sigma-p", "120",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 2
+    for row in rows:  # E = <n^2> / 2 starts near sigma_p^2 / 2 = 7,200
+        assert 0.9 * 7200.0 < float(row[-2]) < 1.2 * 7200.0
+
+
 # sha256 of the CSV and the JSON sidecar of three tiny seeded scans, one per
 # engine (numpy 2.4.6, x86-64).  Any change to a byte of the output, the
 # version in its meta line included, changes them.  They hold whether or not
@@ -398,8 +413,8 @@ _GOLDEN_SCANS = {
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
              noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
              kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
-        "b0c6bda823a84a977f511ca7f9b679513f3dde7ca3ba9d8a3a2188e6b03ac57a",
-        "1a2d53cd11f9c0cf10eb4df06d92b6d8b7551519a0fcb15f33af3be54da8489f",
+        "522d14b130f5688896a8fd3d4c7ef3322073f829aba51405f3784289cce770f2",
+        "a797e68ec7dbd0efb987c44a57a97d582f5bfa1df8d7bcb0ae31c9c540a12e16",
     ),
     "eps-classical": (
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,

@@ -360,6 +360,25 @@ def test_sine_coefficients_are_the_documented_chebyfit():
     assert _odd_poly_error(_SIN_POLY) <= 3e-17
 
 
+def test_step_rejects_angles_past_the_limit():
+    # the one-step API checks its unreduced angle phi + sign(eps) rho +
+    # advance as `eps_energy` and the portrait do: phi uniform in [0, 1e18)
+    # once returned |rho| up to 1.8e20 where one kick moves rho by 0.1 at most
+    p = EpsParams(epsilon=0.1, kick_ratio=1.0)
+    phi = np.random.default_rng(3).uniform(0.0, 1e18, 1000)
+    with pytest.raises(ValueError, match="past ANGLE_LIMIT"):
+        eps_step(phi, 0.0, p)
+    for bad in ((0.0, -1e18), (float("nan"), 0.0), (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="past ANGLE_LIMIT"):
+            eps_step(*bad, p)
+    # below the limit the step runs and |rho| moves by the kick alone; an
+    # empty batch is no error
+    far = ANGLE_LIMIT / 4.0
+    phi, rho = eps_step(np.array([far, -far]), np.array([far, 0.0]), p)
+    assert np.all(np.abs(rho - [far, 0.0]) <= 0.1)
+    assert eps_step(np.array([]), np.array([]), p)[1].size == 0
+
+
 def test_step_leaves_its_inputs_unchanged():
     p = EpsParams(epsilon=-0.05, kick_ratio=2.0)
     phi0, rho0, beta = np.array([0.3, 5.9]), np.array([0.8, -0.4]), np.array([0.1, 0.7])

@@ -187,25 +187,32 @@ def _single_atom_history(beta, kick_ratio, hbar_eff, kick_count, cutoff):
 class _StepperSpy:
     """Keeps the amplitudes and beta that each `_evolve` call of the cloud
     evolves in place, one call per block of atoms, and the SE schedule rows
-    it was handed, and records the ladder length L once per realization: at
-    its first block, which every later block of the realization must share."""
+    it was handed, and records the ladder's last length L and its stages
+    once per realization: at its first block, which every later block of
+    the realization must share."""
 
     def __init__(self, monkeypatch):
         self.batches = []
         self.schedules = []
         self.lengths = []
+        self.ladders = []
         self.sums = []
         self._realization = None  # held, so a new realization is a new object
         evolve = qkr._evolve
 
-        def spy(c, beta, g, params, realization, se_events, se_betas, *args):
+        def spy(c, beta, g, params, realization, se_events, se_betas, p_max, stages=None):
+            stages = stages or ((0, c.shape[1]),)  # `_evolve`'s own default
             self.batches.append((c, beta))
             self.schedules.append((se_events, se_betas))
             if realization is not self._realization:
                 self._realization = realization
                 self.lengths.append(c.shape[1])
-            assert c.shape[1] == self.lengths[-1]
-            self.sums.append(evolve(c, beta, g, params, realization, se_events, se_betas, *args))
+                self.ladders.append(stages)
+            assert c.shape[1] == self.lengths[-1] == stages[-1][1]
+            assert stages == self.ladders[-1]
+            self.sums.append(
+                evolve(c, beta, g, params, realization, se_events, se_betas, p_max, stages)
+            )
             return self.sums[-1]
 
         monkeypatch.setattr(qkr, "_evolve", spy)
@@ -640,19 +647,19 @@ def test_explicit_momenta_and_cutoff_guard():
     n0, beta, _ = sample_atoms(spec, NoiseConfig(master_seed=0))
     assert np.array_equal(n0, [-2, 0, 2])
     assert np.allclose(n0 + beta, [-1.2, 0.0, 2.7])
-    # the automatic ladder (cutoff None) takes |n0| up to half its cap, 256:
-    # a sigma_p = 40 cloud (|n0| < 100) fits it, a sigma_p = 400 one does not
-    for cutoff, sigma_p in ((16, 40.0), (None, 400.0)):
-        hot = EnsembleSpec(n_atoms=64, sigma_p=sigma_p, cutoff=cutoff)
-        with pytest.raises(CutoffError, match="reach"):
-            sample_atoms(hot, NoiseConfig(master_seed=0))
-    n0, _, _ = sample_atoms(EnsembleSpec(n_atoms=64, sigma_p=40.0), NoiseConfig(master_seed=0))
-    assert 64 < np.max(np.abs(n0)) <= 256
-    assert sample_atoms(EnsembleSpec(n_atoms=1, momenta=(-255.5,)), NoiseConfig())[0] == [-256]
-    with pytest.raises(CutoffError, match="cap M = 512"):
-        sample_atoms(EnsembleSpec(n_atoms=1, momenta=(-256.5,)), NoiseConfig())
+    # every atom starts at site 0 of its own frame, so no ladder bounds |n0|:
+    # a sigma_p = 400 cloud samples under a cutoff of 16 and under the
+    # automatic ladder's cap alike
     for cutoff in (16, None):
-        for far in ((1e19,), (-1e300,)):  # beyond the int64 range of a ladder index
+        hot = EnsembleSpec(n_atoms=64, sigma_p=400.0, cutoff=cutoff)
+        n0, _, _ = sample_atoms(hot, NoiseConfig(master_seed=0))
+        assert np.max(np.abs(n0)) > 512
+    assert sample_atoms(EnsembleSpec(n_atoms=1, momenta=(-256.5,)), NoiseConfig())[0] == [-257]
+    # only an index whose integer cast would wrap is rejected
+    edge = EnsembleSpec(n_atoms=1, momenta=(2.0**63 - 1024,))
+    assert sample_atoms(edge, NoiseConfig())[0] == [2**63 - 1024]
+    for cutoff in (16, None):
+        for far in ((1e19,), (-1e300,), (-(2.0**63),)):  # beyond the int64 range of an index
             with pytest.raises(CutoffError, match="reach"):
                 sample_atoms(EnsembleSpec(n_atoms=1, momenta=far, cutoff=cutoff), NoiseConfig())
 
@@ -665,6 +672,22 @@ def test_kick_spread_draws_positive_factors():
     assert np.std(g) == pytest.approx(0.3, rel=0.1)
 
 
+@pytest.mark.parametrize("beta_mode", ["thermal", "uniform"])
+def test_sampling_peaks_at_32_bytes_per_atom(beta_mode):
+    # n0, beta and g are 24 B per atom; every other pass runs in place, so a
+    # million atoms with a kick spread peak at 32 B per atom at most (a
+    # thermal draw once peaked at 50 B, its u, p, x and masks alive at once)
+    spec = EnsembleSpec(n_atoms=10**6, beta_mode=beta_mode, kick_spread=0.05, cutoff=32)
+    tracemalloc.start()
+    try:
+        n0, beta, g = sample_atoms(spec, NoiseConfig(master_seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n0.nbytes + beta.nbytes + g.nbytes == 24 * spec.n_atoms
+    assert peak <= 32 * spec.n_atoms
+
+
 # ---------------------------------------------------------------------------
 # ensemble evolution
 # ---------------------------------------------------------------------------
@@ -673,7 +696,8 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
     # same atoms, same pulse train: the stepper, in blocks of two atoms and as
     # a batch of one, against a per-atom loop of oracle kicks, explicit free
     # phases and SE beta swaps; once with period noise (a free phase per gap)
-    # and once with kick spread (a kick phase per atom)
+    # and once with kick spread (a kick phase per atom).  Each atom starts at
+    # site 0 of its frame, beta' = n0 + beta, and swaps to n0 + beta_new
     monkeypatch.setattr(qkr, "_BLOCK_SITES", 2 * 97)  # L = 97 at cutoff 48
     spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=2.2 * TWO_PI, kick_count=6)
@@ -694,15 +718,16 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
         final_beta = np.concatenate([beta for _, beta in spy.batches])
 
         n0s, betas, gs = sample_atoms(spec, cfg)
+        frame_betas = se_betas + n0s[:, None]
         histories = []
         for a in range(3):
-            start = _plane_wave(48, int(n0s[a]))
+            start = _plane_wave(48)
             c, beta, history = _oracle_atom(
-                start, float(betas[a]), gs[a], p, r, events[a], se_betas[a]
+                start, float(n0s[a] + betas[a]), gs[a], p, r, events[a], frame_betas[a]
             )
             histories.append(history)
             one, one_beta, _ = _evolve_row(
-                start, betas[a], p, r, gs[a], events[a : a + 1], se_betas[a : a + 1]
+                start, n0s[a] + betas[a], p, r, gs[a], events[a : a + 1], frame_betas[a : a + 1]
             )
             assert np.max(np.abs(final_c[a] - c)) < 1e-12
             assert np.max(np.abs(one - c)) < 1e-12
@@ -715,7 +740,8 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     # the kick phase a fresh temporary, numpy's temporary elision (arrays of
     # 256 KiB and up) swapped the operands of the kick multiply, and complex
     # multiplies with FMA are not bitwise commutative: no row matched.  The
-    # cloud runs in blocks of 170 atoms, each of them at least 256 KiB
+    # cloud runs in blocks of 170 atoms, each of them at least 256 KiB; each
+    # atom starts at site 0 of its frame
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=4)
     spec = EnsembleSpec(n_atoms=600, kick_spread=0.05, cutoff=192)
@@ -731,11 +757,46 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     n0s, betas, gs = sample_atoms(spec, cfg)
     for a in range(0, 600, 60):
         one, one_beta, _ = _evolve_row(
-            _plane_wave(192, int(n0s[a])), betas[a], p, r, gs[a],
-            events[a : a + 1], se_betas[a : a + 1],
+            _plane_wave(192), n0s[a] + betas[a], p, r, gs[a],
+            events[a : a + 1], se_betas[a : a + 1] + n0s[a],
         )
         assert one.tobytes() == c[a].tobytes()
         assert one_beta == beta[a]
+
+
+@pytest.mark.parametrize("noise", ["none", "amplitude", "period"])
+@pytest.mark.parametrize("se, p_max", [(0.05, None), (0.0, 6.0)], ids=["se", "window"])
+def test_frame_matches_the_placed_start(monkeypatch, noise, se, p_max):
+    # the cloud starts each atom at site 0 of its frame, beta' = n0 + beta,
+    # and swaps to n0 + beta_new; here against the same atoms placed at n0
+    # with beta, both on the fixed L = 513 ladder: 120 thermal atoms (|n0| up
+    # to 7) with a kick spread, 20 kicks at hbar = 2 pi + 0.1, once with SE
+    # and once with a window that discards mass.  The shift of n is exact and
+    # only the rounding of n + beta differs: the energies agree to 1e-13
+    # relative (3e-15 measured), each row shifted by n0 to 1e-10 in norm (2e-11
+    # under period noise, where the free phase at |n| ~ 200 nears 1e5 rad),
+    # and the final betas bit for bit
+    hbar = TWO_PI + 0.1
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+    spec = EnsembleSpec(n_atoms=120, kick_spread=0.05, p_max=p_max, cutoff=256)
+    levels = {"none": {}, "amplitude": {"amplitude_level": 2.0}, "period": {"period_level": 0.1}}
+    cfg = NoiseConfig(se_probability=se, master_seed=7, **levels[noise])
+    r = sample_realization(cfg, p.kick_count)
+    events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
+    n0, beta, g = sample_atoms(spec, cfg)
+    assert np.max(np.abs(n0)) >= 5 and (se == 0.0 or events[:, :-1].sum() >= 50)
+    placed = (qkr._ladder(513) == n0[:, None]).astype(complex)
+    placed_beta = beta.copy()
+    energy, weight = qkr._evolve(placed, placed_beta, g, p, r, events, se_betas, p_max)
+    spy = _StepperSpy(monkeypatch)
+    frame = qkr._cloud_energy(spec, p, r)
+    [(c_frame, beta_frame)] = spy.batches
+    if p_max is not None:
+        assert weight[-1] < 0.9 * spec.n_atoms  # the window discards mass
+    np.testing.assert_allclose(frame, energy / weight, rtol=1e-13, atol=0.0)
+    assert beta_frame.tobytes() == (placed_beta + n0).tobytes()
+    shifted = np.array([np.roll(row, -k) for row, k in zip(placed, n0)])
+    assert np.max(np.linalg.norm(c_frame - shifted, axis=1)) <= 1e-10
 
 
 def test_uniform_beta_resonance_slope():
@@ -826,6 +887,50 @@ def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, leve
     assert all(_is_5_smooth(n) and n < 1025 for n in spy.lengths[:2])
 
 
+@pytest.mark.parametrize(
+    "hbar, level", [(TWO_PI + 0.1, 0.0), (TWO_PI + 0.1, 2.0), (TWO_PI, 2.0), (3.0, 1.0)]
+)
+def test_ladder_grows_with_the_kicks(monkeypatch, hbar, level):
+    # the automatic ladder's stages, (first kick, length) from kick 0: the
+    # lengths rise, are 5-smooth and end on the L that the reach bound gives
+    # all N kicks at REACH_TAIL, the fixed ladder's length.  Every kick of an
+    # earlier stage is certified at the stricter STAGE_TAIL for the summed
+    # strength K_s of the kicks so far, a stage starts where the last length
+    # no longer certifies, and it is at least twice as long.  The frames make
+    # the schedule blind to the cloud's temperature: sigma_p = 2.5 and 40
+    # (|n0| up to about 110) get the same stages
+    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+    cfg = NoiseConfig(amplitude_level=level, master_seed=4)
+    r = sample_realization(cfg, p.kick_count)
+    ladders = []
+    for sigma_p in (2.5, 40.0):
+        spy = _StepperSpy(monkeypatch)
+        spec = EnsembleSpec(n_atoms=200, sigma_p=sigma_p, kick_spread=0.05)
+        qkr._cloud_energy(spec, p, r)
+        ladders.append(spy.ladders)
+        monkeypatch.undo()
+    assert ladders[0] == ladders[1]
+    [stages] = ladders[0]
+    firsts, lengths = zip(*stages)
+    assert firsts[0] == 0 and list(firsts) == sorted(set(firsts))
+    assert list(lengths) == sorted(set(lengths)) and all(map(_is_5_smooth, lengths))
+    assert len(stages) >= 3
+
+    factors = np.abs(r.amplitude_factors)
+    g_max = np.max(sample_atoms(spec, cfg)[2])
+    unit = p.kick_strength / p.hbar_eff
+    reach = qkr._bound_reach(unit * float(np.sum(factors)) * g_max)
+    need = 2 * math.ceil(reach / qkr.TAIL_FRACTION) + 1
+    assert lengths[-1] == min(n for n in range(need, 1025) if _is_5_smooth(n))
+    k_s = unit * np.cumsum(factors) * g_max
+    for (first, l_size), end in zip(stages[:-1], firsts[1:]):
+        for s in range(first, end):
+            assert _tail_bound(k_s[s], 0.9 * ((l_size - 1) // 2)) <= qkr.STAGE_TAIL
+    for (_, short), (first, l_size) in zip(stages, stages[1:]):
+        assert _tail_bound(k_s[first], 0.9 * ((short - 1) // 2)) > qkr.STAGE_TAIL
+        assert l_size >= 2 * short or l_size == lengths[-1]
+
+
 def test_reach_bound_holds_on_the_exact_resonant_populations(monkeypatch):
     # hbar = 2 pi, beta = 1/2: the free phases are one global phase, so N
     # kicks of strength k act as one of strength K = k N and the populations
@@ -877,9 +982,9 @@ def test_automatic_ladder_guard_names_the_ladder_and_reach(monkeypatch):
         ensemble_energy(spec, p, NoiseConfig())
     assert "raise the cutoff" not in str(exc.value)
     # a reach cut short by hand: the guard trips on a ladder under the cap
-    monkeypatch.setattr(qkr, "_bound_reach", lambda k_total: 0.5 * k_total)
+    monkeypatch.setattr(qkr, "_bound_reach", lambda k_total, tail=qkr.REACH_TAIL: 0.5 * k_total)
     p = ScaledParams(hbar_eff=TWO_PI, kick_strength=3.0 * TWO_PI, kick_count=20)
-    with pytest.raises(CutoffError, match=r"L = 72 for the reach bound \|n0\| \+ D = 30$") as exc:
+    with pytest.raises(CutoffError, match=r"L = 72 for the reach bound D = 30$") as exc:
         ensemble_energy(spec, p, NoiseConfig())
     assert "raise the cutoff" not in str(exc.value)
     explicit = EnsembleSpec(n_atoms=1, beta_mode="fixed", beta_fixed=0.5, cutoff=16)
@@ -913,8 +1018,8 @@ def test_blocking_does_not_change_energies(monkeypatch, p_max):
     # five atoms in one block and in blocks of two give energies that differ
     # only by summation order; the cloud reaches |p| ~ 49, so the window at 6
     # discards mass.  Realizations 1 and 2 of seed 11 get automatic ladders
-    # of 64 and then 72 sites, and their energies are those of the explicit
-    # M = 512 ladder
+    # that end on 60 and then 64 sites, and their energies are those of the
+    # explicit M = 512 ladder
     p = ScaledParams(hbar_eff=TWO_PI - 0.1, kick_strength=2.5 * (TWO_PI - 0.1), kick_count=6)
     histories = {}
     for cutoff, first in ((48, 0), (None, 1), (512, 1)):
@@ -943,15 +1048,17 @@ def test_blocking_does_not_change_energies(monkeypatch, p_max):
 def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
     # a 40-atom cloud in blocks of 1, 2, 7 and all 40 atoms, with period
     # noise, kick spread, SE and a window that discards mass: the blocks'
-    # SE rows, joined, are one whole-cloud draw of the two SE streams, every
-    # final row and beta is bitwise the same, and the per-kick energy sums
-    # and weights differ only by summation order
+    # SE rows, joined, are one whole-cloud draw of the two SE streams (its
+    # betas in each atom's frame, n0 + beta_new), every final row and beta
+    # is bitwise the same, and the per-kick energy sums and weights differ
+    # only by summation order
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
     spec = EnsembleSpec(n_atoms=40, kick_spread=0.05, p_max=12.0)
     cfg = NoiseConfig(period_level=0.1, se_probability=0.05, master_seed=9)
     r = sample_realization(cfg, p.kick_count)
     events, se_betas = _se_schedule(cfg, spec.n_atoms, p.kick_count)
+    frame_betas = se_betas + sample_atoms(spec, cfg)[0][:, None]
     runs = {}
     for atoms in (40, 7, 2, 1):
         spy = _StepperSpy(monkeypatch)
@@ -960,7 +1067,7 @@ def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
         energies = qkr._cloud_energy(spec, p, r)
         [l_size] = spy.lengths
         assert len(spy.batches[0][0]) == atoms
-        for drawn, whole in zip(zip(*spy.schedules), (events, se_betas)):
+        for drawn, whole in zip(zip(*spy.schedules), (events, frame_betas)):
             assert np.concatenate(drawn).tobytes() == whole.tobytes()
         runs[atoms] = (
             np.concatenate([c for c, _ in spy.batches]),
