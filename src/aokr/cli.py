@@ -122,11 +122,11 @@ _ENERGY_NAMES = ("energy", "sem"), ("energies", "sems")
 _RATE_NAMES = ("d_classical", "d_quantum"), ("d_classical", "d_quantum")
 # engine -> (cell, CSV columns of its two values, JSON keys of the same values,
 # the ScanSpec keys it reads; every other key must keep its default).  The map
-# models amplitude noise only, with no detection window and no spontaneous emission.
+# models amplitude noise only: no detection window, spontaneous emission or ladder.
 _CELLS = {
     "quantum": (_quantum_cell, *_ENERGY_NAMES, _SCAN_LEVEL | _ENSEMBLE),
     "eps-classical": (_eps_cell, *_ENERGY_NAMES,
-                      _SCAN_LEVEL | (_ENSEMBLE - {"noise", "p_max", "se_probability"})),
+                      _SCAN_LEVEL | (_ENSEMBLE - {"noise", "p_max", "se_probability", "cutoff"})),
     "theory": (lambda spec, hbar, level, cfg, n_real: _rates(spec.kick_ratio, hbar, level),
                *_RATE_NAMES, _SCAN_LEVEL),
 }
@@ -162,8 +162,8 @@ class ScanSpec:
     kick_spread: float = declared_as(EnsembleSpec, "kick_spread")
     p_max: float | None = declared_as(EnsembleSpec, "p_max")
     cutoff: int | None = declared_as(EnsembleSpec, "cutoff", help=(
-        "ladder half-width M, L = 2M+1 sites (default: sized per realization "
-        "from a reach bound, at most 1025 sites)"))
+        "half-width M of the last kick's ladder, L = 2M+1 sites, which earlier kicks "
+        "grow to (default: sized per realization from a reach bound, at most 1025 sites)"))
     se_probability: float = declared_as(NoiseConfig, "se_probability")
     resonance_order: int = declared_as(EpsParams, "resonance_order")
 
@@ -343,8 +343,8 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
         for li in range(len(levels))
     ]
     config = dict(asdict(spec), version=__version__)
-    if spec.cutoff is None and spec.engine != "quantum":
-        # no ladder to size: the automatic cutoff is recorded as its cap, which neither reads
+    if spec.engine != "quantum":
+        # no ladder to size: recorded as the automatic ladder's cap, which neither reads
         config["cutoff"] = AUTO_CUTOFF_CAP
 
     engine, columns, keys, _ = _CELLS[spec.engine]

@@ -49,10 +49,9 @@ opened once per realization and each block draws its own (atoms, kicks)
 rows from them, so the blocks draw the whole cloud's SE schedule in atom
 order, bit for bit.
 
-Ladder length.  An explicit cutoff M gives L = 2M + 1 for every kick.
-Without one, each realization gets a ladder schedule, fixed before its
-first block of atoms so that every block shares it.  Conjugating a kick
-U = exp(i k cos phi) by exp(t n) turns it into multiplication by
+Ladder length.  Each realization's ladder is a schedule of stages, fixed
+before its first block of atoms so that every block shares it.  Conjugating
+a kick U = exp(i k cos phi) by exp(t n) turns it into multiplication by
 exp(i k cos(phi - i t)), whose modulus is at most exp(|k| sinh t); free
 phases and SE beta swaps commute with n.  So for an atom started at site 0
 of its frame, sum_n exp(2 t n) |c_n|^2 <= exp(2 K sinh t) after kicks of
@@ -64,17 +63,15 @@ t (cosh t = D/K) bounds the mass beyond |n| > D by
 at every hbar_eff, noise kind and SE schedule.  The reach D(K, tail) is
 the smallest D that makes this <= tail, and a length certifies it when it
 is a 5-smooth length (a fast FFT size) >= 2 ceil(D / 0.9) + 1, so the tail
-guard's edge 0.9 (L // 2) lies beyond the reach, and at least 17 sites.
-The last length L certifies the reach D(K, REACH_TAIL) of all N kicks; it
-is capped at the 2 AUTO_CUTOFF_CAP + 1 sites of an explicit cutoff
-AUTO_CUTOFF_CAP, the ladder a reach too wide for the cap runs on from the
-first kick.  Below the cap the ladder grows with the kicks: kick s runs on
-a length that certifies D(K_s, STAGE_TAIL) for the summed strength of the
-kicks so far, K_s = (kappa / hbar_eff) sum_{s' <= s} |R_s'| max(g), or on
-L.  When a kick needs more than the stage's length, a new stage starts on
-the shortest length that certifies it, and at least twice the old one, so
-a block re-lays its arrays a few times (the reach grows linearly with the
-kicks); the last stage runs on L.  At a new stage the amplitudes are padded
+guard's edge 0.9 (L // 2) lies beyond the reach, and at least 17 sites, or
+the cap's 2 AUTO_CUTOFF_CAP + 1 = 1025.  The last length L is 2M + 1 for
+an explicit cutoff M, and else the shortest that certifies D(K, REACH_TAIL)
+for all N kicks, or 1025.  Kick s runs on its stage's length while that
+certifies D(K_s, STAGE_TAIL), K_s the summed strength of kicks 0..s; else
+a new stage starts on the shortest length that does, at least twice the
+old one, or on L if none under L does (never on an uncertified 1025 below
+a wider L).  The last kick runs on L.  The reach grows linearly with the
+kicks, so a block re-lays its arrays a few times, padding the amplitudes
 with zeros in momentum, which is exact up to the mass that the shorter
 ladder wrapped around.  The energies move by about that tail: STAGE_TAIL,
 far below REACH_TAIL, keeps them within 1e-14 of the fixed ladder's over
@@ -120,8 +117,8 @@ TAIL_TOLERANCE = 1e-8
 REACH_TAIL = 1e-10  # the reach bound's tail: 100x below TAIL_TOLERANCE
 STAGE_TAIL = 1e-16  # the tail of every ladder stage but the last (module docstring)
 _MIN_CUTOFF = 8
-# the automatic ladder's lengths: the 5-smooth ones (fast FFT sizes) below
-# the cap's 2M + 1 sites, then the cap itself
+# the lengths of every ladder stage but an explicit cutoff's last: the
+# 5-smooth ones (fast FFT sizes) below the cap's 2M + 1 sites, then the cap
 _LADDER_LENGTHS = sorted(
     2**a * 3**b * 5**c
     for a in range(11) for b in range(7) for c in range(5)
@@ -152,9 +149,10 @@ class EnsembleSpec:
     kick_spread: fractional rms of the per-atom kick factor (beam profile).
     p_max: detection window; probability with |p| > p_max is discarded and
     the remaining cloud renormalized as a whole.  None = no window.
-    cutoff: ladder half-width M (L = 2M + 1 sites), counted around each
-    atom's start: an atom keeps |n - n0| <= M.  None = automatic: each
-    realization's ladder grows with the kicks' reach bound (module docstring).
+    cutoff: half-width M of the widest ladder stage, L = 2M + 1 sites, counted
+    around each atom's start (|n - n0| <= M); earlier kicks run on shorter
+    stages that the reach bound certifies.  None = automatic: the bound sizes
+    L too (module docstring).
     """
 
     n_atoms: int = field(default=1000, metadata={"min": 1})
@@ -288,7 +286,9 @@ def _cis(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _jittered_free_phase(a: float, beta: np.ndarray, n_grid: np.ndarray, c: np.ndarray) -> None:
+def _jittered_free_phase(
+    a: float, beta: np.ndarray, n_grid: np.ndarray, c: np.ndarray, tables: np.ndarray | None = None
+) -> None:
     """Multiply each atom's row of c in place by exp(-i a (n + beta)^2).
 
     With n = n_min + B q + r (0 <= r < B, Q B = L, B the largest divisor of
@@ -296,15 +296,18 @@ def _jittered_free_phase(a: float, beta: np.ndarray, n_grid: np.ndarray, c: np.n
     block exp(-i a beta (beta + 2 n_min)) z^(B q) and a per-atom power z^r
     of z = exp(-2i a beta).  The row costs L exponentials; both per-atom
     tables are running products of three (z, z^B and the block anchor), so
-    a site costs three complex multiplies and no exponential.
+    a site costs three complex multiplies and no exponential.  The tables fill
+    the first atoms (B + Q) entries of `tables`, or of a new array if shorter.
     """
     atoms, l_size = c.shape
     block = max(b for b in range(1, math.isqrt(l_size) + 1) if l_size % b == 0)
+    if tables is None or tables.size < atoms * (block + l_size // block):
+        tables = np.empty(atoms * (block + l_size // block), dtype=complex)
     w = -2.0 * a * beta  # arg z
-    powers = np.empty((atoms, block), dtype=complex)
+    powers = tables[: atoms * block].reshape(atoms, block)
     powers[:, 0] = 1.0
     powers[:, 1:] = _cis(w)[:, None]
-    blocks = np.empty((atoms, l_size // block), dtype=complex)
+    blocks = tables[atoms * block : atoms * (block + l_size // block)].reshape(atoms, -1)
     blocks[:, 0] = _cis(-a * beta * (beta + 2.0 * n_grid[0]))
     blocks[:, 1:] = _cis(block * w)[:, None]
     np.multiply.accumulate(powers, axis=1, out=powers)
@@ -364,10 +367,11 @@ def _evolve(
     only when k_eff changes (equal kick factors share one row); the free
     phase is built once for all-unit gaps and extended over each new
     stage's sites, and under period noise applied in place by
-    `_jittered_free_phase`.  Every per-site buffer is
-    allocated at length L before the first kick; a stage of length l works
-    on the contiguous (atoms, l) prefix of each, c's memory included, and
-    `_relay` moves the amplitudes between stages.
+    `_jittered_free_phase`, its tables in the |c|^2 and scratch buffer
+    (in a new array at a prime L, where they need one entry per atom more).
+    Every per-site buffer is allocated at length L before the first kick; a
+    stage of length l works on the contiguous (atoms, l) prefix of each,
+    c's memory included, and `_relay` moves the amplitudes between stages.
     """
     n_kicks = params.kick_count
     atoms, l_last = c.shape
@@ -381,7 +385,7 @@ def _evolve(
     sites = c.size
     flat = c.view()
     flat.shape = (sites,)  # raises where reshape would copy
-    work = np.empty(2 * sites)  # |c|^2 and scratch, or what `_relay` moves
+    work = np.empty(2 * sites)  # |c|^2 and scratch, what `_relay` moves, or tables
     held = work.view(complex)
     p2_buf = np.empty(sites)
     window_buf = None if p_max is None else np.empty(sites, dtype=bool)
@@ -455,7 +459,7 @@ def _evolve(
 
             if s < n_kicks - 1:
                 if free_unit is None:
-                    _jittered_free_phase(0.5 * hbar * intervals[s], beta, n_grid, c)
+                    _jittered_free_phase(0.5 * hbar * intervals[s], beta, n_grid, c, held)
                 else:
                     np.multiply(c, free_unit, out=c)
     return sums
@@ -489,40 +493,32 @@ def _bound_reach(k_total: float, tail: float = REACH_TAIL) -> float:
     return hi
 
 
-def _fast_length(sites: int) -> int:
-    """The shortest automatic ladder length of at least `sites`, or the cap's."""
-    return _LADDER_LENGTHS[bisect.bisect_left(_LADDER_LENGTHS, min(sites, _LADDER_LENGTHS[-1]))]
+def _fast_length(sites: int, last: int) -> int:
+    """The shortest fast ladder length of at least `sites` if below `last`, else `last`."""
+    i = bisect.bisect_left(_LADDER_LENGTHS, sites)
+    return min(_LADDER_LENGTHS[i], last) if i < len(_LADDER_LENGTHS) else last
 
 
-def _ladder_length(reach: float) -> int:
-    """The shortest automatic ladder whose tail guard's edge lies beyond `reach`."""
-    half = max(math.ceil(min(reach / TAIL_FRACTION, AUTO_CUTOFF_CAP)), _MIN_CUTOFF)
-    return _fast_length(2 * half + 1)
+def _ladder_length(reach: float, last: int) -> int:
+    """The shortest ladder up to `last` whose tail guard's edge lies beyond `reach`, else `last`."""
+    half = max(math.ceil(min(reach / TAIL_FRACTION, AUTO_CUTOFF_CAP + 1)), _MIN_CUTOFF)
+    return _fast_length(2 * half + 1, last)
 
 
-def _auto_ladder(
-    params: ScaledParams, realization: NoiseRealization, gs: np.ndarray
-) -> tuple[tuple[tuple[int, int], ...], float]:
-    """(stages, reach) of one realization's automatic ladder; see the module docstring.
+def _stages(strengths: np.ndarray, last: int) -> tuple[tuple[int, int], ...]:
+    """The (first kick, length) stages of a ladder ending on `last` sites (module docstring).
 
-    stages holds the (first kick, length) pairs that `_evolve` takes; reach
-    is the bound's D for all N kicks at REACH_TAIL, which sets the last length.
+    strengths holds the summed strength K_s of kicks 0..s of every kick s but the last.
     """
-    factors = np.abs(realization.amplitude_factors[: params.kick_count])
-    k_unit, g_max = params.kick_strength / params.hbar_eff, float(np.max(gs))
-    reach = _bound_reach(k_unit * float(np.sum(factors)) * g_max)
-    last = _ladder_length(reach)
     lengths = []  # of each kick before the last
-    if reach <= TAIL_FRACTION * AUTO_CUTOFF_CAP:  # else every kick runs on the cap
-        length = 0  # no stage yet: its edge, -0.9, certifies nothing
-        for k in k_unit * np.cumsum(factors[:-1]) * g_max:
-            if length < last and _tail_bound(k, TAIL_FRACTION * ((length - 1) // 2)) > STAGE_TAIL:
-                grown = max(_ladder_length(_bound_reach(k, STAGE_TAIL)), _fast_length(2 * length))
-                length = min(grown, last)
-            lengths.append(length)
-    lengths += [last] * (params.kick_count - len(lengths))  # the last kick, or all on the cap
-    stages = tuple((s, size) for s, size in enumerate(lengths) if s == 0 or size > lengths[s - 1])
-    return stages or ((0, last),), reach  # a train of no kicks has one stage too
+    length = 0  # no stage yet: its edge, -0.9, certifies nothing
+    for k in strengths:
+        if length < last and _tail_bound(k, TAIL_FRACTION * ((length - 1) // 2)) > STAGE_TAIL:
+            length = max(_ladder_length(_bound_reach(k, STAGE_TAIL), last),
+                         _fast_length(2 * length, last))
+        lengths.append(length)
+    lengths.append(last)  # the last kick, or a train of no kicks
+    return tuple((s, size) for s, size in enumerate(lengths) if s == 0 or size > lengths[s - 1])
 
 
 def _cloud_energy(
@@ -533,10 +529,11 @@ def _cloud_energy(
     Every atom starts at site 0 of its own frame, with beta' = n0 + beta,
     and its SE swaps set beta' = n0 + beta_new (module docstring).  The
     cloud is evolved in blocks of max(1, _BLOCK_SITES // L) atoms, L the
-    ladder's last length, so only one block's amplitudes exist at a time;
-    the blocks' energy sums and weights are added in block order before the
-    cloud-wide normalization.  The ladder schedule is fixed before the first
-    block, so every block shares it.
+    ladder's last length (2M + 1 for an explicit cutoff M), so only one
+    block's amplitudes exist at a time; the blocks' energy sums and weights
+    are added in block order before the cloud-wide normalization.  The
+    ladder's stages are fixed before the first block, so every block shares
+    them.
 
     Per-worker working set: one block of at most _BLOCK_SITES sites at
     length L (or one atom's L, if longer), at 73 B per site at most, whose
@@ -552,15 +549,18 @@ def _cloud_energy(
     if cfg.se_probability > 0.0:  # each block draws its rows of the cloud's schedule
         event_rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_EVENTS)
         beta_rng = stream_rng(cfg.master_seed, cfg.realization_index, STREAM_SE_BETA)
+    factors = np.abs(realization.amplitude_factors[: params.kick_count])
+    k_unit, g_max = params.kick_strength / params.hbar_eff, float(np.max(gs))
     if spec.cutoff is not None:
-        stages = ((0, 2 * spec.cutoff + 1),)
+        l_size = 2 * spec.cutoff + 1
         remedy = f"raise the cutoff above M = {spec.cutoff}"
     else:
-        stages, reach = _auto_ladder(params, realization, gs)
-        remedy = f"automatic ladder L = {stages[-1][1]} for the reach bound D = {reach:.6g}"
+        reach = _bound_reach(k_unit * float(np.sum(factors)) * g_max)
+        l_size = _ladder_length(reach, 2 * AUTO_CUTOFF_CAP + 1)
+        remedy = f"automatic ladder L = {l_size} for the reach bound D = {reach:.6g}"
         if reach > TAIL_FRACTION * AUTO_CUTOFF_CAP:
             remedy += f", beyond the cap; set an explicit cutoff above M = {AUTO_CUTOFF_CAP}"
-    l_size = stages[-1][1]
+    stages = _stages(k_unit * np.cumsum(factors[:-1]) * g_max, l_size)
     per_block = max(1, _BLOCK_SITES // l_size)
     sums = np.zeros((2, params.kick_count + 1))
     for lo in range(0, spec.n_atoms, per_block):

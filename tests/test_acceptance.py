@@ -350,7 +350,8 @@ def test_c11_scan_determinism_across_workers():
     max_workers = max(4, os.cpu_count() or 1)
     texts = {}
     for engine, extra in (
-        ("quantum", {"noise": "period", "levels": [0.0, 0.08], "se_probability": 0.2}),
+        ("quantum",
+         {"noise": "period", "levels": [0.0, 0.08], "se_probability": 0.2, "cutoff": 64}),
         ("eps-classical", {"noise": "amplitude", "levels": [2.0]}),
     ):
         spec = build_spec(
@@ -364,7 +365,6 @@ def test_c11_scan_determinism_across_workers():
                 kicks=6,
                 atoms=32,
                 realizations=3,
-                cutoff=64,
                 seed=7,
                 **extra,
             )

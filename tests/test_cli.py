@@ -152,7 +152,7 @@ _ENSEMBLE_KEYS = ("noise", "kicks", "atoms", "realizations", "sigma_p", "beta_mo
                   "beta_fixed", "kick_spread", "p_max", "cutoff", "se_probability")
 _NOT_READ = {
     "quantum": (),
-    "eps-classical": ("noise", "p_max", "se_probability"),
+    "eps-classical": ("noise", "p_max", "se_probability", "cutoff"),
     "theory": _ENSEMBLE_KEYS,
 }
 # a valid value other than the default, as flags
@@ -365,7 +365,6 @@ def test_eps_scan_matches_direct_call():
             hi=0.04,
             step=0.04,
             atoms=64,
-            cutoff=32,
             kicks=5,
             realizations=2,
             beta_mode="uniform",
@@ -413,8 +412,8 @@ _GOLDEN_SCANS = {
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
              noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
              kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
-        "522d14b130f5688896a8fd3d4c7ef3322073f829aba51405f3784289cce770f2",
-        "a797e68ec7dbd0efb987c44a57a97d582f5bfa1df8d7bcb0ae31c9c540a12e16",
+        "6b036b02c86fa41b6ac1e749e4bbe4dd9f38872cc3a5abb3b6e5e186b0bc09ba",
+        "3637e050b22c220b66b961652e791b099ed1f6b39045437ee9d2700967adb51a",
     ),
     "eps-classical": (
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
@@ -817,7 +816,7 @@ def test_spec_bounds_what_one_realization_holds():
     assert build_spec(dict(raw, atoms=cli.MAX_ATOMS)).atoms == cli.MAX_ATOMS
     for engine in ("eps-classical", "quantum"):
         with pytest.raises(ConfigError, match="MAX_ATOMS"):
-            build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1, cutoff=8))
+            build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1))
     # 8.5e10 atom-kick-sites, within MAX_WORK, but 5e9 atom-kicks with SE
     raw = dict(engine="quantum", abscissa="hbar", lo=6.0, hi=6.05, step=0.1, kick_ratio=3.7,
                atoms=10**6, kicks=5000, cutoff=8, se_probability=0.01, realizations=1)

@@ -157,15 +157,17 @@ def _plane_wave(cutoff, n0=0):
     return c
 
 
-def _evolve_row(amplitudes, beta, params, realization, g=1.0, se_events=None, se_betas=None):
+def _evolve_row(amplitudes, beta, params, realization, g=1.0, se_events=None, se_betas=None,
+                stages=None):
     """One atom through the stepper as a (1, L) batch, with the (1, N) SE
-    schedule se_events, se_betas (None without SE).  Returns the amplitudes
-    and beta that `qkr._evolve` evolved in place, and the energy after each
-    kick (index 0 = before any kick)."""
+    schedule se_events, se_betas (None without SE) and the ladder's stages
+    (None: every kick on L).  Returns the amplitudes and beta that
+    `qkr._evolve` evolved in place, and the energy after each kick (index 0
+    = before any kick)."""
     c = np.array(amplitudes, dtype=complex)[None, :]
     b = np.array([beta], dtype=float)
     energy, weight = qkr._evolve(
-        c, b, np.array([g], dtype=float), params, realization, se_events, se_betas, None
+        c, b, np.array([g], dtype=float), params, realization, se_events, se_betas, None, stages
     )
     return c[0], float(b[0]), energy / weight
 
@@ -517,6 +519,21 @@ def test_jittered_free_phase_on_short_ladders_against_mpmath(l_size):
         assert got <= max(direct, 1e-13)
 
 
+@pytest.mark.parametrize("l_size", [97, 385])
+def test_jittered_free_phase_tables_in_a_buffer(l_size):
+    # tables kept in a buffer of L entries per atom, as `_evolve` hands over
+    # its |c|^2 and scratch buffer, give the bytes of fresh tables; at the
+    # prime L = 97 (B + Q = L + 1) they do not fit and a new array takes them
+    a, n_grid = 0.5 * (TWO_PI + 0.2) * 1.5, qkr._ladder(l_size)
+    fresh = np.ones((_FREE_PHASE_BETAS.size, l_size), dtype=complex)
+    qkr._jittered_free_phase(a, _FREE_PHASE_BETAS, n_grid, fresh)
+    held = np.full(fresh.size, np.nan, dtype=complex)
+    got = np.ones_like(fresh)
+    qkr._jittered_free_phase(a, _FREE_PHASE_BETAS, n_grid, got, held)
+    assert got.tobytes() == fresh.tobytes()
+    assert np.isnan(held).all() == (l_size == 97)
+
+
 def test_jittered_free_phase_evaluates_three_phases_per_atom(monkeypatch):
     # one exponential per site of the row exp(-i a n^2) and three per atom
     # for the block and power tables, none per atom and site: the phases that
@@ -714,6 +731,8 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
         spy.batches.clear()
         energies = qkr._cloud_energy(spec, p, r)
         assert len(spy.batches) == 2
+        stages = spy.ladders[-1]  # the explicit cutoff's, which the batch of one takes
+        assert len(stages) > 1
         final_c = np.concatenate([c for c, _ in spy.batches])
         final_beta = np.concatenate([beta for _, beta in spy.batches])
 
@@ -726,9 +745,8 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
                 start, float(n0s[a] + betas[a]), gs[a], p, r, events[a], frame_betas[a]
             )
             histories.append(history)
-            one, one_beta, _ = _evolve_row(
-                start, n0s[a] + betas[a], p, r, gs[a], events[a : a + 1], frame_betas[a : a + 1]
-            )
+            one, one_beta, _ = _evolve_row(start, n0s[a] + betas[a], p, r, gs[a],
+                                           events[a : a + 1], frame_betas[a : a + 1], stages)
             assert np.max(np.abs(final_c[a] - c)) < 1e-12
             assert np.max(np.abs(one - c)) < 1e-12
             assert final_beta[a] == one_beta == beta
@@ -736,7 +754,8 @@ def test_batch_engine_matches_single_atom_route(monkeypatch):
 
 
 def test_batch_rows_match_a_batch_of_one(monkeypatch):
-    # each row of a large batch is bitwise the same atom evolved alone.  With
+    # each row of a large batch is bitwise the same atom evolved alone, on
+    # the same stages of the explicit ladder.  With
     # the kick phase a fresh temporary, numpy's temporary elision (arrays of
     # 256 KiB and up) swapped the operands of the kick multiply, and complex
     # multiplies with FMA are not bitwise commutative: no row matched.  The
@@ -758,7 +777,7 @@ def test_batch_rows_match_a_batch_of_one(monkeypatch):
     for a in range(0, 600, 60):
         one, one_beta, _ = _evolve_row(
             _plane_wave(192), n0s[a] + betas[a], p, r, gs[a],
-            events[a : a + 1], se_betas[a : a + 1] + n0s[a],
+            events[a : a + 1], se_betas[a : a + 1] + n0s[a], spy.ladders[0],
         )
         assert one.tobytes() == c[a].tobytes()
         assert one_beta == beta[a]
@@ -870,14 +889,15 @@ _STARTS = {
 def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, level, kick_spread, se):
     # the reach bound holds at every hbar (resonances m = 1, 2, off
     # resonance, antiresonance) and noise kind, with SE: the automatic ladder
-    # gives the per-kick energies of the explicit M = 512 ladder on a
-    # 5-smooth L below its 1025 sites
+    # gives the per-kick energies of the explicit M = 512 ladder, run here on
+    # its 1025 sites from the first kick, on a 5-smooth L below them
     spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
     cfg = NoiseConfig(amplitude_level=level, se_probability=se, master_seed=21)
     auto = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, **_STARTS[start])
     explicit = EnsembleSpec(n_atoms=64, kick_spread=kick_spread, cutoff=512, **_STARTS[start])
     got, got_sem = ensemble_energy(auto, p, cfg, n_realizations=2)
+    monkeypatch.setattr(qkr, "_stages", lambda strengths, last: ((0, last),))
     want, want_sem = ensemble_energy(explicit, p, cfg, n_realizations=2)
     # the antiresonance returns to E = 0 every second kick: scale by the peak
     scale = np.max(want) if start == "antiresonant" else want
@@ -887,25 +907,30 @@ def test_automatic_ladder_matches_explicit_cutoff(monkeypatch, hbar, start, leve
     assert all(_is_5_smooth(n) and n < 1025 for n in spy.lengths[:2])
 
 
-@pytest.mark.parametrize(
-    "hbar, level", [(TWO_PI + 0.1, 0.0), (TWO_PI + 0.1, 2.0), (TWO_PI, 2.0), (3.0, 1.0)]
-)
-def test_ladder_grows_with_the_kicks(monkeypatch, hbar, level):
-    # the automatic ladder's stages, (first kick, length) from kick 0: the
-    # lengths rise, are 5-smooth and end on the L that the reach bound gives
-    # all N kicks at REACH_TAIL, the fixed ladder's length.  Every kick of an
-    # earlier stage is certified at the stricter STAGE_TAIL for the summed
-    # strength K_s of the kicks so far, a stage starts where the last length
-    # no longer certifies, and it is at least twice as long.  The frames make
-    # the schedule blind to the cloud's temperature: sigma_p = 2.5 and 40
-    # (|n0| up to about 110) get the same stages
-    p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+@pytest.mark.parametrize("hbar, level, ratio, kicks, cutoff", [
+    (hbar, level, 3.63, 20, cutoff) for cutoff in (None, 192, 600)
+    for hbar, level in ((TWO_PI + 0.1, 0.0), (TWO_PI + 0.1, 2.0), (TWO_PI, 2.0), (3.0, 1.0))
+] + [(3.0, 0.0, 12.0, 40, cutoff) for cutoff in (None, 600)])
+def test_ladder_grows_with_the_kicks(monkeypatch, cutoff, hbar, level, ratio, kicks):
+    # the ladder's stages, (first kick, length) from kick 0: the lengths
+    # rise and end on L, 2M + 1 for an explicit cutoff M and else the length
+    # that the reach bound gives all N kicks at REACH_TAIL (or the cap's 1025
+    # sites, for kick ratio 12 over 40 kicks).  Every kick of an earlier stage
+    # runs on a 5-smooth length (or 1025) certified at the stricter STAGE_TAIL
+    # for the summed strength K_s of the kicks so far, a stage starts where
+    # the last length no longer certifies (or at the last kick), and it is at
+    # least twice as long or L.  Past the cap (M = 600, L = 1201) a stage that
+    # needs more than 1025 sites is L: at kick ratio 12, well before the last
+    # kick.  The frames make the schedule blind to
+    # the cloud's temperature: sigma_p = 2.5 and 40 (|n0| up to about 110) get
+    # the same stages
+    p = ScaledParams(hbar_eff=hbar, kick_strength=ratio * hbar, kick_count=kicks)
     cfg = NoiseConfig(amplitude_level=level, master_seed=4)
     r = sample_realization(cfg, p.kick_count)
     ladders = []
     for sigma_p in (2.5, 40.0):
         spy = _StepperSpy(monkeypatch)
-        spec = EnsembleSpec(n_atoms=200, sigma_p=sigma_p, kick_spread=0.05)
+        spec = EnsembleSpec(n_atoms=200, sigma_p=sigma_p, kick_spread=0.05, cutoff=cutoff)
         qkr._cloud_energy(spec, p, r)
         ladders.append(spy.ladders)
         monkeypatch.undo()
@@ -913,22 +938,48 @@ def test_ladder_grows_with_the_kicks(monkeypatch, hbar, level):
     [stages] = ladders[0]
     firsts, lengths = zip(*stages)
     assert firsts[0] == 0 and list(firsts) == sorted(set(firsts))
-    assert list(lengths) == sorted(set(lengths)) and all(map(_is_5_smooth, lengths))
-    assert len(stages) >= 3
+    assert list(lengths) == sorted(set(lengths)) and len(stages) >= 3
+    assert all(_is_5_smooth(n) or n == 1025 for n in lengths[:-1])
+    assert max(lengths[:-1]) <= 1025
 
     factors = np.abs(r.amplitude_factors)
     g_max = np.max(sample_atoms(spec, cfg)[2])
     unit = p.kick_strength / p.hbar_eff
-    reach = qkr._bound_reach(unit * float(np.sum(factors)) * g_max)
-    need = 2 * math.ceil(reach / qkr.TAIL_FRACTION) + 1
-    assert lengths[-1] == min(n for n in range(need, 1025) if _is_5_smooth(n))
+    if cutoff is None:
+        reach = qkr._bound_reach(unit * float(np.sum(factors)) * g_max)
+        need = 2 * math.ceil(reach / qkr.TAIL_FRACTION) + 1
+        assert lengths[-1] == min([n for n in range(need, 1025) if _is_5_smooth(n)] + [1025])
+    else:
+        assert lengths[-1] == 2 * cutoff + 1
     k_s = unit * np.cumsum(factors) * g_max
     for (first, l_size), end in zip(stages[:-1], firsts[1:]):
         for s in range(first, end):
             assert _tail_bound(k_s[s], 0.9 * ((l_size - 1) // 2)) <= qkr.STAGE_TAIL
     for (_, short), (first, l_size) in zip(stages, stages[1:]):
-        assert _tail_bound(k_s[first], 0.9 * ((short - 1) // 2)) > qkr.STAGE_TAIL
+        needed = _tail_bound(k_s[first], 0.9 * ((short - 1) // 2)) > qkr.STAGE_TAIL
+        assert needed or first == kicks - 1
         assert l_size >= 2 * short or l_size == lengths[-1]
+    if ratio == 12.0 and cutoff == 600:
+        assert firsts[-1] < kicks - 5
+
+
+def test_staged_explicit_cutoff_matches_one_stage(monkeypatch):
+    # the peak-jitter physics (period noise 0.1, SE 0.025, kick spread 0.05,
+    # cutoff 192) across the peak: the explicit ladder's stages give the
+    # per-kick energies and s.e.m. of every kick on its L = 385 sites
+    cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=1)
+    spec = EnsembleSpec(n_atoms=300, kick_spread=0.05, cutoff=192)
+    for hbar in (TWO_PI - 0.1, TWO_PI, TWO_PI + 0.1):
+        p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
+        spy = _StepperSpy(monkeypatch)
+        staged, staged_sem = ensemble_energy(spec, p, cfg, n_realizations=2)
+        assert all(len(stages) >= 3 and stages[-1][1] == 385 for stages in spy.ladders)
+        monkeypatch.setattr(qkr, "_stages", lambda strengths, last: ((0, last),))
+        fixed, fixed_sem = ensemble_energy(spec, p, cfg, n_realizations=2)
+        assert spy.ladders[2:] == [((0, 385),)] * 2
+        np.testing.assert_allclose(staged, fixed, rtol=1e-13, atol=0.0)
+        assert np.max(np.abs(staged_sem - fixed_sem)) <= 1e-13 * np.max(fixed)
+        monkeypatch.undo()
 
 
 def test_reach_bound_holds_on_the_exact_resonant_populations(monkeypatch):
@@ -961,15 +1012,17 @@ def test_reach_bound_holds_on_the_exact_resonant_populations(monkeypatch):
 
 
 def test_automatic_ladder_falls_back_to_the_cap(monkeypatch):
-    # K = 12 * 40 = 480 > 0.9 * 512: the bound cannot certify any ladder
-    # under the cap, so the cell runs on the explicit M = 512 ladder, bit for
-    # bit; off resonance the cloud spreads diffusively and still fits it
+    # K = 12 * 40 = 480 > 0.9 * 512: the bound cannot certify the last
+    # kicks under the cap, so the cell grows to the cap on the stages of the
+    # explicit M = 512 ladder, bit for bit; off resonance the cloud spreads
+    # diffusively and still fits it
     spy = _StepperSpy(monkeypatch)
     p = ScaledParams(hbar_eff=3.0, kick_strength=12.0 * 3.0, kick_count=40)
     cfg = NoiseConfig(master_seed=5)
     auto, _ = ensemble_energy(EnsembleSpec(n_atoms=8), p, cfg)
     explicit, _ = ensemble_energy(EnsembleSpec(n_atoms=8, cutoff=512), p, cfg)
     assert spy.lengths == [1025, 1025]
+    assert spy.ladders[0] == spy.ladders[1] and len(spy.ladders[0]) >= 3
     assert np.array_equal(auto, explicit)
 
 
