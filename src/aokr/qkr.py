@@ -501,8 +501,9 @@ def _fast_length(sites: int, last: int) -> int:
 
 def _ladder_length(reach: float, last: int) -> int:
     """The shortest ladder up to `last` whose tail guard's edge lies beyond `reach`, else `last`."""
-    half = max(math.ceil(min(reach / TAIL_FRACTION, AUTO_CUTOFF_CAP + 1)), _MIN_CUTOFF)
-    return _fast_length(2 * half + 1, last)
+    if reach > TAIL_FRACTION * AUTO_CUTOFF_CAP:  # no fast length (<= 1,025 sites) certifies it
+        return last
+    return _fast_length(2 * max(math.ceil(reach / TAIL_FRACTION), _MIN_CUTOFF) + 1, last)
 
 
 def _stages(strengths: np.ndarray, last: int) -> tuple[tuple[int, int], ...]:
@@ -607,7 +608,6 @@ def ensemble_energy(
     """
 
     def run(rcfg: NoiseConfig) -> np.ndarray:
-        realization = sample_realization(rcfg, params.kick_count)
-        return _cloud_energy(spec, params, realization)
+        return _cloud_energy(spec, params, sample_realization(rcfg, params.kick_count))
 
     return realization_mean(cfg, n_realizations, run)

@@ -816,7 +816,8 @@ def test_spec_bounds_what_one_realization_holds():
     assert build_spec(dict(raw, atoms=cli.MAX_ATOMS)).atoms == cli.MAX_ATOMS
     for engine in ("eps-classical", "quantum"):
         with pytest.raises(ConfigError, match="MAX_ATOMS"):
-            build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1))
+            build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1,
+                            **({"cutoff": 8} if engine == "quantum" else {})))
     # 8.5e10 atom-kick-sites, within MAX_WORK, but 5e9 atom-kicks with SE
     raw = dict(engine="quantum", abscissa="hbar", lo=6.0, hi=6.05, step=0.1, kick_ratio=3.7,
                atoms=10**6, kicks=5000, cutoff=8, se_probability=0.01, realizations=1)

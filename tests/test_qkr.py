@@ -957,7 +957,7 @@ def test_ladder_grows_with_the_kicks(monkeypatch, cutoff, hbar, level, ratio, ki
             assert _tail_bound(k_s[s], 0.9 * ((l_size - 1) // 2)) <= qkr.STAGE_TAIL
     for (_, short), (first, l_size) in zip(stages, stages[1:]):
         needed = _tail_bound(k_s[first], 0.9 * ((short - 1) // 2)) > qkr.STAGE_TAIL
-        assert needed or first == kicks - 1
+        assert needed or (cutoff is not None and first == kicks - 1)
         assert l_size >= 2 * short or l_size == lengths[-1]
     if ratio == 12.0 and cutoff == 600:
         assert firsts[-1] < kicks - 5
