@@ -32,6 +32,7 @@ from .core import ScaledParams, check_fields, declared_as, field_schema, hbar_fr
 from .epsmap import EpsParams, check_portrait, eps_energy, phase_portrait
 from .noise import AMPLITUDE_LEVEL_MAX, NoiseConfig
 from .qkr import AUTO_CUTOFF_CAP, CutoffError, EnsembleSpec, ensemble_energy
+from .qkr import _BLOCK_SITES, _MIN_CUTOFF  # the most atoms one block holds
 from .theory import diffusion_rate  # noqa: F401  bench/tracing.py wraps it by this name
 from .theory import ARGUMENT_MAX, diffusion_rate_with_noise, kick_strength_from_energy
 
@@ -50,9 +51,10 @@ MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of m
 # each with a kick spread (72 B without), 0.8 GB, and the quantum engine 50 B
 # each plus one ~4.8 MB block of sites
 MAX_ATOMS = 10**7
-# atoms x kicks of one realization with SE, the whole cloud's schedule (9 B each);
-# a worker holds only one block's rows of it at a time
+# SE schedule rows (atoms x kicks, 9 B each) that one worker holds at a time: one
+# block's, of at most as many atoms as fill its sites on the shortest ladder
 MAX_SE_SCHEDULE = 10**8
+_BLOCK_ATOMS = _BLOCK_SITES // (2 * _MIN_CUTOFF + 1)  # 3,855 atoms on 17 sites
 MAX_WORKERS = 64  # scan threads; the pool starts one per cell up to this many
 MAX_PORTRAIT_POINTS = 10_000_000  # portrait rows, 160 MB as (phi, rho) floats
 
@@ -205,9 +207,10 @@ class ScanSpec:
                                   f"exceed MAX_WORK = {MAX_WORK:.0e}")
         if self.atoms > MAX_ATOMS:  # theory keeps the default counts
             raise ConfigError(f"atoms = {self.atoms} exceeds MAX_ATOMS = {MAX_ATOMS:.0e}")
-        if self.se_probability > 0.0 and self.atoms * self.kicks > MAX_SE_SCHEDULE:
-            raise ConfigError(f"atoms * kicks = {self.atoms * self.kicks:.3g} with SE exceeds "
-                              f"MAX_SE_SCHEDULE = {MAX_SE_SCHEDULE:.0e}")
+        rows = min(self.atoms, _BLOCK_ATOMS) * self.kicks
+        if self.se_probability > 0.0 and rows > MAX_SE_SCHEDULE:
+            raise ConfigError(f"one block's SE rows, min(atoms, {_BLOCK_ATOMS}) * kicks = "
+                              f"{rows:.3g}, exceed MAX_SE_SCHEDULE = {MAX_SE_SCHEDULE:.0e}")
 
     def points(self) -> np.ndarray:
         """Abscissa grid lo, lo+step, .. capped at hi (inclusive up to rounding)."""

@@ -28,16 +28,22 @@ the cloud's temperature.
 
 Per-kick cost.  A kick is one in-place FFT pair around a multiply by the
 kick phase, which is rebuilt only when k_eff changes: without amplitude
-noise, once per stage of a block.  The free phase of all-unit gaps is built
-once per block, and each new stage builds it on its new sites only.  Under
-period noise, exp(-i a (n + beta)^2) with a =
-hbar_eff tau_s / 2 is applied in place as three complex multiplies per
-site: a row exp(-i a n^2), then per-atom blocks and powers of z =
-exp(-2i a beta), running products of three exponentials per atom.  Phases
-are written as cos + i sin into buffers, and the amplitudes, phases, |c|^2
-and one scratch array are allocated once per block, so no kick allocates an
-atoms x L array.  The one exponential left per site and kick is the per-atom
-kick phase under amplitude noise with a kick spread.
+noise, once per stage of a block.  The angle grid's cos phi_j is exactly
+mirrored (entry L - j is entry j), so a per-atom kick phase (under a kick
+spread) is evaluated on j <= L // 2 and copied to the other sites.  Every
+free phase exp(-i a (n + beta)^2), a = hbar_eff tau_s / 2, costs three
+complex multiplies per site and no exponential: a row exp(-i a n^2), then
+per-atom blocks and powers of z = exp(-2i a beta), running products of
+three exponentials per atom.  Under period noise it is applied to the
+amplitudes at every kick; for all-unit gaps it is built on rows of ones
+once per stage of a block, and again on a row whose beta an SE swap
+changed.  The tail mass and the energy are sums of products over the real
+and imaginary views of the amplitudes; only a detection window takes
+|c|^2.  Phases are written as cos + i sin into buffers, and the amplitudes,
+phases, |c|^2 and one scratch array are allocated once per block, so no
+kick allocates an atoms x L array.  The one exponential left per site and
+kick is the per-atom kick phase under amplitude noise with a kick spread,
+on half the sites.
 
 Blocks.  A realization's cloud is evolved in blocks of max(1, _BLOCK_SITES
 // L) atoms, L its last ladder length, one block at a time, so every
@@ -298,6 +304,8 @@ def _jittered_free_phase(
     tables are running products of three (z, z^B and the block anchor), so
     a site costs three complex multiplies and no exponential.  The tables fill
     the first atoms (B + Q) entries of `tables`, or of a new array if shorter.
+    On rows of ones it builds the phase itself, as `_evolve` does for
+    all-unit gaps; each row's bytes depend on its own beta alone.
     """
     atoms, l_size = c.shape
     block = max(b for b in range(1, math.isqrt(l_size) + 1) if l_size % b == 0)
@@ -317,6 +325,32 @@ def _jittered_free_phase(
     np.multiply(c, _cis(-a * n_grid**2), out=c)
     np.multiply(v, blocks[:, :, None], out=v)
     np.multiply(v, powers[:, None, :], out=v)
+
+
+def _cos_phi(l_size: int) -> np.ndarray:
+    """cos(2 pi j / L) on the kick's angle grid, exactly mirrored: entry L - j is entry j."""
+    j = np.arange(l_size)
+    return np.cos(2.0 * np.pi * np.minimum(j, l_size - j) / l_size)
+
+
+def _kick_phase(
+    kg: float | np.ndarray, cos_phi: np.ndarray, out: np.ndarray, scratch: np.ndarray | None
+) -> None:
+    """exp(i kg cos phi) into out: one row for a scalar kg, else one row per atom's kg.
+
+    Per atom only the sites j <= L // 2 are evaluated, their arguments in
+    `scratch`; sites j > L // 2 copy their mirror images L - j through
+    `scratch`, since numpy would copy a source that overlaps out.
+    """
+    if np.ndim(kg) == 0:
+        _cis(kg * cos_phi, out=out)
+        return
+    half = cos_phi.size // 2 + 1
+    rest = cos_phi.size - half  # sites half .. L - 1, the images of rest .. 1
+    _cis(np.multiply(kg[:, None], cos_phi[:half], out=scratch[:, :half]), out=out[:, :half])
+    for part in (out.real, out.imag):
+        np.copyto(scratch[:, :rest], part[:, rest:0:-1])
+        np.copyto(part[:, half:], scratch[:, :rest])
 
 
 def _relay(flat: np.ndarray, held: np.ndarray, atoms: int, l_old: int, l_new: int) -> np.ndarray:
@@ -364,11 +398,13 @@ def _evolve(
     kick) as the two rows of a (2, N + 1) array.
 
     Per kick: one in-place FFT pair around the kick phase, which is rebuilt
-    only when k_eff changes (equal kick factors share one row); the free
-    phase is built once for all-unit gaps and extended over each new
-    stage's sites, and under period noise applied in place by
-    `_jittered_free_phase`, its tables in the |c|^2 and scratch buffer
-    (in a new array at a prime L, where they need one entry per atom more).
+    only when k_eff changes (equal kick factors share one row, and per-atom
+    rows are mirrored, `_kick_phase`), then the tail guard and energy sums
+    of `_kick_sums`.  The free phase is `_jittered_free_phase`, its tables
+    in the |c|^2 and scratch buffer (in a new array at a prime L, where they
+    need one entry per atom more): under period noise applied to c at every
+    kick, and for all-unit gaps built once per stage on rows of ones, and
+    again for each row whose beta an SE swap changed.
     Every per-site buffer is allocated at length L before the first kick; a
     stage of length l works on the contiguous (atoms, l) prefix of each,
     c's memory included, and `_relay` moves the amplitudes between stages.
@@ -404,36 +440,29 @@ def _evolve(
         c = _relay(flat, held, atoms, l_old, l_size)
         m = l_size // 2
         n_grid = _ladder(l_size)
-        cos_phi = np.cos(2.0 * np.pi * np.arange(l_size) / l_size)
+        cos_phi = _cos_phi(l_size)
         # the tail guard's sites |n| > 0.9 M are the two ends of the ladder
         inner = np.flatnonzero(np.abs(n_grid) <= TAIL_FRACTION * m)
-        left, right = inner[0], inner[-1] + 1
+        edges = inner[0], inner[-1] + 1
         prob, scratch = prefix(work), prefix(work, sites)
         p2 = prefix(p2_buf)
         np.square(np.add(n_grid[None, :], beta[:, None], out=p2), out=p2)
         window = None if p_max is None else np.less_equal(p2, p_max**2, out=prefix(window_buf))
         kick_phase = kick_buf[:l_size] if common_kick else prefix(kick_buf)
         free_unit = None
-        if uniform_gaps and first == 0:
-            free_unit = _cis(np.multiply(-0.5 * hbar, p2, out=scratch), out=prefix(free_buf))
-        elif uniform_gaps:  # old sites keep their phases, and only the new ones are built
-            free_unit = _relay(free_buf, held, atoms, l_old, l_size)
-            shift = l_size // 2 - l_old // 2
-            for new_sites in (slice(0, shift), slice(shift + l_old, l_size)):
-                arg = np.multiply(-0.5 * hbar, p2[:, new_sites], out=scratch[:, new_sites])
-                _cis(arg, out=free_unit[:, new_sites])
+        if uniform_gaps:
+            free_unit = prefix(free_buf)
+            free_unit.fill(1.0)
+            _jittered_free_phase(0.5 * hbar, beta, n_grid, free_unit, held)
         if first == 0:
-            np.square(np.abs(c, out=prob), out=prob)
-            sums[:, 0] = _windowed_energy(prob, p2, window, scratch)
+            sums[:, 0] = _kick_sums(c, p2, window, prob, edges)[1:]
 
         k_built = None
         for s in range(first, end):
             k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
             if k_eff != k_built:
-                if common_kick:
-                    _cis(k_eff * g[0] * cos_phi, out=kick_phase)
-                else:
-                    _cis(np.multiply((k_eff * g)[:, None], cos_phi, out=scratch), out=kick_phase)
+                kg = k_eff * g[0] if common_kick else k_eff * g
+                _kick_phase(kg, cos_phi, kick_phase, scratch)
                 k_built = k_eff
             np.fft.ifft(c, axis=1, out=c)
             np.multiply(kick_phase, c, out=c)
@@ -446,16 +475,16 @@ def _evolve(
                 if window is not None:
                     window[hit] = p2[hit] <= p_max**2
                 if free_unit is not None:
-                    free_unit[hit] = _cis(-0.5 * hbar * p2[hit])
+                    rows = np.ones((np.count_nonzero(hit), l_size), dtype=complex)
+                    _jittered_free_phase(0.5 * hbar, beta[hit], n_grid, rows, held)
+                    free_unit[hit] = rows
 
-            np.square(np.abs(c, out=prob), out=prob)
-            tail = prob[:, :left].sum(axis=1) + prob[:, right:].sum(axis=1)
+            tail, sums[0, s + 1], sums[1, s + 1] = _kick_sums(c, p2, window, prob, edges)
             if np.max(tail) > TAIL_TOLERANCE:
                 raise CutoffError(
                     f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1} "
                     f"on the L = {l_size} ladder (M = {m})"
                 )
-            sums[:, s + 1] = _windowed_energy(prob, p2, window, scratch)
 
             if s < n_kicks - 1:
                 if free_unit is None:
@@ -539,8 +568,10 @@ def _cloud_energy(
     Per-worker working set: one block of at most _BLOCK_SITES sites at
     length L (or one atom's L, if longer), at 73 B per site at most, whose
     shorter stages use prefixes of the same buffers: the amplitudes 16,
-    |c|^2 8, scratch 8, p^2 8, the kick phase 16 (per atom under a kick
-    spread), the all-unit-gap free phase 16 and the window 1, about 4.8 MB;
+    |c|^2 (under a window) and scratch 8 each, which also move the
+    amplitudes between stages and hold the free phase's tables, p^2 8, the
+    kick phase 16 (per atom under a kick spread), the all-unit-gap free
+    phase 16 and the window 1, about 4.8 MB;
     plus the block's SE rows, 9 B per atom and kick, and the cloud's n0,
     beta and g at 24 B per atom.
     """
@@ -584,15 +615,28 @@ def _cloud_energy(
     return energy / weight
 
 
-def _windowed_energy(
-    prob: np.ndarray, p2: np.ndarray, window: np.ndarray | None, scratch: np.ndarray
-) -> tuple[float, float]:
-    """Sum of p^2/2 weights and total weight, restricted to the window (None = no window)."""
+def _kick_sums(
+    c: np.ndarray, p2: np.ndarray, window: np.ndarray | None, prob: np.ndarray,
+    edges: tuple[int, int],
+) -> tuple[np.ndarray, float, float]:
+    """Each atom's tail mass, and the batch's p^2/2 sum and weight within the window (None = none).
+
+    The tail is the mass on the columns < edges[0] and >= edges[1] of c.
+    Each is a sum of products over c's (re, im) float view or its .real and
+    .imag views; only the window takes |c|^2, into `prob`.  Without a window
+    the weight is the atoms' count, their norms being 1.
+    """
+    floats = c.view(float)
+    left, right = floats[:, : 2 * edges[0]], floats[:, 2 * edges[1] :]
+    tail = np.einsum("ij,ij->i", left, left)
+    tail += np.einsum("ij,ij->i", right, right)
     if window is None:
-        return float(np.sum(np.multiply(prob, p2, out=scratch))) / 2.0, float(prob.shape[0])
-    w = np.multiply(prob, window, out=scratch)
-    total = float(np.sum(w))
-    return float(np.sum(np.multiply(w, p2, out=scratch))) / 2.0, total
+        re, im = c.real, c.imag
+        energy = np.einsum("ij,ij,ij->i", re, re, p2)
+        energy += np.einsum("ij,ij,ij->i", im, im, p2)
+        return tail, float(np.sum(energy)) / 2.0, float(c.shape[0])
+    w = np.multiply(np.square(np.abs(c, out=prob), out=prob), window, out=prob)
+    return tail, float(np.einsum("ij,ij->", w, p2)) / 2.0, float(np.sum(w))
 
 
 def ensemble_energy(

@@ -412,8 +412,8 @@ _GOLDEN_SCANS = {
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
              noise="period", levels=[0.0, 0.1], se_probability=0.05, kick_spread=0.05,
              kicks=4, atoms=24, realizations=2, cutoff=48, seed=3),
-        "6b036b02c86fa41b6ac1e749e4bbe4dd9f38872cc3a5abb3b6e5e186b0bc09ba",
-        "3637e050b22c220b66b961652e791b099ed1f6b39045437ee9d2700967adb51a",
+        "7e00c2f632295f35799f5af5f0b638c41d2c90e96fe381c62619d4a343e226da",
+        "05e8438121894fc6ff60b7c60f4cf5bde05a4c3b8633c71b1bb0596cf17039aa",
     ),
     "eps-classical": (
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
@@ -508,6 +508,15 @@ print(json.dumps(hashes))
 """
 
 
+# a quantum scan whose blocks fill qkr._BLOCK_SITES (819-910 atoms on the
+# automatic ladder's last 72-80 sites), with a kick spread and SE: the
+# stepper's per-kick sums then run over whole blocks
+_FULL_BLOCK_SCAN = dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.1,
+                        kick_ratio=5.0, noise="amplitude", levels=[0.0, 2.0],
+                        se_probability=0.05, kick_spread=0.05, kicks=3, atoms=1000,
+                        realizations=2, seed=3)
+
+
 @pytest.mark.parametrize(
     "disabled, engines",
     [(_NO_AVX512, sorted(_GOLDEN_SCANS)), (_BASELINE_ONLY, ["eps-classical", "theory"])],
@@ -524,6 +533,12 @@ def test_seeded_scan_bytes_hold_under_every_simd_dispatch(tmp_path, disabled, en
     for epsilon, (flags, sha) in _GOLDEN_PORTRAITS.items():
         runs["portrait " + epsilon] = ["portrait", *flags, "--out", "out.csv"]
         want["portrait " + epsilon] = [sha]
+    if "quantum" in engines:  # the same bytes as this process's default dispatch
+        block = ["scan", *_as_flags(_FULL_BLOCK_SCAN), "--out"]
+        assert main([*block, str(tmp_path / "default.csv")]) == 0
+        runs["quantum block"] = [*block, "out.csv"]
+        default = (tmp_path / "default.csv").read_bytes()
+        want["quantum block"] = [hashlib.sha256(default).hexdigest()]
     run = subprocess.run([sys.executable, "-c", _GOLDEN_CHILD, disabled, json.dumps(runs)],
                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
@@ -818,17 +833,25 @@ def test_spec_bounds_what_one_realization_holds():
         with pytest.raises(ConfigError, match="MAX_ATOMS"):
             build_spec(dict(raw, engine=engine, atoms=cli.MAX_ATOMS + 1, kicks=1,
                             **({"cutoff": 8} if engine == "quantum" else {})))
-    # 8.5e10 atom-kick-sites, within MAX_WORK, but 5e9 atom-kicks with SE
+    # 8.5e10 atom-kick-sites, within MAX_WORK, and 5e9 atom-kicks with SE, but a
+    # worker holds one block's SE rows: at most 3,855 atoms (65,536 sites on the
+    # shortest, 17-site ladder) x 5,000 kicks
     raw = dict(engine="quantum", abscissa="hbar", lo=6.0, hi=6.05, step=0.1, kick_ratio=3.7,
                atoms=10**6, kicks=5000, cutoff=8, se_probability=0.01, realizations=1)
-    with pytest.raises(ConfigError, match=r"atoms \* kicks = 5e\+09 with SE exceeds MAX_SE"):
-        build_spec(raw)
-    edge = dict(raw, atoms=10**4, kicks=10**4)
-    assert build_spec(edge).kicks == 10**4
+    assert build_spec(raw).atoms == 10**6
+    # blocks of 1,008 atoms on L = 65, which the whole cloud's 2e8 atom-kicks once rejected
+    assert build_spec(dict(raw, atoms=5 * 10**6, kicks=40, cutoff=32)).atoms == 5 * 10**6
+    edge = dict(raw, atoms=10**4, kicks=25_940)  # 3,855 x 25,940 = 99,998,700 rows
+    assert build_spec(edge).kicks == 25_940
+    with pytest.raises(ConfigError, match=r"one block's SE rows, min\(atoms, 3855\) \* kicks = "
+                                          r"1e\+08, exceed MAX_SE_SCHEDULE = 1e\+08"):
+        build_spec(dict(edge, kicks=25_941))
+    # a cloud smaller than one block counts its own atoms
+    assert build_spec(dict(raw, atoms=100, kicks=10**6)).kicks == 10**6
     with pytest.raises(ConfigError, match="MAX_SE_SCHEDULE"):
-        build_spec(dict(edge, kicks=10**4 + 1))
+        build_spec(dict(raw, atoms=100, kicks=10**6 + 1))
     # without SE no schedule is drawn
-    assert build_spec(dict(raw, se_probability=0.0)).atoms == 10**6
+    assert build_spec(dict(edge, kicks=25_941, se_probability=0.0)).kicks == 25_941
 
 
 def test_main_rejects_unbounded_kicks_before_any_output(capsys, caplog):
