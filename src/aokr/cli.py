@@ -49,7 +49,7 @@ MAX_POINTS = 100_000  # abscissa points per scan, checked before any array exist
 MAX_WORK = 10**11  # atom-kicks per scan (x ladder sites for quantum); ~1 h of map on one core
 # atoms of one realization; at peak (tracemalloc) the eps-classical map holds 80 B
 # each with a kick spread (72 B without), 0.8 GB, and the quantum engine 50 B
-# each plus one ~4.8 MB block of sites
+# each plus one ~4.7 MB block of sites and 256 KiB of ufunc buffers
 MAX_ATOMS = 10**7
 # SE schedule rows (atoms x kicks, 9 B each) that one worker holds at a time: one
 # block's, of at most as many atoms as fill its sites on the shortest ladder
@@ -346,9 +346,6 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> EnergyCurve:
         for li in range(len(levels))
     ]
     config = dict(asdict(spec), version=__version__)
-    if spec.engine != "quantum":
-        # no ladder to size: recorded as the automatic ladder's cap, which neither reads
-        config["cutoff"] = AUTO_CUTOFF_CAP
 
     engine, columns, keys, _ = _CELLS[spec.engine]
 

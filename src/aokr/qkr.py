@@ -28,22 +28,23 @@ the cloud's temperature.
 
 Per-kick cost.  A kick is one in-place FFT pair around a multiply by the
 kick phase, which is rebuilt only when k_eff changes: without amplitude
-noise, once per stage of a block.  The angle grid's cos phi_j is exactly
-mirrored (entry L - j is entry j), so a per-atom kick phase (under a kick
-spread) is evaluated on j <= L // 2 and copied to the other sites.  Every
-free phase exp(-i a (n + beta)^2), a = hbar_eff tau_s / 2, costs three
-complex multiplies per site and no exponential: a row exp(-i a n^2), then
-per-atom blocks and powers of z = exp(-2i a beta), running products of
-three exponentials per atom.  Under period noise it is applied to the
-amplitudes at every kick; for all-unit gaps it is built on rows of ones
-once per stage of a block, and again on a row whose beta an SE swap
-changed.  The tail mass and the energy are sums of products over the real
-and imaginary views of the amplitudes; only a detection window takes
-|c|^2.  Phases are written as cos + i sin into buffers, and the amplitudes,
-phases, |c|^2 and one scratch array are allocated once per block, so no
-kick allocates an atoms x L array.  The one exponential left per site and
-kick is the per-atom kick phase under amplitude noise with a kick spread,
-on half the sites.
+noise, once per stage of a block, one row for the block without a kick
+spread and one per atom with it.  The angle grid's cos phi_j is exactly
+mirrored (entry L - j is entry j), so each row is evaluated on j <= L // 2
+and copied to the other sites.  Every free phase exp(-i a (n + beta)^2),
+a = hbar_eff tau_s / 2, costs three complex multiplies per site and no
+exponential: a row exp(-i a n^2), then per-atom blocks and powers of
+z = exp(-2i a beta), running products of three exponentials per atom.  Under
+period noise it is applied to the amplitudes at every kick; for all-unit
+gaps it is built on rows of ones once per stage of a block, and again on a
+row whose beta an SE swap changed.  The tail mass and the energy are sums
+of products over the real and imaginary views of the amplitudes; only a
+detection window takes |c|^2, and is worked out from p^2 at every kick.
+Phases are written as cos + i sin into buffers, and the amplitudes, phases,
+|c|^2 and one scratch array are allocated once per block, so no kick
+allocates an atoms x L array.  The one exponential left per site and kick
+is the per-atom kick phase under amplitude noise with a kick spread, on
+half the sites.
 
 Blocks.  A realization's cloud is evolved in blocks of max(1, _BLOCK_SITES
 // L) atoms, L its last ladder length, one block at a time, so every
@@ -333,18 +334,13 @@ def _cos_phi(l_size: int) -> np.ndarray:
     return np.cos(2.0 * np.pi * np.minimum(j, l_size - j) / l_size)
 
 
-def _kick_phase(
-    kg: float | np.ndarray, cos_phi: np.ndarray, out: np.ndarray, scratch: np.ndarray | None
-) -> None:
-    """exp(i kg cos phi) into out: one row for a scalar kg, else one row per atom's kg.
+def _kick_phase(kg: np.ndarray, cos_phi: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """exp(i kg cos phi) into out, one row per entry of kg.
 
-    Per atom only the sites j <= L // 2 are evaluated, their arguments in
-    `scratch`; sites j > L // 2 copy their mirror images L - j through
+    Only the sites j <= L // 2 are evaluated, their arguments in `scratch`
+    (of out's rows); sites j > L // 2 copy their mirror images L - j through
     `scratch`, since numpy would copy a source that overlaps out.
     """
-    if np.ndim(kg) == 0:
-        _cis(kg * cos_phi, out=out)
-        return
     half = cos_phi.size // 2 + 1
     rest = cos_phi.size - half  # sites half .. L - 1, the images of rest .. 1
     _cis(np.multiply(kg[:, None], cos_phi[:half], out=scratch[:, :half]), out=out[:, :half])
@@ -383,7 +379,7 @@ def _evolve(
     se_events: np.ndarray | None,
     se_betas: np.ndarray | None,
     p_max: float | None,
-    stages: tuple[tuple[int, int], ...] | None = None,
+    stages: tuple[tuple[int, int], ...],
 ) -> np.ndarray:
     """The quantum stepper: drive a batch of atoms through the pulse train.
 
@@ -392,16 +388,17 @@ def _evolve(
     atoms' kick factors, se_events (True = swap beta after that kick) and
     se_betas (the betas swapped in) their (atoms, N) SE schedule, None
     without SE.  stages holds (first kick, length) pairs, from kick 0 with
-    non-decreasing lengths up to L; None runs every kick on L.  The rows
-    must vanish outside the first stage's ladder.  Returns the batch's
+    non-decreasing lengths up to L, ((0, L),) running every kick on L.  The
+    rows must vanish outside the first stage's ladder.  Returns the batch's
     windowed energy sum and weight per kick index 0..N (0 = before any
     kick) as the two rows of a (2, N + 1) array.
 
     Per kick: one in-place FFT pair around the kick phase, which is rebuilt
-    only when k_eff changes (equal kick factors share one row, and per-atom
-    rows are mirrored, `_kick_phase`), then the tail guard and energy sums
-    of `_kick_sums`.  The free phase is `_jittered_free_phase`, its tables
-    in the |c|^2 and scratch buffer (in a new array at a prime L, where they
+    only when k_eff changes (one mirrored row per atom, `_kick_phase`, or
+    one row for all when the kick factors are equal), then the tail guard
+    and energy sums of `_kick_sums`, which works out the window from p^2 at
+    every kick.  The free phase is `_jittered_free_phase`, its tables in
+    the |c|^2 and scratch buffer (in a new array at a prime L, where they
     need one entry per atom more): under period noise applied to c at every
     kick, and for all-unit gaps built once per stage on rows of ones, and
     again for each row whose beta an SE swap changed.
@@ -411,11 +408,8 @@ def _evolve(
     """
     n_kicks = params.kick_count
     atoms, l_last = c.shape
-    if stages is None:
-        stages = ((0, l_last),)
     hbar = params.hbar_eff
     intervals = free_evolution_intervals(realization.period_offsets[:n_kicks])
-    common_kick = bool(np.all(g == g[0]))
     uniform_gaps = bool(np.all(intervals == 1.0))
 
     sites = c.size
@@ -424,8 +418,8 @@ def _evolve(
     work = np.empty(2 * sites)  # |c|^2 and scratch, what `_relay` moves, or tables
     held = work.view(complex)
     p2_buf = np.empty(sites)
-    window_buf = None if p_max is None else np.empty(sites, dtype=bool)
-    kick_buf = np.empty(l_last if common_kick else sites, dtype=complex)
+    kg = g[:1] if np.all(g == g[0]) else g  # equal factors: one row, broadcast in the multiply
+    kick_buf = np.empty(kg.size * l_last, dtype=complex)
     free_buf = np.empty(sites, dtype=complex) if uniform_gaps else None
 
     l_size = l_last  # the current stage's length
@@ -447,22 +441,20 @@ def _evolve(
         prob, scratch = prefix(work), prefix(work, sites)
         p2 = prefix(p2_buf)
         np.square(np.add(n_grid[None, :], beta[:, None], out=p2), out=p2)
-        window = None if p_max is None else np.less_equal(p2, p_max**2, out=prefix(window_buf))
-        kick_phase = kick_buf[:l_size] if common_kick else prefix(kick_buf)
+        kick_phase = kick_buf[: kg.size * l_size].reshape(kg.size, l_size)
         free_unit = None
         if uniform_gaps:
             free_unit = prefix(free_buf)
             free_unit.fill(1.0)
             _jittered_free_phase(0.5 * hbar, beta, n_grid, free_unit, held)
         if first == 0:
-            sums[:, 0] = _kick_sums(c, p2, window, prob, edges)[1:]
+            sums[:, 0] = _kick_sums(c, p2, p_max, prob, scratch, edges)[1:]
 
         k_built = None
         for s in range(first, end):
             k_eff = params.kick_strength * realization.amplitude_factors[s] / hbar
             if k_eff != k_built:
-                kg = k_eff * g[0] if common_kick else k_eff * g
-                _kick_phase(kg, cos_phi, kick_phase, scratch)
+                _kick_phase(k_eff * kg, cos_phi, kick_phase, scratch[: kg.size])
                 k_built = k_eff
             np.fft.ifft(c, axis=1, out=c)
             np.multiply(kick_phase, c, out=c)
@@ -472,14 +464,13 @@ def _evolve(
                 hit = se_events[:, s]
                 beta[hit] = se_betas[hit, s]
                 p2[hit] = (n_grid[None, :] + beta[hit, None]) ** 2
-                if window is not None:
-                    window[hit] = p2[hit] <= p_max**2
                 if free_unit is not None:
                     rows = np.ones((np.count_nonzero(hit), l_size), dtype=complex)
                     _jittered_free_phase(0.5 * hbar, beta[hit], n_grid, rows, held)
                     free_unit[hit] = rows
+                    del rows  # not held beside the next kick phase
 
-            tail, sums[0, s + 1], sums[1, s + 1] = _kick_sums(c, p2, window, prob, edges)
+            tail, sums[0, s + 1], sums[1, s + 1] = _kick_sums(c, p2, p_max, prob, scratch, edges)
             if np.max(tail) > TAIL_TOLERANCE:
                 raise CutoffError(
                     f"tail mass {np.max(tail):.3e} beyond 0.9M at kick {s + 1} "
@@ -566,14 +557,15 @@ def _cloud_energy(
     them.
 
     Per-worker working set: one block of at most _BLOCK_SITES sites at
-    length L (or one atom's L, if longer), at 73 B per site at most, whose
+    length L (or one atom's L, if longer), at 72 B per site at most, whose
     shorter stages use prefixes of the same buffers: the amplitudes 16,
     |c|^2 (under a window) and scratch 8 each, which also move the
     amplitudes between stages and hold the free phase's tables, p^2 8, the
-    kick phase 16 (per atom under a kick spread), the all-unit-gap free
-    phase 16 and the window 1, about 4.8 MB;
-    plus the block's SE rows, 9 B per atom and kick, and the cloud's n0,
-    beta and g at 24 B per atom.
+    kick phase 16 (per atom under a kick spread) and the all-unit-gap free
+    phase 16, about 4.7 MB; plus the buffers of one numpy ufunc call, 8,192
+    elements of each operand it cannot stride through, at most 256 KiB; the
+    block's SE rows, 9 B per atom and kick; and the cloud's n0, beta and g
+    at 24 B per atom.
     """
     cfg = realization.config
     n0s, betas, gs = sample_atoms(spec, cfg)
@@ -616,25 +608,27 @@ def _cloud_energy(
 
 
 def _kick_sums(
-    c: np.ndarray, p2: np.ndarray, window: np.ndarray | None, prob: np.ndarray,
+    c: np.ndarray, p2: np.ndarray, p_max: float | None, prob: np.ndarray, scratch: np.ndarray,
     edges: tuple[int, int],
 ) -> tuple[np.ndarray, float, float]:
-    """Each atom's tail mass, and the batch's p^2/2 sum and weight within the window (None = none).
+    """Each atom's tail mass, and the batch's p^2/2 sum and weight within |p| <= p_max (None = all).
 
     The tail is the mass on the columns < edges[0] and >= edges[1] of c.
     Each is a sum of products over c's (re, im) float view or its .real and
-    .imag views; only the window takes |c|^2, into `prob`.  Without a window
-    the weight is the atoms' count, their norms being 1.
+    .imag views; only a window takes |c|^2, into `prob`, and multiplies it
+    by the window, p^2 <= p_max^2 as 1.0 or 0.0 in `scratch`.  Without a
+    window the weight is the atoms' count, their norms being 1.
     """
     floats = c.view(float)
     left, right = floats[:, : 2 * edges[0]], floats[:, 2 * edges[1] :]
     tail = np.einsum("ij,ij->i", left, left)
     tail += np.einsum("ij,ij->i", right, right)
-    if window is None:
+    if p_max is None:
         re, im = c.real, c.imag
         energy = np.einsum("ij,ij,ij->i", re, re, p2)
         energy += np.einsum("ij,ij,ij->i", im, im, p2)
         return tail, float(np.sum(energy)) / 2.0, float(c.shape[0])
+    window = np.less_equal(p2, p_max**2, out=scratch)
     w = np.multiply(np.square(np.abs(c, out=prob), out=prob), window, out=prob)
     return tail, float(np.einsum("ij,ij->", w, p2)) / 2.0, float(np.sum(w))
 

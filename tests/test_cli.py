@@ -402,11 +402,12 @@ def test_map_scan_takes_a_hot_cloud(tmp_path):
         assert 0.9 * 7200.0 < float(row[-2]) < 1.2 * 7200.0
 
 
-# sha256 of the CSV and the JSON sidecar of three tiny seeded scans, one per
-# engine (numpy 2.4.6, x86-64).  Any change to a byte of the output, the
-# version in its meta line included, changes them.  They hold whether or not
-# numpy dispatches its AVX-512 loops, and the eps-classical and theory pins
-# also on baseline loops alone (test_seeded_scan_bytes_hold_under_every_simd_dispatch).
+# sha256 of the CSV and the JSON sidecar of tiny seeded scans, one per engine
+# and a quantum one with a detection window (numpy 2.4.6, x86-64).  Any change
+# to a byte of the output, the version in its meta line included, changes
+# them.  They hold whether or not numpy dispatches its AVX-512 loops, and the
+# eps-classical and theory pins also on baseline loops alone
+# (test_seeded_scan_bytes_hold_under_every_simd_dispatch).
 _GOLDEN_SCANS = {
     "quantum": (
         dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=2.0,
@@ -419,14 +420,22 @@ _GOLDEN_SCANS = {
         dict(engine="eps-classical", abscissa="epsilon", lo=-0.05, hi=0.05, step=0.05,
              kick_ratio=2.0, levels=[0.0, 2.0], kicks=5, atoms=100, beta_mode="uniform",
              realizations=3, seed=3),
-        "150a8ff9e8b08ce55f8a6a49879fd3b15cd7615133f918326f17e6107cc37389",
-        "920e6c8f12f9b0750d0ffdc4350c938e2bca9fddefa8c4c6c792125d088e3ae9",
+        "b30237890102026de12252e4548b3e95d38f8e4bb7b674587b55102a29718d0b",
+        "851c467c47737c07864746a1046cf4d3c7e12fff045215719c7d556ddcf5708a",
     ),
     "theory": (
         dict(engine="theory", abscissa="hbar", lo=5.0, hi=5.2, step=0.1, kick_ratio=2.0,
              levels=[0.0, 2.0]),
-        "55f343d2fda823883cd49bae649a1a9fa317bfc227380665c54e10662196c822",
-        "fd889d9efaf68601d941ea25c828b672c509a71457c2c618b58d736f731a5bf4",
+        "cfd93505713de8e9e72b4737db10c7e8509497af4ee65dd47971394da968673c",
+        "a7ea6566d1b6f4dea55734d0a667edd51a93ab27ac6dc471730698590772bb4b",
+    ),
+    # uniform gaps, amplitude noise, a kick spread and SE, with |p| <= 12 detected
+    "quantum-window": (
+        dict(engine="quantum", abscissa="hbar", lo=6.2, hi=6.3, step=0.05, kick_ratio=3.0,
+             noise="amplitude", levels=[0.0, 2.0], se_probability=0.1, kick_spread=0.05,
+             kicks=10, atoms=300, realizations=2, seed=5, p_max=12.0),
+        "99c3cd2f28a4b33cae9ac0cf60dbd339ddd468de77ba37b8841a385428d79cba",
+        "61e5a1cc67e73f21dd034abcf1f233f29ad2e02021ccf3047b44356ca492eb9e",
     ),
 }
 

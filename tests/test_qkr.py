@@ -161,14 +161,13 @@ def _evolve_row(amplitudes, beta, params, realization, g=1.0, se_events=None, se
                 stages=None):
     """One atom through the stepper as a (1, L) batch, with the (1, N) SE
     schedule se_events, se_betas (None without SE) and the ladder's stages
-    (None: every kick on L).  Returns the amplitudes and beta that
+    (None: ((0, L),), every kick on L).  Returns the amplitudes and beta that
     `qkr._evolve` evolved in place, and the energy after each kick (index 0
     = before any kick)."""
     c = np.array(amplitudes, dtype=complex)[None, :]
     b = np.array([beta], dtype=float)
-    energy, weight = qkr._evolve(
-        c, b, np.array([g], dtype=float), params, realization, se_events, se_betas, None, stages
-    )
+    energy, weight = qkr._evolve(c, b, np.array([g], dtype=float), params, realization,
+                                 se_events, se_betas, None, stages or ((0, c.shape[1]),))
     return c[0], float(b[0]), energy / weight
 
 
@@ -202,8 +201,7 @@ class _StepperSpy:
         self._realization = None  # held, so a new realization is a new object
         evolve = qkr._evolve
 
-        def spy(c, beta, g, params, realization, se_events, se_betas, p_max, stages=None):
-            stages = stages or ((0, c.shape[1]),)  # `_evolve`'s own default
+        def spy(c, beta, g, params, realization, se_events, se_betas, p_max, stages):
             self.batches.append((c, beta))
             self.schedules.append((se_events, se_betas))
             if realization is not self._realization:
@@ -432,7 +430,8 @@ def _check_stepper_against_direct_exp(noise, kick_spread, se, p_max, cutoff):
     n0, beta, g = sample_atoms(spec, cfg)
     start = (qkr._ladder(2 * cutoff + 1) == n0[:, None]).astype(complex)
     c, new_beta = start.copy(), beta.copy()
-    energy, weight = qkr._evolve(c, new_beta, g, p, r, events, se_betas, p_max)
+    energy, weight = qkr._evolve(c, new_beta, g, p, r, events, se_betas, p_max,
+                                 ((0, 2 * cutoff + 1),))
     want_c, want_beta, want_energy, want_weight = _direct_exp_stepper(
         start, beta, g, p, r, events, se_betas, p_max
     )
@@ -557,7 +556,8 @@ def test_jittered_free_phase_evaluates_three_phases_per_atom(monkeypatch):
     r = sample_realization(NoiseConfig(period_level=0.1, master_seed=5), 2)
     c = np.zeros((atoms, 2 * cutoff + 1), dtype=complex)
     c[:, cutoff] = 1.0
-    qkr._evolve(c, np.linspace(0.0, 0.99, atoms), np.ones(atoms), p, r, None, None, None)
+    qkr._evolve(c, np.linspace(0.0, 0.99, atoms), np.ones(atoms), p, r, None, None, None,
+                ((0, 2 * cutoff + 1),))
     assert count["calls"] == 1
     assert 0 < count["phases"] <= 2 * cutoff + 1 + 3 * atoms
 
@@ -568,7 +568,8 @@ def test_kick_tables_are_mirrored(l_size):
     # np.cos(2 pi j / L) for j <= L // 2, and lies within 2 ulp of 1 of the
     # exact cosine (np.cos of the larger argument 2 pi j / L, j > L // 2, is
     # itself up to 4.25 ulp off it); the per-atom kick phase, evaluated on
-    # j <= L // 2 and mirrored, lies within 1e-15 of exp(i k g cos phi_j)
+    # j <= L // 2 and mirrored, lies within 1e-15 of exp(i k g cos phi_j),
+    # and the one row of equal factors has the bytes of each row of many
     j = np.arange(l_size)
     cos_phi = qkr._cos_phi(l_size)
     assert cos_phi[1:].tobytes() == cos_phi[:0:-1].tobytes()
@@ -581,9 +582,11 @@ def test_kick_tables_are_mirrored(l_size):
     phase, scratch = np.empty((kg.size, l_size), dtype=complex), np.empty((kg.size, l_size))
     qkr._kick_phase(kg, cos_phi, phase, scratch)
     assert np.max(np.abs(phase - np.exp(1j * kg[:, None] * exact))) <= 1e-15
-    row = np.empty(l_size, dtype=complex)
-    qkr._kick_phase(kg[0], cos_phi, row, None)
-    assert np.max(np.abs(row - np.exp(1j * kg[0] * exact))) <= 1e-15
+    equal = np.full(kg.size, kg[0])
+    qkr._kick_phase(equal, cos_phi, phase, scratch)
+    row = np.empty((1, l_size), dtype=complex)
+    qkr._kick_phase(equal[:1], cos_phi, row, scratch[:1])
+    assert all(each.tobytes() == row.tobytes() for each in phase)
 
 
 def test_free_phase_row_rebuilt_after_a_swap_is_a_starting_row(monkeypatch):
@@ -611,7 +614,7 @@ def test_free_phase_row_rebuilt_after_a_swap_is_a_starting_row(monkeypatch):
         c = np.zeros((beta.size, l_size), dtype=complex)
         c[:, l_size // 2] = 1.0
         qkr._evolve(c, beta.copy(), np.ones(beta.size), p, _train([1.0] * p.kick_count),
-                    se_events, se_rows, None)
+                    se_events, se_rows, None, ((0, l_size),))
 
     run(betas, events, se_betas)
     [(_, _), (swapped, rebuilt)] = built
@@ -639,7 +642,8 @@ def test_kick_sums_match_the_squared_modulus(p_max):
     window = None if p_max is None else p2 <= p_max**2
     inner = np.flatnonzero(np.abs(n_grid) <= qkr.TAIL_FRACTION * (l_size // 2))
     edges = inner[0], inner[-1] + 1
-    tail, energy, weight = qkr._kick_sums(c, p2, window, np.empty(c.shape), edges)
+    tail, energy, weight = qkr._kick_sums(c, p2, p_max, np.empty(c.shape), np.empty(c.shape),
+                                          edges)
     prob = np.abs(c) ** 2
     want_tail = prob[:, : edges[0]].sum(axis=1) + prob[:, edges[1] :].sum(axis=1)
     kept = prob if window is None else prob * window
@@ -891,7 +895,8 @@ def test_frame_matches_the_placed_start(monkeypatch, noise, se, p_max):
     assert np.max(np.abs(n0)) >= 5 and (se == 0.0 or events[:, :-1].sum() >= 50)
     placed = (qkr._ladder(513) == n0[:, None]).astype(complex)
     placed_beta = beta.copy()
-    energy, weight = qkr._evolve(placed, placed_beta, g, p, r, events, se_betas, p_max)
+    energy, weight = qkr._evolve(placed, placed_beta, g, p, r, events, se_betas, p_max,
+                                 ((0, 513),))
     spy = _StepperSpy(monkeypatch)
     frame = qkr._cloud_energy(spec, p, r)
     [(c_frame, beta_frame)] = spy.batches
@@ -1231,29 +1236,49 @@ def test_blocks_of_any_size_give_the_same_atoms(monkeypatch):
         assert np.all(np.abs(energies_b - energies) <= 1e-13 * energies)
 
 
-def test_cloud_memory_is_bounded_by_one_block():
-    # one realization of the peak-jitter physics (L = 385) at 600 and 4,800
-    # atoms: the blocks' arrays, their SE rows included, do not grow with
-    # the atom count, so the tracemalloc peak grows by at most the per-atom
-    # samples (n0, beta, g) of the 4,200 added atoms, and stays below one
-    # block at the 73 B per site that `qkr._cloud_energy` lists, plus the
-    # block's SE rows (a bool and a float per atom and kick) and those samples
+def test_cloud_memory_is_bounded_by_one_block(monkeypatch):
+    # one realization at 600 and 4,800 atoms with a kick spread and SE, of
+    # the peak-jitter physics (period noise, L = 385) and of amplitude noise
+    # on uniform gaps (the automatic ladder, about 250 sites).  The blocks'
+    # arrays, their SE rows included, do not grow with the atom count, so on
+    # the fixed ladder the tracemalloc peak grows by at most the per-atom
+    # samples (n0, beta, g) of the 4,200 added atoms.  Every peak stays below
+    # one block at the bytes per site that `qkr._cloud_energy` lists, plus
+    # the block's SE rows (a bool and a float per atom and kick) and those
+    # samples: 73 B under period noise, and on uniform gaps that case's 72 B
+    # (no window) and the buffers of one ufunc call.  numpy buffers 8,192
+    # elements of each operand that a call cannot stride through; no call
+    # here buffers more than two complex operands, 256 KiB, the widest being
+    # the three float operands of the strided multiply in `_kick_phase`
+    # (192 KiB), and the rest covers the block's rows of L or atom entries
     hbar = TWO_PI + 0.1
     p = ScaledParams(hbar_eff=hbar, kick_strength=3.63 * hbar, kick_count=20)
-    cfg = NoiseConfig(period_level=0.1, se_probability=0.025, master_seed=1)
-    block_se = 9 * (qkr._BLOCK_SITES // 385) * p.kick_count
-    peaks = {}
-    for atoms in (600, 4800):
-        spec = EnsembleSpec(n_atoms=atoms, kick_spread=0.05, cutoff=192)
-        r = sample_realization(cfg, p.kick_count)
-        tracemalloc.start()
-        try:
-            qkr._cloud_energy(spec, p, r)
-            peaks[atoms] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # 1 KiB for the interpreter's own small objects: whether a float or a
-    # tuple comes from a free list moves a traced peak by tens of bytes
-    assert peaks[4800] - peaks[600] <= 4200 * 3 * 8 + 1024
-    for atoms, peak in peaks.items():
-        assert peak <= 73 * qkr._BLOCK_SITES + block_se + 3 * 8 * atoms, (atoms, peak)
+    cases = {
+        "period": (dict(period_level=0.1), 192, 73 * qkr._BLOCK_SITES),
+        "uniform": (dict(amplitude_level=2.0), None, 72 * qkr._BLOCK_SITES + 2 * 8192 * 16),
+    }
+    evolve, lengths = qkr._evolve, {}
+
+    def spy(c, *args):  # keeps the last length L alone, which sizes the blocks
+        lengths["L"] = c.shape[1]
+        return evolve(c, *args)
+
+    monkeypatch.setattr(qkr, "_evolve", spy)
+    for name, (noise, cutoff, block) in cases.items():
+        cfg = NoiseConfig(se_probability=0.025, master_seed=1, **noise)
+        peaks = {}
+        for atoms in (600, 4800):
+            spec = EnsembleSpec(n_atoms=atoms, kick_spread=0.05, cutoff=cutoff)
+            r = sample_realization(cfg, p.kick_count)
+            tracemalloc.start()
+            try:
+                qkr._cloud_energy(spec, p, r)
+                peaks[atoms] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block_se = 9 * min(atoms, qkr._BLOCK_SITES // lengths["L"]) * p.kick_count
+            assert peaks[atoms] <= block + block_se + 3 * 8 * atoms, (name, atoms, peaks[atoms])
+        if cutoff is not None:
+            # 1 KiB for the interpreter's own small objects: whether a float or
+            # a tuple comes from a free list moves a traced peak by tens of bytes
+            assert peaks[4800] - peaks[600] <= 4200 * 3 * 8 + 1024
